@@ -15,7 +15,7 @@ Library layout:
 
 __version__ = "0.1.0"
 
-from .bounds import BoundReport, bound_report, modulus, second_modulus
+from .bounds import BoundReport, bound_report, bound_reports, modulus, second_modulus
 from .convergence import (
     SequenceSpec,
     SweepRecord,
@@ -61,7 +61,7 @@ from .pq_calculus import (
 
 __all__ = [
     "__version__",
-    "BoundReport", "bound_report", "modulus", "second_modulus",
+    "BoundReport", "bound_report", "bound_reports", "modulus", "second_modulus",
     "SequenceSpec", "SweepRecord", "default_spec", "hypothesis_check",
     "korovkin_sweep", "vanishing_sweep", "weighted_sup_error",
     "ConvergenceError", "DomainError", "RegimeError", "SizeCapError",

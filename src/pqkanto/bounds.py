@@ -18,12 +18,27 @@ lower bounds of the true modulus and could fake a violation).
 Moduli are measured over the node hull [0, node_hull_max]: the operator
 never evaluates f outside it, and the bound proofs only need |t - x|
 with t in the hull.
+
+Where a handle carries no exact modulus, omega_r(f, delta) (r = 1, 2) is
+estimated on a grid.  f is sampled once on the DOMAIN_STEPS + 1 equally
+spaced base points x_i of the domain, spacing D = (hi - lo)/DOMAIN_STEPS,
+and the estimate is the largest |Delta^r_h f(x_i)| with x_i + r h in the
+domain over two kinds of offset h:
+
+  * the grid-aligned offsets h = k D <= delta, read off the base samples
+    alone: per order, a table of the per-offset maxima, prefix-maximised
+    over k, answers every delta by lookup;
+  * the offset h = delta itself, which costs r evaluations of f at the
+    shifted base points.
+
+Every candidate is an admissible pair (x, h <= delta), so the estimate is
+a lower estimate of the true modulus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,10 +48,9 @@ from .moments import peetre_bound_args, second_central_moment
 from .operators import OperatorParams, apply_operator, node_hull_max
 from .pq_calculus import PQPair
 
-#: Sampling defaults for grid-estimated moduli: offsets step delta/256,
-#: base points step (hi - lo)/4096.  Keeps grid bias below the tolerances
-#: asserted for the bundled test functions.
-OFFSET_STEPS = 256
+#: Base points of the grid estimates: the domain in DOMAIN_STEPS equal
+#: steps.  Keeps grid bias below the tolerances asserted for the bundled
+#: test functions.
 DOMAIN_STEPS = 4096
 
 #: Multiplicative and additive slack when asserting a proven bound in floats.
@@ -48,71 +62,76 @@ def _eval(f: FunctionHandle, x: np.ndarray) -> np.ndarray:
     return np.asarray(f.evaluator(x), dtype=float)
 
 
-def modulus(f: FunctionHandle, delta: float, domain: Tuple[float, float],
-            grid_step: Optional[float] = None) -> float:
+def _difference(order: int, values: Sequence[np.ndarray]) -> np.ndarray:
+    """Delta^order_h f(x) from [f(x), f(x + h), ..., f(x + order h)]."""
+    if order == 1:
+        return values[1] - values[0]
+    return values[2] - 2.0 * values[1] + values[0]
+
+
+class _Moduli:
+    """omega_1 and omega_2 of one f over one domain, at any number of deltas.
+
+    Exact metadata is returned as is.  Otherwise the base samples and the
+    per-order tables of grid-aligned maxima are built at first use and
+    grown only as far as the largest delta asked for.  An instance lives
+    for one call of the public functions below, never longer.
+    """
+
+    def __init__(self, f: FunctionHandle, domain: Tuple[float, float]):
+        self.f = f
+        self.lo, self.hi = domain
+        self._base: Optional[np.ndarray] = None
+        self._f_base: Optional[np.ndarray] = None
+        self._tables: Dict[int, List[float]] = {1: [0.0], 2: [0.0]}
+
+    def __call__(self, order: int, delta: float) -> float:
+        if delta < 0:
+            raise DomainError(f"delta must be nonnegative, got {delta}")
+        exact = self.f.exact_modulus if order == 1 else self.f.exact_second_modulus
+        if exact is not None:
+            return float(exact(delta))
+        if self.hi <= self.lo:
+            raise DomainError(f"empty domain [{self.lo}, {self.hi}]")
+        if delta == 0:
+            return 0.0
+        if self._base is None:
+            self._base = np.linspace(self.lo, self.hi, DOMAIN_STEPS + 1)
+            self._f_base = _eval(self.f, self._base)
+        step = (self.hi - self.lo) / DOMAIN_STEPS
+        best = self._grid_aligned(order, min(int(delta / step), DOMAIN_STEPS // order))
+        ok = self._base + order * delta <= self.hi
+        if np.any(ok):
+            x = self._base[ok]
+            values = [self._f_base[ok]] + [_eval(self.f, x + j * delta)
+                                           for j in range(1, order + 1)]
+            best = max(best, float(np.abs(_difference(order, values)).max()))
+        return best
+
+    def _grid_aligned(self, order: int, k: int) -> float:
+        """Largest |Delta^order_{jD} f(x_i)| over the offsets j <= k."""
+        table = self._tables[order]
+        f_base = self._f_base
+        for j in range(len(table), k + 1):
+            m = f_base.size - order * j
+            values = [f_base[i * j: i * j + m] for i in range(order + 1)]
+            table.append(max(table[-1], float(np.abs(_difference(order, values)).max())))
+        return table[k]
+
+
+def modulus(f: FunctionHandle, delta: float, domain: Tuple[float, float]) -> float:
     """Modulus of continuity sup_{|t-x| <= delta} |f(t) - f(x)|.
 
     Returns exact metadata when the handle carries it; otherwise a grid
     estimate over `domain`, which is a lower estimate of the true value.
     """
-    if delta < 0:
-        raise DomainError(f"delta must be nonnegative, got {delta}")
-    if f.exact_modulus is not None:
-        return float(f.exact_modulus(delta))
-    lo, hi = domain
-    if hi <= lo:
-        raise DomainError(f"empty domain [{lo}, {hi}]")
-    if delta == 0:
-        return 0.0
-    step = grid_step if grid_step is not None else delta / OFFSET_STEPS
-    if step <= 0:
-        raise DomainError("grid_step must be positive")
-    base = np.linspace(lo, hi, DOMAIN_STEPS + 1)
-    f_base = _eval(f, base)
-    offsets = np.arange(1, int(np.floor(delta / step)) + 1) * step
-    if offsets.size == 0 or offsets[-1] < delta:
-        offsets = np.append(offsets, delta)
-    best = 0.0
-    for h in offsets:
-        shifted = base + h
-        ok = shifted <= hi
-        if not np.any(ok):
-            continue
-        diff = np.abs(_eval(f, shifted[ok]) - f_base[ok])
-        best = max(best, float(np.max(diff)))
-    return best
+    return _Moduli(f, domain)(1, delta)
 
 
-def second_modulus(f: FunctionHandle, delta: float, domain: Tuple[float, float],
-                   grid_step: Optional[float] = None) -> float:
+def second_modulus(f: FunctionHandle, delta: float, domain: Tuple[float, float]) -> float:
     """Second modulus sup_{0 < h <= delta} |f(x+2h) - 2 f(x+h) + f(x)|
     over x with x + 2h in `domain`; exact metadata honored."""
-    if delta < 0:
-        raise DomainError(f"delta must be nonnegative, got {delta}")
-    if f.exact_second_modulus is not None:
-        return float(f.exact_second_modulus(delta))
-    lo, hi = domain
-    if hi <= lo:
-        raise DomainError(f"empty domain [{lo}, {hi}]")
-    if delta == 0:
-        return 0.0
-    step = grid_step if grid_step is not None else delta / OFFSET_STEPS
-    if step <= 0:
-        raise DomainError("grid_step must be positive")
-    base = np.linspace(lo, hi, DOMAIN_STEPS + 1)
-    f_base = _eval(f, base)
-    offsets = np.arange(1, int(np.floor(delta / step)) + 1) * step
-    if offsets.size == 0 or offsets[-1] < delta:
-        offsets = np.append(offsets, delta)
-    best = 0.0
-    for h in offsets:
-        ok = base + 2 * h <= hi
-        if not np.any(ok):
-            continue
-        x = base[ok]
-        diff = np.abs(_eval(f, x + 2 * h) - 2.0 * _eval(f, x + h) + f_base[ok])
-        best = max(best, float(np.max(diff)))
-    return best
+    return _Moduli(f, domain)(2, delta)
 
 
 @dataclass
@@ -152,45 +171,56 @@ def _holds(observed: float, bound: float) -> bool:
     return observed <= bound * (1.0 + HOLDS_RTOL) + HOLDS_ATOL
 
 
-def bound_report(f: FunctionHandle, x: float, params: OperatorParams, pq: PQPair,
-                 rel_tol: float = 1e-12) -> BoundReport:
-    """Evaluate observed error and all bound quantities at x in [0, b_n].
+def bound_reports(f: FunctionHandle, xs, params: OperatorParams, pq: PQPair,
+                  rel_tol: float = 1e-12) -> List[BoundReport]:
+    """Observed error and all bound quantities at every x in xs (each in
+    [0, b_n]).
 
     Requires normalized mode: the bounds are proved for an operator that
-    reproduces constants.  The sqrt argument of the second modulus clamps
-    the printed peetre_arg at zero (it is reported unclamped)."""
+    reproduces constants.  The hull and the grid-moduli tables are built
+    once for the whole call.  The sqrt argument of the second modulus
+    clamps the printed peetre_arg at zero (it is reported unclamped)."""
     if params.mode != "normalized":
         raise DomainError("bound reports require normalized mode")
-    kf = apply_operator(f, x, params, pq, rel_tol)
-    fx = float(f.evaluator(float(x)))
-    observed = abs(kf - fx)
-    central2 = max(second_central_moment(params, pq, x), 0.0)
-    hull = (0.0, node_hull_max(params, pq))
-    om = modulus(f, float(np.sqrt(central2)), hull)
-    mod_bound = 2.0 * om
-    peetre_arg, bias = peetre_bound_args(params, pq, x)
-    peetre_arg = float(peetre_arg)
-    bias = float(bias)
-    om2 = second_modulus(f, float(np.sqrt(max(peetre_arg, 0.0))), hull)
-    om_bias = modulus(f, abs(bias), hull)
-    lip_bound = None
-    holds_lip = None
-    if f.lip is not None:
-        m_const, gamma = f.lip
-        lip_bound = float(m_const) * central2 ** (float(gamma) / 2.0)
-        holds_lip = _holds(observed, lip_bound)
-    holds_mod = _holds(observed, mod_bound) if f.exact_modulus is not None else None
-    return BoundReport(
-        x=float(x),
-        observed_error=observed,
-        second_central_moment=central2,
-        modulus_at_sqrt_moment=om,
-        modulus_bound=mod_bound,
-        peetre_arg=peetre_arg,
-        bias=bias,
-        second_modulus_at_sqrt_peetre=om2,
-        modulus_at_abs_bias=om_bias,
-        lipschitz_bound=lip_bound,
-        holds_lipschitz=holds_lip,
-        holds_modulus=holds_mod,
-    )
+    omega = _Moduli(f, (0.0, node_hull_max(params, pq)))
+    reports = []
+    for x in xs:
+        kf = apply_operator(f, x, params, pq, rel_tol)
+        fx = float(f.evaluator(float(x)))
+        observed = abs(kf - fx)
+        central2 = max(second_central_moment(params, pq, x), 0.0)
+        om = omega(1, float(np.sqrt(central2)))
+        mod_bound = 2.0 * om
+        peetre_arg, bias = peetre_bound_args(params, pq, x)
+        peetre_arg = float(peetre_arg)
+        bias = float(bias)
+        om2 = omega(2, float(np.sqrt(max(peetre_arg, 0.0))))
+        om_bias = omega(1, abs(bias))
+        lip_bound = None
+        holds_lip = None
+        if f.lip is not None:
+            m_const, gamma = f.lip
+            lip_bound = float(m_const) * central2 ** (float(gamma) / 2.0)
+            holds_lip = _holds(observed, lip_bound)
+        holds_mod = _holds(observed, mod_bound) if f.exact_modulus is not None else None
+        reports.append(BoundReport(
+            x=float(x),
+            observed_error=observed,
+            second_central_moment=central2,
+            modulus_at_sqrt_moment=om,
+            modulus_bound=mod_bound,
+            peetre_arg=peetre_arg,
+            bias=bias,
+            second_modulus_at_sqrt_peetre=om2,
+            modulus_at_abs_bias=om_bias,
+            lipschitz_bound=lip_bound,
+            holds_lipschitz=holds_lip,
+            holds_modulus=holds_mod,
+        ))
+    return reports
+
+
+def bound_report(f: FunctionHandle, x: float, params: OperatorParams, pq: PQPair,
+                 rel_tol: float = 1e-12) -> BoundReport:
+    """`bound_reports` at the single point x in [0, b_n]."""
+    return bound_reports(f, [x], params, pq, rel_tol)[0]

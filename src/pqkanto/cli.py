@@ -29,7 +29,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import __version__
-from .bounds import BOUND_CSV_FIELDS, bound_report
+from .bounds import BOUND_CSV_FIELDS, bound_reports
 from .convergence import (
     DEFAULT_GRID_POINTS,
     DEFAULT_N_LIST,
@@ -145,11 +145,9 @@ def run_bounds(params: dict, base: Path) -> List[str]:
     grid = int(params["grid"])
     if grid < 2:
         raise DomainError("--grid must be at least 2")
-    xs = np.linspace(0.0, float(op.b_n), grid)
-    rows = []
-    for x in xs:
-        rep = bound_report(f, float(x), op, pq, tol)
-        rows.append([getattr(rep, field) for field in BOUND_CSV_FIELDS])
+    xs = [float(x) for x in np.linspace(0.0, float(op.b_n), grid)]
+    rows = [[getattr(rep, field) for field in BOUND_CSV_FIELDS]
+            for rep in bound_reports(f, xs, op, pq, tol)]
     out = params["out"]
     write_csv(BOUND_CSV_FIELDS, rows, _resolve(base, out))
     _write_manifest("bounds", params, [out], base)

@@ -76,7 +76,8 @@ class FunctionHandle:
     spot-checks this.  `lip` is a pair (M, gamma) certifying
     |f(t) - f(x)| <= M |t - x|^gamma; `exact_modulus` maps delta to the
     modulus of continuity over [0, inf); `support_bound` C certifies
-    f == 0 on [C, inf).
+    f == 0 on [C, inf); `antiderivative` is a vectorised F with F' = f,
+    used for the classical (p = q = 1) inner integrals.
     """
 
     name: str
@@ -87,6 +88,7 @@ class FunctionHandle:
     support_bound: Optional[float] = None
     polynomial_coeffs: Optional[Tuple[float, ...]] = None
     piecewise_linear: Optional[PiecewiseLinear] = None
+    antiderivative: Optional[Callable] = None
 
     def __call__(self, x):
         return self.evaluator(x)
@@ -162,7 +164,9 @@ def lip_handle(a: float, gamma: float) -> FunctionHandle:
     """|x - a|^gamma for gamma in (0, 1]; member of Lip_1(gamma).
 
     |u^g - v^g| <= |u - v|^g for u, v >= 0 gives the Lipschitz certificate
-    and the exact modulus delta^gamma (attained at the kink).
+    and the exact modulus delta^gamma (attained at the kink).  The
+    antiderivative sign(x - a) |x - a|^(gamma+1) / (gamma+1) integrates
+    across the kink exactly.
     """
     if a < 0:
         raise DomainError("lip requires a >= 0")
@@ -172,11 +176,15 @@ def lip_handle(a: float, gamma: float) -> FunctionHandle:
     def ev(x, _a=float(a), _g=float(gamma)):
         return np.abs(np.asarray(x, float) - _a) ** _g
 
+    def antiderivative(x, _a=float(a), _g=float(gamma)):
+        d = np.asarray(x, float) - _a
+        return np.sign(d) * np.abs(d) ** (_g + 1.0) / (_g + 1.0)
+
     pl = absdev(a).piecewise_linear if gamma == 1.0 else None
     return FunctionHandle(
         name=f"lip:{a:g}:{gamma:g}", evaluator=ev, lip=(1.0, float(gamma)),
         exact_modulus=lambda d, _g=float(gamma): float(d) ** _g,
-        piecewise_linear=pl,
+        piecewise_linear=pl, antiderivative=antiderivative,
     )
 
 

@@ -29,8 +29,9 @@ tops out near C(1000, 500) ~ 1e299).
 
 Inner integrals are evaluated exactly for polynomial integrands (monomial
 rule) and piecewise-linear integrands (geometric tail sums), by the
-truncated series for general f when q < p, and by fixed Gauss-Legendre
-quadrature for general f in the classical limit p = q = 1.
+truncated series for general f when q < p, and in the classical limit
+p = q = 1 from the handle's antiderivative when it carries one (exact
+across kinks), else by fixed Gauss-Legendre quadrature.
 """
 
 from __future__ import annotations
@@ -354,6 +355,8 @@ def _inner_integrals(f: FunctionHandle, a: np.ndarray, b: np.ndarray,
     if pq.is_classical:
         if f.piecewise_linear is not None:
             return _pl_integrals_classical(f.piecewise_linear, a, b)
+        if f.antiderivative is not None:
+            return (f.antiderivative(a + b) - f.antiderivative(a)) / b
         return _gl_integrals(f, a, b)
     if not pq.is_strict:
         raise RegimeError(

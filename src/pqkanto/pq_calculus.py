@@ -20,7 +20,6 @@ The series integral is float-only since it is an infinite sum.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -264,8 +263,3 @@ def bracket_table(count: int, pq: PQPair) -> np.ndarray:
         out[k] = pw + q * out[k - 1]
         pw *= p
     return out
-
-
-def math_comb_table(n: int) -> np.ndarray:
-    """Classical binomial row C(n, 0..n) as floats (oracle helper)."""
-    return np.array([math.comb(n, k) for k in range(n + 1)], dtype=float)

@@ -6,13 +6,14 @@ from pqkanto import (
     OperatorParams,
     PQPair,
     bound_report,
+    bound_reports,
     builtin,
     modulus,
     node_hull_max,
     polynomial_handle,
     second_modulus,
 )
-from pqkanto.bounds import BOUND_CSV_FIELDS
+from pqkanto.bounds import BOUND_CSV_FIELDS, DOMAIN_STEPS
 from pqkanto.functions import FunctionHandle
 
 P11 = PQPair(1, 1)
@@ -154,3 +155,59 @@ class TestBoundReport:
         payload = rep.to_json_dict()
         for field in BOUND_CSV_FIELDS:
             assert field in payload
+
+
+class TestGridEstimator:
+    DOMAIN = (0.0, 4.0)
+    STEP = 4.0 / DOMAIN_STEPS
+
+    @staticmethod
+    def closed_forms(name, length):
+        """(omega_1, upper value of omega_2) over [0, length]."""
+        if name == "sin":
+            return (lambda d: 2.0 * np.sin(min(d, np.pi) / 2.0),
+                    lambda d: 4.0 * np.sin(min(d, np.pi) / 2.0) ** 2)
+        if name == "square":
+            return (lambda d: 2.0 * length * d - d * d if d <= length else length ** 2,
+                    lambda d: 2.0 * d * d)
+        h = builtin(name)
+        return h.exact_modulus, lambda d: 2.0 * h.exact_modulus(d)
+
+    @pytest.mark.parametrize("name", ["sin", "absdev:1", "lip:0.5:0.5", "bump:2", "square"])
+    def test_lower_estimates_off_the_grid(self, name):
+        h = stripped(builtin(name))
+        om1, om2_upper = self.closed_forms(name, self.DOMAIN[1])
+        for delta in (0.37 * self.STEP, 3.5 * self.STEP, 0.1, 1.3, 5.0):
+            assert modulus(h, delta, self.DOMAIN) <= om1(delta) + 1e-12
+            assert second_modulus(h, delta, self.DOMAIN) <= om2_upper(delta) + 1e-12
+
+    def test_reports_match_pointwise_in_any_order(self):
+        params = OperatorParams(n=50, m=2, alpha=1.0, beta=2.0, b_n=3.0)
+        pq = PQPair(0.9, 0.8)
+        xs = [float(x) for x in np.linspace(0.0, 3.0, 9)]
+        for h in (stripped(builtin("sin")), builtin("square"), builtin("lip:0.5:0.5"),
+                  builtin("absdev:0.5")):
+            rows = bound_reports(h, xs, params, pq)
+            assert rows == [bound_report(h, x, params, pq) for x in xs]
+            # tables grown in another order give the same values
+            assert bound_reports(h, xs[::-1], params, pq) == rows[::-1]
+
+    def test_reports_sample_f_once(self):
+        # polynomial coefficients keep the operator off the evaluator, and
+        # without exact moduli both orders go through the grid
+        sq = builtin("square")
+        points = []
+
+        def counted(x):
+            points.append(np.size(x))
+            return sq.evaluator(x)
+
+        h = FunctionHandle(name="sq", evaluator=counted,
+                           polynomial_coeffs=sq.polynomial_coeffs)
+        params = OperatorParams(n=50, m=2, alpha=1.0, beta=2.0, b_n=3.0)
+        xs = np.linspace(0.0, 3.0, 9)
+        bound_reports(h, xs, params, PQPair(0.9, 0.8))
+        assert sum(points) <= (2 + 4 * len(xs)) * (DOMAIN_STEPS + 1) + len(xs)
+        # one base sample serves both orders at every x; the offset h = delta
+        # never reaches past the last base point
+        assert points.count(DOMAIN_STEPS + 1) == 1

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from pqkanto import DomainError, builtin, polynomial_handle
 from pqkanto.functions import PiecewiseLinear
@@ -46,6 +47,17 @@ def test_piecewise_metadata_matches_evaluator():
         h = builtin(name)
         xs = np.linspace(0, 4, 333)
         assert np.allclose(h.piecewise_linear(xs), h.evaluator(xs), atol=1e-12)
+
+
+def test_antiderivative_matches_evaluator():
+    for a, gamma in ((0.8, 0.5), (1.0, 0.3), (0.0, 0.7)):
+        h = builtin(f"lip:{a}:{gamma}")
+        for lo, hi in ((0.0, 0.5), (0.3, 1.9), (1.2, 4.0)):
+            kink = [a] if lo < a < hi else None
+            want, _err = quad(h.evaluator, lo, hi, points=kink,
+                              epsabs=1e-13, epsrel=1e-13, limit=200)
+            got = h.antiderivative(hi) - h.antiderivative(lo)
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 def test_support_bound_is_honored():

@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -225,6 +226,21 @@ class TestApplyOperator:
                 got = apply_operator(h, x, params, P11)
                 want = apply_classical_reference(h, x, params)
                 assert abs(got - want) <= 1e-10, (h.name, n, m, alpha, beta, b_n, x)
+
+    def test_lip_classical_exact_across_kink(self):
+        # a fixed Gauss-Legendre rule misses the kink of |t - 1|^0.5 by 1e-5
+        n, b_n, x = 200, 5.848035476425731, 1.023406208374503
+        got = apply_operator(builtin("lip:1:0.5"), x, OperatorParams(n=n, b_n=b_n), P11)
+        with mp.workdps(30):
+            s, scale = mp.mpf(x) / b_n, mp.mpf(b_n) / (n + 1)
+
+            def antiderivative(t):
+                return mp.sign(t - 1) * abs(t - 1) ** mp.mpf(1.5) / mp.mpf(1.5)
+
+            want = mp.fsum(mp.binomial(n, k) * s ** k * (1 - s) ** (n - k)
+                           * (antiderivative((k + 1) * scale) - antiderivative(k * scale))
+                           / scale for k in range(n + 1))
+            assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_piecewise_exact_matches_series(self):
         # dual route: the closed-form geometric tail sums against the series
