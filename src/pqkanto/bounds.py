@@ -45,7 +45,7 @@ import numpy as np
 from .errors import DomainError
 from .functions import FunctionHandle
 from .moments import peetre_bound_args, second_central_moment
-from .operators import OperatorParams, apply_operator, node_hull_max
+from .operators import OperatorParams, node_hull_max, operator_profile
 from .pq_calculus import PQPair
 
 #: Base points of the grid estimates: the domain in DOMAIN_STEPS equal
@@ -177,15 +177,16 @@ def bound_reports(f: FunctionHandle, xs, params: OperatorParams, pq: PQPair,
     [0, b_n]).
 
     Requires normalized mode: the bounds are proved for an operator that
-    reproduces constants.  The hull and the grid-moduli tables are built
-    once for the whole call.  The sqrt argument of the second modulus
-    clamps the printed peetre_arg at zero (it is reported unclamped)."""
+    reproduces constants.  The hull, the inner integrals and the
+    grid-moduli tables are built once for the whole call; the operator
+    values equal `apply_operator` at each x.  The sqrt argument of the
+    second modulus clamps the printed peetre_arg at zero (it is reported
+    unclamped)."""
     if params.mode != "normalized":
         raise DomainError("bound reports require normalized mode")
     omega = _Moduli(f, (0.0, node_hull_max(params, pq)))
     reports = []
-    for x in xs:
-        kf = apply_operator(f, x, params, pq, rel_tol)
+    for x, kf in zip(xs, operator_profile(f, params, pq, xs, rel_tol).tolist()):
         fx = float(f.evaluator(float(x)))
         observed = abs(kf - fx)
         central2 = max(second_central_moment(params, pq, x), 0.0)

@@ -2,10 +2,12 @@
 
 A `FunctionHandle` bundles an evaluator on [0, inf) with whatever exact
 structure is known about it: polynomial coefficients, a piecewise-linear
-description, a Lipschitz pair (M, gamma), exact moduli of continuity, or
-a support bound.  The operator code exploits the structure (polynomials
-and piecewise-linear functions integrate exactly); the bound code uses
-the moduli; everything else falls back to generic numerics.
+description, a Lipschitz pair (M, gamma), exact moduli of continuity, a
+support bound, an antiderivative, or the points where it is not smooth.
+The operator code exploits the structure (polynomials and
+piecewise-linear functions integrate exactly; known kinks open the
+Euler-Maclaurin series path); the bound code uses the moduli; everything
+else falls back to generic numerics.
 
 Builtin registry names (stable CLI surface):
 
@@ -77,7 +79,10 @@ class FunctionHandle:
     |f(t) - f(x)| <= M |t - x|^gamma; `exact_modulus` maps delta to the
     modulus of continuity over [0, inf); `support_bound` C certifies
     f == 0 on [C, inf); `antiderivative` is a vectorised F with F' = f,
-    used for the classical (p = q = 1) inner integrals.
+    used by the classical (p = q = 1) and Euler-Maclaurin inner integrals;
+    `kinks` lists the points where f is not smooth (empty for f smooth on
+    [0, inf), None when unknown, which keeps the series inner integrals on
+    the truncated sum).
     """
 
     name: str
@@ -89,6 +94,7 @@ class FunctionHandle:
     polynomial_coeffs: Optional[Tuple[float, ...]] = None
     piecewise_linear: Optional[PiecewiseLinear] = None
     antiderivative: Optional[Callable] = None
+    kinks: Optional[Tuple[float, ...]] = None
 
     def __call__(self, x):
         return self.evaluator(x)
@@ -105,7 +111,7 @@ def polynomial_handle(name: str, coeffs: Sequence) -> FunctionHandle:
             out = out * x + float(c)
         return out if out.shape else float(out)
 
-    return FunctionHandle(name=name, evaluator=ev, polynomial_coeffs=coeffs)
+    return FunctionHandle(name=name, evaluator=ev, polynomial_coeffs=coeffs, kinks=())
 
 
 def const1() -> FunctionHandle:
@@ -113,7 +119,7 @@ def const1() -> FunctionHandle:
     return FunctionHandle(
         name="const1", evaluator=h.evaluator, polynomial_coeffs=(1.0,),
         lip=(0.0, 1.0), exact_modulus=lambda d: 0.0,
-        exact_second_modulus=lambda d: 0.0,
+        exact_second_modulus=lambda d: 0.0, kinks=(),
     )
 
 
@@ -122,7 +128,7 @@ def identity() -> FunctionHandle:
     return FunctionHandle(
         name="id", evaluator=h.evaluator, polynomial_coeffs=(0.0, 1.0),
         lip=(1.0, 1.0), exact_modulus=lambda d: float(d),
-        exact_second_modulus=lambda d: 0.0,
+        exact_second_modulus=lambda d: 0.0, kinks=(),
     )
 
 
@@ -131,7 +137,7 @@ def square() -> FunctionHandle:
     h = polynomial_handle("square", (0.0, 0.0, 1.0))
     return FunctionHandle(
         name="square", evaluator=h.evaluator, polynomial_coeffs=(0.0, 0.0, 1.0),
-        exact_second_modulus=lambda d: 2.0 * d * d,
+        exact_second_modulus=lambda d: 2.0 * d * d, kinks=(),
     )
 
 
@@ -142,7 +148,7 @@ def sine() -> FunctionHandle:
 
     return FunctionHandle(
         name="sin", evaluator=lambda x: np.sin(x), lip=(1.0, 1.0),
-        exact_modulus=mod,
+        exact_modulus=mod, kinks=(),
     )
 
 
@@ -157,6 +163,7 @@ def absdev(a: float) -> FunctionHandle:
     return FunctionHandle(
         name=f"absdev:{a:g}", evaluator=lambda x: np.abs(np.asarray(x, float) - a),
         lip=(1.0, 1.0), exact_modulus=lambda d: float(d), piecewise_linear=pl,
+        kinks=pl.xs[1:],
     )
 
 
@@ -184,7 +191,7 @@ def lip_handle(a: float, gamma: float) -> FunctionHandle:
     return FunctionHandle(
         name=f"lip:{a:g}:{gamma:g}", evaluator=ev, lip=(1.0, float(gamma)),
         exact_modulus=lambda d, _g=float(gamma): float(d) ** _g,
-        piecewise_linear=pl, antiderivative=antiderivative,
+        piecewise_linear=pl, antiderivative=antiderivative, kinks=(float(a),),
     )
 
 
@@ -200,7 +207,7 @@ def bump(c: float) -> FunctionHandle:
     return FunctionHandle(
         name=f"bump:{c:g}", evaluator=pl, lip=(1.0 / c, 1.0),
         exact_modulus=lambda d, _c=float(c): min(1.0, float(d) / _c),
-        support_bound=float(c), piecewise_linear=pl,
+        support_bound=float(c), piecewise_linear=pl, kinks=pl.xs[1:],
     )
 
 

@@ -27,16 +27,34 @@ whose factors are all in [0, 1]; the float path evaluates this form, so
 weights stay overflow-free up to n+m ~ 1000 (the (p,q)-binomial itself
 tops out near C(1000, 500) ~ 1e299).
 
-Inner integrals are evaluated exactly for polynomial integrands (monomial
-rule) and piecewise-linear integrands (geometric tail sums), by the
-truncated series for general f when q < p, and in the classical limit
-p = q = 1 from the handle's antiderivative when it carries one (exact
-across kinks), else by fixed Gauss-Legendre quadrature.
+Inner integrals, one path per integrand and regime:
+
+  * polynomial f, any regime: exact monomial rule;
+  * p = q = 1: piecewise-linear f exactly (trapezoids), else the handle's
+    antiderivative when it carries one (exact across kinks), else fixed
+    64-point Gauss-Legendre quadrature;
+  * p = q < 1: RegimeError for anything but polynomials;
+  * q < p, piecewise-linear f: exact geometric tail sums;
+  * q < p, general f: the series (p - q) sum_j t_j f(A + B t_j),
+    t_j = (q/p)^j / p.  Its truncated sum needs at least
+    `predicted_terms` = ceil(ln(rel_tol) / ln(q/p)) terms, about 72k at
+    n = 50 on the default sequence.  When that count exceeds EM_MIN_TERMS
+    and the handle declares its kinks (`FunctionHandle.kinks`, empty for
+    smooth f), the series is evaluated by Gregory's form of the
+    Euler-Maclaurin formula, with direct sums over a window of nodes
+    around each kink; its error estimate must reach rel_tol times the
+    value, node by node.  Every other case, and every node the
+    Euler-Maclaurin path cannot certify, takes the truncated sum.
+
+ConvergenceError is raised at once, before f is evaluated, when the
+truncated sum would need more than TERM_CAP terms, and otherwise when it
+reaches TERM_CAP without meeting its stop rule.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -45,11 +63,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import ConvergenceError, DomainError, RegimeError
+from .errors import DomainError, RegimeError
 from .functions import FunctionHandle, PiecewiseLinear
 from .pq_calculus import (
-    MIN_TERMS,
-    TERM_CAP,
     PQPair,
     Scalar,
     _as_vectorized,
@@ -57,6 +73,8 @@ from .pq_calculus import (
     pq_binomial,
     pq_integer,
     pq_integral_monomial,
+    predicted_terms,
+    truncated_series,
 )
 
 MODES = ("literal", "normalized")
@@ -228,34 +246,144 @@ def _poly_integrals(coeffs: Sequence[float], a: np.ndarray, b: np.ndarray,
     return out
 
 
+#: Series integrals of handles with known kinks take the Euler-Maclaurin
+#: path when `predicted_terms` exceeds this; shorter series are summed.
+EM_MIN_TERMS = 4096
+
+#: Gregory coefficients: sum_{j>=0} G_j = (1/h) int_0^inf G(u) du
+#: + sum_i GREGORY[i] Delta^i G_0 for G_j = G(j h).  The last one only
+#: estimates the error of the terms before it.
+GREGORY = (1 / 2, -1 / 12, 1 / 24, -19 / 720, 3 / 160, -863 / 60480,
+           275 / 24192, -33953 / 3628800)
+
+#: Nodes summed directly on each side of a kink.
+KINK_WINDOW = 256
+
+_EPS = sys.float_info.epsilon
+
+
 def _series_integrals(f: FunctionHandle, a: np.ndarray, b: np.ndarray,
                       pq: PQPair, rel_tol: float) -> np.ndarray:
-    """Truncated series integrals of f(A_k + B_k t) for every k at once.
+    """Series integrals of f(A_k + B_k t) for every k, q < p.
 
-    Same node set and stop rule as `pq_integral_unit` (running-max tail
-    bound checked per k at chunk boundaries); stops when every k meets it.
+    Handles that declare their kinks take the Euler-Maclaurin path when
+    the truncated sum would need more than EM_MIN_TERMS terms; a node
+    whose error estimate there exceeds rel_tol times its value falls back
+    to `truncated_series`, which raises ConvergenceError at once when its
+    predicted term count exceeds TERM_CAP.
+    """
+    if f.kinks is None or predicted_terms(pq, rel_tol) <= EM_MIN_TERMS:
+        return truncated_series(f, a, b, pq, rel_tol)
+    values, err = _euler_maclaurin(f, a, b, pq)
+    bad = ~(err <= rel_tol * np.abs(values))
+    if np.any(bad):
+        values[bad] = truncated_series(f, a[bad], b[bad], pq, rel_tol)
+    return values
+
+
+def _euler_maclaurin(f: FunctionHandle, a: np.ndarray, b: np.ndarray,
+                     pq: PQPair) -> Tuple[np.ndarray, np.ndarray]:
+    """Series integrals and their error estimates by Gregory's form of the
+    Euler-Maclaurin formula; f must declare its kinks.
+
+    With r = q/p, h = -ln r and G(u) = e^{-u} f(A + B e^{-u}/p), the
+    series (p - q) sum_j t_j f(A + B t_j) is (1 - r) sum_j G(j h).  On a
+    range of j where G is smooth,
+
+        sum_{j=s}^{e} G_j = (p/h) int_{t_e}^{t_s} f(A + B t) dt
+                            + sum_i GREGORY[i] (Delta^i G_s + (-1)^i nabla^i G_e),
+
+    with no e-terms for e = inf.  The integral comes from the handle's
+    antiderivative, else from 64-point Gauss-Legendre on the range and on
+    its halves.  A kink at t = tau in (0, 1/p] (or up to KINK_WINDOW nodes
+    beyond 1/p) sits at j* = -ln(p tau)/h; the nodes within KINK_WINDOW of
+    j* are summed directly and the smooth ranges on either side get
+    Gregory ends.  The error estimate adds the first omitted Gregory
+    term, the integral's estimate and a rounding floor of one ulp.
     """
     p = float(pq.p)
-    q = float(pq.q)
-    r = q / p
+    one_minus_r = (p - float(pq.q)) / p
+    h = -math.log1p(-one_minus_r)
     call = _as_vectorized(f)
-    acc = np.zeros_like(a)
-    max_abs = np.zeros_like(a)
-    j0 = 0
-    chunk = 256
-    while j0 < TERM_CAP:
-        js = np.arange(j0, min(j0 + chunk, TERM_CAP))
-        t = (r ** js) / p
-        fv = call(a[:, None] + b[:, None] * t[None, :])
-        acc += (p - q) * (fv @ t)
-        max_abs = np.maximum(max_abs, np.max(np.abs(fv), axis=1))
-        j0 = int(js[-1]) + 1
-        tail = max_abs * ((p - q) / p) * r ** j0 / (1.0 - r)
-        if j0 >= MIN_TERMS and np.all(tail <= rel_tol * np.abs(acc)):
-            return acc
-    raise ConvergenceError(
-        f"inner series integrals did not converge within {TERM_CAP} terms (q/p={r})"
-    )
+    total = np.zeros_like(a)
+    err = np.zeros_like(a)
+    kinked = {}
+    if f.kinks:
+        tau = (np.asarray(f.kinks, dtype=float)[:, None] - a[None, :]) / b[None, :]
+        near = (tau > 0) & (tau <= np.exp(KINK_WINDOW * h) / p)
+        for i, k in zip(*np.nonzero(near)):
+            kinked.setdefault(int(k), []).append(-math.log(p * tau[i, k]) / h)
+    smooth = np.ones(len(a), dtype=bool)
+    smooth[list(kinked)] = False
+    if np.any(smooth):
+        total[smooth], err[smooth] = _gregory_segment(f, call, a[smooth], b[smooth],
+                                                      p, h, 0, None)
+    for k, jstars in kinked.items():
+        total[k], err[k] = _kinked_node(f, call, a[k:k + 1], b[k:k + 1], p, h, jstars)
+    return one_minus_r * total, one_minus_r * err
+
+
+def _kinked_node(f: FunctionHandle, call, a: np.ndarray, b: np.ndarray, p: float,
+                 h: float, jstars: List[float]) -> Tuple[float, float]:
+    """sum_j G_j and its error estimate for one node (1-element a, b) with
+    kinks at the real indices jstars: direct sums over the windows, Gregory
+    segments over the gaps (each at least len(GREGORY) nodes long)."""
+    ends = len(GREGORY)
+    windows: List[List[int]] = []
+    for js in sorted(jstars):
+        lo = max(0, math.floor(js) - KINK_WINDOW)
+        hi = math.floor(js) + KINK_WINDOW + 1
+        if lo < ends:
+            lo = 0
+        if windows and lo < windows[-1][1] + ends:
+            windows[-1][1] = max(windows[-1][1], hi)
+        else:
+            windows.append([lo, hi])
+    total, err = 0.0, 0.0
+    for lo, hi in windows:
+        e = np.exp(-np.arange(lo, hi) * h)
+        total += float(e @ call(a[0] + b[0] / p * e))
+    starts = [0] + [hi for _lo, hi in windows]
+    stops = [lo - 1 for lo, _hi in windows] + [None]
+    for s, stop in zip(starts, stops):
+        if stop is None or stop >= s:
+            seg, seg_err = _gregory_segment(f, call, a, b, p, h, s, stop)
+            total += float(seg[0])
+            err += float(seg_err[0])
+    return total, err
+
+
+def _gregory_segment(f: FunctionHandle, call, a: np.ndarray, b: np.ndarray,
+                     p: float, h: float, start: int,
+                     stop: Optional[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """sum_{j=start}^{stop} G_j (stop None: to infinity) for every node,
+    with its error estimate, by Gregory's formula (see `_euler_maclaurin`)."""
+    t_hi = math.exp(-start * h) / p
+    t_lo = 0.0 if stop is None else math.exp(-stop * h) / p
+    if f.antiderivative is not None:
+        upper = f.antiderivative(a + b * t_hi)
+        lower = f.antiderivative(a + b * t_lo)
+        integral = (upper - lower) / b
+        err = _EPS * (np.abs(upper) + np.abs(lower)) / b
+    else:
+        mid = 0.5 * (t_lo + t_hi)
+        whole = _gauss_legendre(call, a, b, t_lo, t_hi)
+        integral = (_gauss_legendre(call, a, b, t_lo, mid)
+                    + _gauss_legendre(call, a, b, mid, t_hi))
+        err = np.abs(whole - integral)
+    main = (p / h) * integral
+    err = (p / h) * err
+    corr = np.zeros_like(a)
+    steps = np.arange(len(GREGORY))
+    for js in [start + steps] + ([] if stop is None else [stop - steps]):
+        e = np.exp(-js * h)
+        diffs = e * call(a[:, None] + b[:, None] / p * e[None, :])
+        for g in GREGORY[:-1]:
+            corr += g * diffs[:, 0]
+            diffs = np.diff(diffs, axis=1)
+        err += np.abs(GREGORY[-1] * diffs[:, 0])
+    total = main + corr
+    return total, err + _EPS * (np.abs(main) + np.abs(corr))
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -263,12 +391,17 @@ _GL_T = 0.5 * (_GL_NODES + 1.0)
 _GL_W = 0.5 * _GL_WEIGHTS
 
 
+def _gauss_legendre(call, a: np.ndarray, b: np.ndarray, lo: float,
+                    hi: float) -> np.ndarray:
+    """64-point Gauss-Legendre integrals of f(A_k + B_k t) over [lo, hi]."""
+    t = lo + (hi - lo) * _GL_T
+    return call(a[:, None] + b[:, None] * t[None, :]) @ ((hi - lo) * _GL_W)
+
+
 def _gl_integrals(f: FunctionHandle, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Classical integrals over [0,1] by 64-point Gauss-Legendre; exact to
     machine precision for smooth f (the p = q = 1 path for general f)."""
-    call = _as_vectorized(f)
-    fv = call(a[:, None] + b[:, None] * _GL_T[None, :])
-    return fv @ _GL_W
+    return _gauss_legendre(_as_vectorized(f), a, b, 0.0, 1.0)
 
 
 def _pl_integrals_classical(pl: PiecewiseLinear, a: np.ndarray,

@@ -20,6 +20,7 @@ The series integral is float-only since it is an infinite sum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -191,48 +192,80 @@ def _as_vectorized(f) -> Callable[[np.ndarray], np.ndarray]:
     return call
 
 
-def pq_integral_unit(f, pq: PQPair, rel_tol: float = 1e-12) -> float:
-    """Truncated series for the integral of f over [0, 1]:
+def predicted_terms(pq: PQPair, rel_tol: float) -> int:
+    """Fewest series terms the truncation rule below can stop after:
+    ceil(ln(rel_tol) / ln(q/p)).
 
-        (p - q) * sum_{j>=0} (q^j / p^{j+1}) f(q^j / p^{j+1}).
-
-    Requires q < p strictly.  The nodes q^j/p^{j+1} start at 1/p (which
-    exceeds 1 when p < 1), so f must be evaluable on [0, 1/p].  Truncation
-    stops once the geometric tail bound
-
-        M * (p-q)/p * (q/p)^{J+1} / (1 - q/p),   M = running max |f|,
-
-    drops to rel_tol times |accumulated value|, after at least MIN_TERMS
-    terms; exceeding TERM_CAP raises ConvergenceError.  The running max
-    makes the bound rigorous for f whose magnitude on the unvisited nodes
-    does not exceed the visited ones.
+    The tail bound M (q/p)^J compares with rel_tol |acc|, and |acc| < M
+    (M = running max |f|), so it cannot drop below before (q/p)^J <=
+    rel_tol.  Requires q < p strictly and rel_tol > 0.
     """
     if not pq.is_strict:
         raise RegimeError("series integral requires q < p strictly")
     if rel_tol <= 0:
         raise DomainError("rel_tol must be positive")
     p = float(pq.p)
+    return max(0, math.ceil(math.log(rel_tol) / math.log1p(-(p - float(pq.q)) / p)))
+
+
+def truncated_series(f, a: np.ndarray, b: np.ndarray, pq: PQPair,
+                     rel_tol: float) -> np.ndarray:
+    """Truncated series for the integrals of f(a_k + b_k t) over [0, 1],
+
+        (p - q) * sum_{j>=0} t_j f(a_k + b_k t_j),   t_j = q^j / p^{j+1},
+
+    for every k at once.  Requires q < p strictly.  The nodes t_j start at
+    1/p (which exceeds 1 when p < 1), so f must be evaluable on
+    a_k + b_k [0, 1/p].  Truncation stops, checked every 256 terms, once
+    for every k the geometric tail bound
+
+        M_k * (p-q)/p * (q/p)^J / (1 - q/p),   M_k = running max |f|,
+
+    drops to rel_tol times |accumulated value|, after at least MIN_TERMS
+    terms.  The running max makes the bound rigorous for f whose
+    magnitude on the unvisited nodes does not exceed the visited ones.
+    When `predicted_terms` exceeds TERM_CAP the rule cannot fire within
+    the cap, and ConvergenceError is raised before f is evaluated.
+    """
+    needed = predicted_terms(pq, rel_tol)
+    p = float(pq.p)
     q = float(pq.q)
     r = q / p
+    if needed > TERM_CAP:
+        raise ConvergenceError(
+            f"series integral needs at least {needed} terms to reach "
+            f"rel_tol={rel_tol}, above the cap of {TERM_CAP} (q/p={r})"
+        )
     call = _as_vectorized(f)
-    acc = 0.0
-    max_abs = 0.0
+    acc = np.zeros_like(a)
+    max_abs = np.zeros_like(a)
     j0 = 0
     chunk = 256
     while j0 < TERM_CAP:
         js = np.arange(j0, min(j0 + chunk, TERM_CAP))
         t = (r ** js) / p
-        fv = call(t)
-        acc += float(np.sum((p - q) * t * fv))
-        max_abs = max(max_abs, float(np.max(np.abs(fv))))
+        fv = call(a[:, None] + b[:, None] * t[None, :])
+        acc += (p - q) * (fv @ t)
+        max_abs = np.maximum(max_abs, np.max(np.abs(fv), axis=1))
         j0 = int(js[-1]) + 1
-        tail = max_abs * (p - q) / p * r ** j0 / (1.0 - r)
-        if j0 >= MIN_TERMS and tail <= rel_tol * abs(acc):
+        tail = max_abs * ((p - q) / p) * r ** j0 / (1.0 - r)
+        if j0 >= MIN_TERMS and np.all(tail <= rel_tol * np.abs(acc)):
             return acc
     raise ConvergenceError(
         f"series integral did not reach rel_tol={rel_tol} within {TERM_CAP} terms "
         f"(q/p={r})"
     )
+
+
+def pq_integral_unit(f, pq: PQPair, rel_tol: float = 1e-12) -> float:
+    """Truncated series for the integral of f over [0, 1]:
+
+        (p - q) * sum_{j>=0} (q^j / p^{j+1}) f(q^j / p^{j+1}),
+
+    the one-node case a = 0, b = 1 of `truncated_series` (same stop rule,
+    same ConvergenceError).  f must be evaluable on [0, 1/p].
+    """
+    return float(truncated_series(f, np.zeros(1), np.ones(1), pq, rel_tol)[0])
 
 
 def pq_integral_monomial(j: int, pq: PQPair) -> Scalar:

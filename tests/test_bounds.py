@@ -211,3 +211,28 @@ class TestGridEstimator:
         # one base sample serves both orders at every x; the offset h = delta
         # never reaches past the last base point
         assert points.count(DOMAIN_STEPS + 1) == 1
+
+    def test_reports_share_one_operator_profile(self, monkeypatch):
+        from pqkanto import apply_operator, operators
+
+        params = OperatorParams(n=50, m=2, alpha=1.0, beta=2.0, b_n=3.0)
+        pq = PQPair(0.9, 0.8)
+        xs = [float(x) for x in np.linspace(0.0, 3.0, 9)]
+        inner = operators._inner_integrals
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0].name)
+            return inner(*args)
+
+        for name in ("sin", "absdev:0.5", "lip:0.5:0.5", "square"):
+            h = builtin(name)
+            want = [apply_operator(h, x, params, pq) for x in xs]
+            monkeypatch.setattr(operators, "_inner_integrals", counted)
+            rows = bound_reports(h, xs, params, pq)
+            monkeypatch.setattr(operators, "_inner_integrals", inner)
+            assert [row.observed_error for row in rows] == [
+                abs(kf - float(h.evaluator(x))) for kf, x in zip(want, xs)]
+            # once for f; the moments add their own polynomial integrals
+            assert calls.count(name) == 1
+            calls.clear()

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 import pqkanto
@@ -46,10 +47,42 @@ class TestEval:
         assert "error" in capsys.readouterr().err
 
     def test_convergence_error_exit_3(self, tmp_path, capsys):
+        # a tolerance below float64 resolution: no path can certify it, and
+        # the truncated sum would need ~4.6e8 terms, so it fails at once
         code = run_cli(["eval", "--fn", "sin", "--x", "0.5", "--n", "2",
-                        "--p", "1", "--q", "0.9999999"], tmp_path)
+                        "--p", "1", "--q", "0.9999999", "--tol", "1e-20"], tmp_path)
         assert code == 3
         assert "convergence" in capsys.readouterr().err
+
+    def test_sin_as_ratio_tends_to_one(self, tmp_path, capsys):
+        # q/p = 1 - 1e-7 needs ~2.8e8 series terms, past the term cap; the
+        # Euler-Maclaurin path must match a 30-digit operator built from
+        # the definition (sin integrated by the monomial rule, term by term)
+        code = run_cli(["eval", "--fn", "sin", "--x", "0.5", "--n", "2",
+                        "--p", "1", "--q", "0.9999999"], tmp_path)
+        assert code == 0
+        got = float(capsys.readouterr().out)
+        with mp.workdps(30):
+            p, q, s, deg = mp.mpf(1), mp.mpf(0.9999999), mp.mpf(0.5), 2
+            r = q / p
+
+            def bracket(k, u=p, v=q):
+                return (u ** k - v ** k) / (u - v)
+
+            def factorial(k):
+                return mp.fprod(bracket(i, 1, r) for i in range(1, k + 1))
+
+            scale = 1 / bracket(deg + 1)
+            want = mp.mpf(0)
+            for k in range(deg + 1):
+                weight = factorial(deg) / (factorial(k) * factorial(deg - k)) * s ** k
+                for j in range(deg - k):
+                    weight *= 1 - r ** j * s
+                a, b = bracket(k) * scale, (bracket(k + 1) - bracket(k)) * scale
+                inner = mp.fsum(mp.sin(a + m * mp.pi / 2) * b ** m / mp.factorial(m)
+                                / bracket(m + 1) for m in range(30))
+                want += weight * inner
+            assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_unknown_function_exit_2(self, tmp_path, capsys):
         code = run_cli(["eval", "--fn", "mystery", "--x", "0.1", "--n", "2"],

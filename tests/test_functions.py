@@ -100,3 +100,16 @@ def test_sine_modulus_saturates():
     assert h.exact_modulus(np.pi) == pytest.approx(2.0)
     assert h.exact_modulus(10.0) == 2.0
     assert h.exact_modulus(0.2) == pytest.approx(2 * np.sin(0.1))
+
+
+@pytest.mark.parametrize("name, kinks", [
+    ("const1", ()), ("id", ()), ("square", ()), ("sin", ()), ("absdev:0", ()),
+    ("absdev:0.7", (0.7,)), ("lip:1:0.5", (1.0,)), ("lip:1.5:1", (1.5,)), ("bump:2", (2.0,)),
+])
+def test_kinks_metadata(name, kinks):
+    h = builtin(name)
+    assert h.kinks == kinks
+    d = 1e-3
+    for c in kinks:
+        second = h.evaluator(c + d) - 2.0 * h.evaluator(c) + h.evaluator(c - d)
+        assert abs(second) > 100 * d * d

@@ -1,3 +1,4 @@
+import decimal
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -21,8 +22,16 @@ from pqkanto import (
     node_hull_max,
     polynomial_handle,
 )
-from pqkanto.functions import FunctionHandle
-from pqkanto.operators import operator_profile
+from pqkanto import operators
+from pqkanto.functions import FunctionHandle, PiecewiseLinear
+from pqkanto.operators import (
+    _euler_maclaurin,
+    _inner_integrals,
+    _node_affine,
+    _series_integrals,
+    operator_profile,
+)
+from pqkanto.pq_calculus import TERM_CAP, predicted_terms, truncated_series
 
 PQ98 = PQPair(0.9, 0.8)
 P11 = PQPair(1, 1)
@@ -311,3 +320,159 @@ class TestClassicalReference:
     def test_square_at_origin(self):
         got = apply_classical_reference(builtin("square"), 0.0, OperatorParams(n=1))
         assert got == pytest.approx(1 / 12, rel=1e-12)
+
+
+def default_pq_params(n):
+    """The default sequence's operator at degree n (alpha = beta = m = 0)."""
+    p, q = 1.0 - 1.0 / (n + 1) ** 2, 1.0 - 2.0 / (n + 1) ** 2
+    return PQPair(p, q), OperatorParams(n=n, b_n=float(n) ** (1.0 / 3.0))
+
+
+def sin_series_oracle(a, b, p, q):
+    """(p - q) sum_j t_j sin(a + b t_j), t_j = (q/p)^j / p, at 30 digits:
+    sin(a + b t) = sum_m sin(a + m pi/2) (b t)^m / m!, and the node sums
+    of t^m are 1/[m+1] (exact geometric series)."""
+    with mp.workdps(30):
+        P, Q, A, B = (mp.mpf(v) for v in (p, q, a, b))
+        return mp.fsum(mp.sin(A + m * mp.pi / 2) * B ** m / mp.factorial(m)
+                       * (P - Q) / (P ** (m + 1) - Q ** (m + 1)) for m in range(30))
+
+
+def sqrt_kink_series_oracle(a, b, p, q, kink):
+    """(p - q) sum_j t_j |a + b t_j - kink|^(1/2) at 30 digits.
+
+    Nodes t_j above half the Taylor radius rho = |kink - a|/b of f(a + b t)
+    about t = 0 are summed directly in 30-digit decimal arithmetic; the
+    rest, J onwards, through the Taylor series |a - kink|^(1/2)
+    sum_m C(1/2, m) (s t/rho)^m (s the sign of a - kink), whose node sums
+    are r^{J(m+1)}/[m+1]: a ratio of 1/2 or less per term."""
+    with mp.workdps(30):
+        P, Q, A, B, K = (mp.mpf(v) for v in (p, q, a, b, kink))
+        r, rho = Q / P, abs(K - A) / B
+        terms = max(0, int(mp.ceil(mp.log(2 / (P * rho)) / -mp.log(r))))
+        with decimal.localcontext() as ctx:
+            ctx.prec = 30
+            Pd, Qd, Ad, Bd, Kd = (decimal.Decimal(v) for v in (p, q, a, b, kink))
+            rd, t, direct = Qd / Pd, 1 / Pd, decimal.Decimal(0)
+            for _ in range(terms):
+                direct += t * abs(Ad + Bd * t - Kd).sqrt()
+                t *= rd
+            direct *= Pd - Qd
+        tail, coef, s = mp.mpf(0), mp.mpf(1), mp.sign(A - K)
+        ratio = r ** terms / (P * rho)  # largest |t_j| / rho in the tail, <= 1/2
+        for m in range(int(mp.ceil(32 * mp.log(10) / -mp.log(ratio))) + 1):
+            tail += (coef * (s / rho) ** m * r ** (terms * (m + 1))
+                     * (P - Q) / (P ** (m + 1) - Q ** (m + 1)))
+            coef *= (mp.mpf(1) / 2 - m) / (m + 1)
+        return mp.mpf(str(direct)) + abs(A - K) ** (mp.mpf(1) / 2) * tail
+
+
+def with_kinks_only(handle):
+    """The handle's evaluator and kinks, nothing else: forces the general
+    series paths."""
+    return FunctionHandle(name="kinks-only", evaluator=handle.evaluator,
+                          kinks=handle.kinks)
+
+
+class TestSeriesPaths:
+    """Inner integrals for general f at q < p: truncated sum and
+    Euler-Maclaurin."""
+
+    def test_sin_matches_mpmath_default_n200(self):
+        pq, params = default_pq_params(200)
+        a, b = _node_affine(params, pq)
+        got = _series_integrals(builtin("sin"), a, b, pq, 1e-12)
+        for k in range(len(a)):
+            want = sin_series_oracle(a[k], b[k], pq.p, pq.q)
+            assert abs(got[k] - want) <= 1e-12 * abs(want), k
+
+    def test_lip_matches_oracle_default_n200(self):
+        pq, params = default_pq_params(200)
+        a, b = _node_affine(params, pq)
+        straddle = [k for k in range(len(a)) if a[k] < 1.0 < a[k] + b[k] / pq.p]
+        assert straddle
+        got = _series_integrals(builtin("lip:1:0.5"), a, b, pq, 1e-12)
+        for k in range(len(a)):
+            want = sqrt_kink_series_oracle(a[k], b[k], pq.p, pq.q, 1.0)
+            assert abs(got[k] - want) <= 1e-12 * abs(want), k
+
+    @pytest.mark.parametrize("ratio", [0.99, 0.999])
+    def test_euler_maclaurin_agrees_with_truncated_sum(self, ratio):
+        zigzag = PiecewiseLinear(xs=(0.0, 0.9, 0.905, 0.96, 1.4),
+                                 ys=(0.0, 1.0, 0.2, 0.7, 0.1), end_slope=-1.0)
+        handles = [builtin("sin"), builtin("lip:1:0.5"), builtin("lip:0.5:0.3"),
+                   with_kinks_only(builtin("absdev:1")), with_kinks_only(builtin("bump:2")),
+                   FunctionHandle(name="zigzag", evaluator=zigzag, kinks=zigzag.xs[1:])]
+        pq = PQPair(0.98, 0.98 * ratio)
+        params = OperatorParams(n=30, m=2, alpha=0.5, beta=1.0, b_n=3.0)
+        a, b = _node_affine(params, pq)
+        for h in handles:
+            em, err = _euler_maclaurin(h, a, b, pq)
+            summed = truncated_series(h, a, b, pq, 1e-14)
+            assert np.all(err <= 1e-12 * np.abs(em)), h.name
+            assert np.all(np.abs(em - summed) <= 1e-12 * np.abs(summed)), h.name
+
+    @pytest.mark.parametrize("name", ["absdev:1", "bump:2", "absdev:3.1"])
+    def test_piecewise_exact_matches_euler_maclaurin(self, name):
+        # q/p -> 1, where the truncated sum cannot run: the exact geometric
+        # tail sums against the kink windows with Gauss-Legendre gaps
+        pq, params = default_pq_params(200)
+        a, b = _node_affine(params, pq)
+        exact = _inner_integrals(builtin(name), a, b, pq, 1e-12)
+        em = _series_integrals(with_kinks_only(builtin(name)), a, b, pq, 1e-12)
+        assert np.all(np.abs(em - exact) <= 1e-12 * np.maximum(np.abs(exact), 1e-300))
+
+    def test_uncertified_nodes_fall_back(self):
+        # without its antiderivative, Gauss-Legendre next to the kink of
+        # |t - 1|^0.5 misses the tolerance at some nodes; those, and only
+        # those, take the truncated sum
+        pq = PQPair(1.0, 0.9999)
+        params = OperatorParams(n=200, b_n=5.85)
+        a, b = _node_affine(params, pq)
+        h = with_kinks_only(builtin("lip:1:0.5"))
+        em, err = _euler_maclaurin(h, a, b, pq)
+        bad = err > 1e-12 * np.abs(em)
+        assert np.any(bad) and not np.all(bad)
+        got = _series_integrals(h, a, b, pq, 1e-12)
+        assert np.array_equal(got[~bad], em[~bad])
+        assert np.array_equal(got[bad], truncated_series(h, a[bad], b[bad], pq, 1e-12))
+
+    PATHS = ("_poly_integrals", "_pl_integrals_classical", "_gl_integrals",
+             "_pl_integrals_strict", "truncated_series", "_euler_maclaurin")
+
+    def paths_taken(self, monkeypatch, f, params, pq):
+        taken = []
+        for name in self.PATHS:
+            original = getattr(operators, name)
+
+            def spy(*args, _name=name, _original=original):
+                taken.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(operators, name, spy)
+        try:
+            apply_operator(f, 1.0, params, pq)
+        except RegimeError:
+            taken.append("RegimeError")
+        monkeypatch.undo()
+        # the classical antiderivative path is inline in _inner_integrals
+        return taken or ["antiderivative"]
+
+    def test_path_pinned_per_builtin_and_regime(self, monkeypatch):
+        near_one, params = default_pq_params(200)
+        assert predicted_terms(near_one, 1e-12) > TERM_CAP
+        regimes = (P11, PQPair(0.9, 0.9), PQPair(0.9, 0.8), near_one)
+        poly = [["_poly_integrals"]] * 4
+        pl = [["_pl_integrals_classical"], ["RegimeError"], ["_pl_integrals_strict"],
+              ["_pl_integrals_strict"]]
+        expected = {
+            "const1": poly, "id": poly, "square": poly,
+            "sin": [["_gl_integrals"], ["RegimeError"], ["truncated_series"],
+                    ["_euler_maclaurin"]],
+            "absdev:1": pl, "bump:2": pl, "lip:1:1": pl,
+            "lip:1:0.5": [["antiderivative"], ["RegimeError"], ["truncated_series"],
+                          ["_euler_maclaurin"]],
+        }
+        for name, paths in expected.items():
+            got = [self.paths_taken(monkeypatch, builtin(name), params, pq) for pq in regimes]
+            assert got == paths, name

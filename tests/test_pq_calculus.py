@@ -20,7 +20,7 @@ from pqkanto import (
     pq_integral_unit,
     pq_power,
 )
-from pqkanto.pq_calculus import bracket_table, pq_bracket
+from pqkanto.pq_calculus import TERM_CAP, bracket_table, pq_bracket, predicted_terms
 
 PQ98 = PQPair(0.9, 0.8)
 
@@ -202,9 +202,34 @@ class TestIntegralSeries:
             pq_integral_unit(lambda t: t, PQPair(0.9, 0.9))
 
     def test_term_cap_raises(self):
-        # q/p so close to 1 that the tolerance needs ~3e8 terms
-        with pytest.raises(ConvergenceError):
-            pq_integral_unit(lambda t: t, PQPair(1.0, 1.0 - 1e-7), rel_tol=1e-12)
+        # q/p so close to 1 that the tolerance needs ~3e8 terms; the stop
+        # rule cannot fire before (q/p)^J <= rel_tol, so f is never evaluated
+        points = []
+
+        def counted(t):
+            points.append(np.size(t))
+            return t
+
+        pq = PQPair(1.0, 1.0 - 1e-7)
+        assert predicted_terms(pq, 1e-12) > TERM_CAP
+        with pytest.raises(ConvergenceError, match=str(predicted_terms(pq, 1e-12))):
+            pq_integral_unit(counted, pq, rel_tol=1e-12)
+        assert sum(points) == 0
+
+    def test_predicted_terms_bounds_the_stop(self):
+        # the truncation stops at the first chunk boundary (multiples of 256)
+        # at or past the predicted count, for an integrand of constant sign
+        for q in (0.9, 0.99, 0.999):
+            points = []
+
+            def counted(t):
+                points.append(np.size(t))
+                return np.ones_like(t)
+
+            pq = PQPair(1.0, q)
+            pq_integral_unit(counted, pq, rel_tol=1e-12)
+            needed = predicted_terms(pq, 1e-12)
+            assert needed <= sum(points) < needed + 256 + 256
 
     def test_scalar_only_evaluator_falls_back(self):
         def scalar_only(t):
