@@ -42,7 +42,6 @@ from .operators import (
     apply_classical_reference,
     apply_extended,
     apply_operator,
-    apply_unit_operator,
     basis_weights,
     kantorovich_node,
     node_hull_max,
@@ -70,7 +69,7 @@ __all__ = [
     "MomentReport", "moment_closed", "peetre_bound_args",
     "second_central_moment", "unit_moment_closed", "verify_moments",
     "OperatorParams", "WeightVector", "apply_classical_reference",
-    "apply_extended", "apply_operator", "apply_unit_operator",
+    "apply_extended", "apply_operator",
     "basis_weights", "kantorovich_node", "node_hull_max",
     "PQPair", "pq_binomial", "pq_binomial_expand", "pq_factorial",
     "pq_integer", "pq_integer_quotient", "pq_integral_monomial",

@@ -55,7 +55,6 @@ from .operators import (
     OperatorParams,
     apply_extended,
     apply_operator,
-    apply_unit_operator,
 )
 from .pq_calculus import PQPair
 
@@ -113,7 +112,8 @@ def run_eval(params: dict, base: Path) -> float:
     tol = float(params["tol"])
     kind = params["op"]
     if kind == "unit":
-        value = apply_unit_operator(f, x, op.n, op.m, pq, op.mode, tol)
+        unit = OperatorParams(n=op.n, m=op.m, alpha=0, beta=0, b_n=1, mode=op.mode)
+        value = apply_operator(f, x, unit, pq, tol)
     elif kind == "extended":
         value = apply_extended(f, x, op, pq, tol)
     else:

@@ -169,6 +169,21 @@ def _require_valid(spec: SequenceSpec) -> dict:
     return report
 
 
+def _sup_errors(fs: Sequence[FunctionHandle], params: OperatorParams, pq: PQPair,
+                grid_points: int, rel_tol: float, weighted: bool) -> List[float]:
+    """max over a uniform [0, b_n] grid of |Kf(x) - f(x)|, divided by
+    1 + x^2 when weighted, for each f in fs from one operator profile."""
+    if params.mode != "normalized":
+        raise DomainError("weighted sup error requires normalized mode")
+    if grid_points < 2:
+        raise DomainError("grid_points must be at least 2")
+    xs = np.linspace(0.0, float(params.b_n), grid_points)
+    scale = 1.0 + xs * xs if weighted else 1.0
+    values = operator_profile(fs, params, pq, xs, rel_tol)
+    return [float(np.max(np.abs(kf - np.asarray(f.evaluator(xs), dtype=float)) / scale))
+            for f, kf in zip(fs, values)]
+
+
 def weighted_sup_error(f: FunctionHandle, params: OperatorParams, pq: PQPair,
                        grid_points: int = DEFAULT_GRID_POINTS,
                        rel_tol: float = 1e-12) -> float:
@@ -176,14 +191,7 @@ def weighted_sup_error(f: FunctionHandle, params: OperatorParams, pq: PQPair,
 
     Requires normalized mode (constants must be reproduced for the
     weighted error to be meaningful)."""
-    if params.mode != "normalized":
-        raise DomainError("weighted sup error requires normalized mode")
-    if grid_points < 2:
-        raise DomainError("grid_points must be at least 2")
-    xs = np.linspace(0.0, float(params.b_n), grid_points)
-    values = operator_profile(f, params, pq, xs, rel_tol)
-    fx = np.asarray(f.evaluator(xs), dtype=float)
-    return float(np.max(np.abs(values - fx) / (1.0 + xs * xs)))
+    return _sup_errors([f], params, pq, grid_points, rel_tol, weighted=True)[0]
 
 
 @dataclass
@@ -212,17 +220,12 @@ def korovkin_sweep(spec: SequenceSpec, extra: Sequence[FunctionHandle] = (),
         p_n, q_n, b_n = spec.realize(n)
         pq = PQPair(p_n, q_n)
         params = OperatorParams(n=n, m=m, alpha=alpha, beta=beta, b_n=b_n)
-        errs = [
-            weighted_sup_error(h, params, pq, grid_points, rel_tol)
-            for h in (e0, e1, e2)
-        ]
-        extras = {
-            h.name: weighted_sup_error(h, params, pq, grid_points, rel_tol)
-            for h in extra
-        }
+        errs = _sup_errors([e0, e1, e2, *extra], params, pq, grid_points, rel_tol,
+                           weighted=True)
         records.append(SweepRecord(
             n=n, p_n=p_n, q_n=q_n, b_n=b_n,
-            err_e0=errs[0], err_e1=errs[1], err_e2=errs[2], err_extra=extras,
+            err_e0=errs[0], err_e1=errs[1], err_e2=errs[2],
+            err_extra={h.name: err for h, err in zip(extra, errs[3:])},
         ))
     return records
 
@@ -241,10 +244,8 @@ def vanishing_sweep(spec: SequenceSpec, f: FunctionHandle,
         p_n, q_n, b_n = spec.realize(n)
         pq = PQPair(p_n, q_n)
         params = OperatorParams(n=n, m=m, alpha=alpha, beta=beta, b_n=b_n)
-        xs = np.linspace(0.0, b_n, grid_points)
-        values = operator_profile(f, params, pq, xs, rel_tol)
-        fx = np.asarray(f.evaluator(xs), dtype=float)
-        out.append((n, float(np.max(np.abs(values - fx)))))
+        [err] = _sup_errors([f], params, pq, grid_points, rel_tol, weighted=False)
+        out.append((n, err))
     return out
 
 

@@ -30,7 +30,7 @@ from typing import Dict, Tuple
 
 from .errors import DomainError, SizeCapError
 from .functions import polynomial_handle
-from .operators import OperatorParams, apply_operator, basis_weights
+from .operators import OperatorParams, apply_operator, basis_weights, operator_profile
 from .pq_calculus import PQPair, Scalar, pq_integer, pq_integral_monomial, pq_power
 
 MOMENT_KEYS = ("m0", "m1", "m2", "c1", "c2")
@@ -277,16 +277,15 @@ def _brute_moments_exact(params: OperatorParams, pq: PQPair,
 
 def _brute_moments_float(params: OperatorParams, pq: PQPair,
                          x: float) -> Dict[str, float]:
-    out = {}
-    for key, coeffs in (
+    handles = [polynomial_handle(key, coeffs) for key, coeffs in (
         ("m0", (1.0,)),
         ("m1", (0.0, 1.0)),
         ("m2", (0.0, 0.0, 1.0)),
         ("c1", (-x, 1.0)),
         ("c2", (x * x, -2.0 * x, 1.0)),
-    ):
-        out[key] = apply_operator(polynomial_handle(key, coeffs), x, params, pq)
-    return out
+    )]
+    values = operator_profile(handles, params, pq, [x])[:, 0].tolist()
+    return {h.name: v for h, v in zip(handles, values)}
 
 
 def verify_moments(params: OperatorParams, pq: PQPair, x: Scalar,

@@ -25,7 +25,15 @@ one-parameter basis at ratio r = q/p,
 
 whose factors are all in [0, 1]; the float path evaluates this form, so
 weights stay overflow-free up to n+m ~ 1000 (the (p,q)-binomial itself
-tops out near C(1000, 500) ~ 1e299).
+tops out near C(1000, 500) ~ 1e299).  Past that, as q/p -> 1, the
+r-binomials overflow and the operator raises DomainError instead of
+returning a non-finite value.
+
+Evaluation is a weight matrix times inner-integral vectors.
+`operator_profile` takes any number of handles and x-grid points: it
+builds the node map and each handle's inner integrals once, and the
+weights once per block of x-grid rows, shared by every handle.
+`apply_operator` is its one-point, one-handle case.
 
 Inner integrals, one path per integrand and regime:
 
@@ -143,10 +151,13 @@ def _check_x(params: OperatorParams, x: Scalar) -> Scalar:
     return x / params.b_n
 
 
-def _weights_float(degree: int, pq: PQPair, x_norm: float, mode: str) -> np.ndarray:
+def _weights_float(degree: int, pq: PQPair, x_norm: np.ndarray, mode: str) -> np.ndarray:
+    """Float basis weights at every normalized point of x_norm, one row per
+    point; each row takes the same float operations as a single point."""
     p = float(pq.p)
     r = float(pq.q) / p
     ks = np.arange(degree + 1)
+    s = x_norm[:, None]
     if r == 1.0:
         brackets = np.arange(1, degree + 1, dtype=float)
     else:
@@ -155,13 +166,13 @@ def _weights_float(degree: int, pq: PQPair, x_norm: float, mode: str) -> np.ndar
         d = r - 1.0
         brackets = np.expm1(np.arange(1, degree + 1) * math.log1p(d)) / d
     if degree == 0:
-        w = np.ones(1)
+        w = np.ones((len(s), 1))
     else:
-        ratios = brackets[::-1] / brackets  # [N-i]_r / [i+1]_r
-        binoms = np.concatenate(([1.0], np.cumprod(ratios)))
-        factors = 1.0 - (r ** np.arange(degree)) * x_norm
-        prefix = np.concatenate(([1.0], np.cumprod(factors)))
-        w = binoms * (x_norm ** ks) * prefix[degree - ks]
+        binoms = np.ones(degree + 1)
+        np.cumprod(brackets[::-1] / brackets, out=binoms[1:])  # [N-i]_r / [i+1]_r
+        prefix = np.ones((len(s), degree + 1))
+        np.cumprod(1.0 - (r ** np.arange(degree)) * s, axis=1, out=prefix[:, 1:])
+        w = binoms * (s ** ks) * prefix[:, ::-1]
     if mode == "literal":
         # literal = normalized * p^{(N(N-1) - k(k-1))/2}, a factor <= 1
         exponents = (degree * (degree - 1) - ks * (ks - 1)) / 2.0
@@ -195,8 +206,8 @@ def basis_weights(params: OperatorParams, pq: PQPair, x: Scalar) -> WeightVector
     if params.is_exact(pq) and isinstance(x, Rational):
         w = _weights_exact(params.degree, pq, x_norm, params.mode)
     else:
-        w = _weights_float(params.degree, pq, float(x_norm), params.mode)
         x_norm = float(x_norm)
+        w = _weights_float(params.degree, pq, np.array([x_norm]), params.mode)[0]
     return WeightVector(weights=w, x_norm=x_norm, mode=params.mode)
 
 
@@ -503,40 +514,55 @@ def _inner_integrals(f: FunctionHandle, a: np.ndarray, b: np.ndarray,
 
 def apply_operator(f: FunctionHandle, x: Scalar, params: OperatorParams,
                    pq: PQPair, rel_tol: float = 1e-12) -> float:
-    """Evaluate the operator at x in [0, b_n].
+    """Evaluate the operator at x in [0, b_n]: `operator_profile` at one
+    point for one handle.
 
     Requires q < p, p = q = 1, or a polynomial f (any regime).  Linear,
     positive, and monotone in f; reproduces constants exactly in
     normalized mode.
     """
-    x_norm = float(_check_x(params, x))
-    w = _weights_float(params.degree, pq, x_norm, params.mode)
+    return float(operator_profile(f, params, pq, [x], rel_tol)[0])
+
+
+#: Weight entries per block of x-grid rows in `operator_profile` (64 KB of
+#: float64); larger blocks at high degree only add memory.
+WEIGHT_BLOCK = 8192
+
+
+def operator_profile(fs: Union[FunctionHandle, Sequence[FunctionHandle]],
+                     params: OperatorParams, pq: PQPair, xs,
+                     rel_tol: float = 1e-12) -> np.ndarray:
+    """Operator values of one handle, or of each of a sequence of handles,
+    at every x in xs (each within [0, b_n]).
+
+    Returns a 1-D array for one handle, else one row per handle.  The node
+    map and each handle's inner integrals are built once.  The weights are
+    built once per block of at most WEIGHT_BLOCK entries of x-grid rows
+    and shared by every handle; each weight row is contracted with each
+    integral vector by `np.dot`, so a value does not depend on the grid,
+    the block or the other handles.
+
+    Raises DomainError when a value is not finite: the float weights
+    overflow past degree ~1030 as q/p -> 1.
+    """
+    single = isinstance(fs, FunctionHandle)
+    handles = [fs] if single else list(fs)
+    x_norm = np.array([float(_check_x(params, x)) for x in xs])
     a, b = _node_affine(params, pq)
-    return float(np.dot(w, _inner_integrals(f, a, b, pq, rel_tol)))
-
-
-def operator_profile(f: FunctionHandle, params: OperatorParams, pq: PQPair,
-                     xs, rel_tol: float = 1e-12) -> np.ndarray:
-    """Operator values at every x in xs (each within [0, b_n]).
-
-    The inner integrals do not depend on x, so they are computed once and
-    only the weights vary across the grid; identical results to calling
-    `apply_operator` pointwise."""
-    a, b = _node_affine(params, pq)
-    integrals = _inner_integrals(f, a, b, pq, rel_tol)
-    out = np.empty(len(xs))
-    for i, x in enumerate(xs):
-        x_norm = float(_check_x(params, x))
-        w = _weights_float(params.degree, pq, x_norm, params.mode)
-        out[i] = float(np.dot(w, integrals))
-    return out
-
-
-def apply_unit_operator(f: FunctionHandle, x: Scalar, n: int, m: int, pq: PQPair,
-                        mode: str = "normalized", rel_tol: float = 1e-12) -> float:
-    """The operator specialized to alpha = beta = 0, b_n = 1 (domain [0, 1])."""
-    params = OperatorParams(n=n, m=m, alpha=0.0, beta=0.0, b_n=1.0, mode=mode)
-    return apply_operator(f, x, params, pq, rel_tol)
+    integrals = [_inner_integrals(f, a, b, pq, rel_tol) for f in handles]
+    out = np.empty((len(handles), len(x_norm)))
+    rows = max(1, WEIGHT_BLOCK // (params.degree + 1))
+    for start in range(0, len(x_norm), rows):
+        with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
+            w = _weights_float(params.degree, pq, x_norm[start:start + rows], params.mode)
+        for i, row in enumerate(w, start):
+            for j, vec in enumerate(integrals):
+                out[j, i] = np.dot(row, vec)
+        if not np.isfinite(out[:, start:start + rows]).all():
+            raise DomainError(
+                f"operator value is not finite at degree n+m = {params.degree}: "
+                "the float basis weights overflow past degree ~1030")
+    return out[0] if single else out
 
 
 def apply_extended(f: FunctionHandle, x: Scalar, params: OperatorParams,

@@ -287,12 +287,9 @@ def bracket_table(count: int, pq: PQPair) -> np.ndarray:
     homogeneous sums."""
     p = float(pq.p)
     q = float(pq.q)
-    out = np.empty(count)
-    if count == 0:
-        return out
-    out[0] = 0.0
+    out = [0.0] * count  # Python floats: the same IEEE operations, less overhead
     pw = 1.0
     for k in range(1, count):
         out[k] = pw + q * out[k - 1]
         pw *= p
-    return out
+    return np.array(out, dtype=float)

@@ -184,6 +184,12 @@ class TestConverge:
         last = lines[-1].split(",")
         assert float(last[5]) < float(first[5])
 
+    def test_overflow_degree_exit_2(self, tmp_path, capsys):
+        code = run_cli(["converge", "--n-list", "1100", "--out", "s.csv"], tmp_path)
+        assert code == 2
+        assert "overflow" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_check_only(self, tmp_path):
         code = run_cli(["converge", "--check-only", "--n-list", "10,50",
                         "--out", "hc.json"], tmp_path)

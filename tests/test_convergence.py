@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from pqkanto import (
     vanishing_sweep,
     weighted_sup_error,
 )
+from pqkanto import operators
 from pqkanto.convergence import sweep_csv_header, sweep_csv_rows
 from pqkanto.functions import FunctionHandle
 
@@ -127,6 +130,27 @@ class TestKorovkinSweep:
                             q_table=(0.95, 0.8), b_table=(1.0, 1.0))
         with pytest.raises(DomainError, match="n=2"):
             korovkin_sweep(spec)
+
+    def test_weights_built_once_per_block(self, monkeypatch):
+        # each weight block serves all five handles; at degree 200 a block
+        # holds 40 rows, so the 257 grid points take 7 blocks, not 5 x 257
+        calls = []
+        weights = operators._weights_float
+
+        def counted(degree, pq, x_norm, mode):
+            calls.append(len(x_norm))
+            return weights(degree, pq, x_norm, mode)
+
+        monkeypatch.setattr(operators, "_weights_float", counted)
+        korovkin_sweep(default_spec((200,)), extra=[builtin("absdev:1"), builtin("bump:2")])
+        rows = operators.WEIGHT_BLOCK // 201
+        assert sum(calls) == 257
+        assert len(calls) <= math.ceil(257 / rows)
+
+    def test_overflow_degree_raises(self):
+        # the float weights overflow past degree ~1030 on the default sequence
+        with pytest.raises(DomainError, match="degree n\\+m = 1100"):
+            korovkin_sweep(default_spec((1100,)))
 
     def test_deterministic(self):
         spec = default_spec((10, 50))

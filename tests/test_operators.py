@@ -1,4 +1,5 @@
 import decimal
+import math
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -15,7 +16,6 @@ from pqkanto import (
     apply_classical_reference,
     apply_extended,
     apply_operator,
-    apply_unit_operator,
     basis_weights,
     builtin,
     kantorovich_node,
@@ -190,11 +190,13 @@ class TestApplyOperator:
         assert apply_operator(ident, 1.0, params, P11) == pytest.approx(0.75)
 
     def test_unit_operator_examples(self):
+        # the unit operator is alpha = beta = 0, b_n = 1, as `eval --op unit` builds it
         ident = builtin("id")
-        assert apply_unit_operator(ident, 0.0, 2, 0, P11) == pytest.approx(1 / 6)
-        params = OperatorParams(n=3, m=1)
-        got_k = apply_operator(ident, 0.4, params, P11)
-        got_t = apply_unit_operator(ident, 0.4, 3, 1, P11)
+        unit = OperatorParams(n=2, alpha=0, beta=0, b_n=1)
+        assert apply_operator(ident, 0.0, unit, P11) == pytest.approx(1 / 6)
+        got_k = apply_operator(ident, 0.4, OperatorParams(n=3, m=1), P11)
+        got_t = apply_operator(ident, 0.4, OperatorParams(n=3, m=1, alpha=0, beta=0, b_n=1),
+                               P11)
         assert got_t == pytest.approx(got_k, rel=1e-14)
 
     def test_linearity(self):
@@ -287,6 +289,67 @@ class TestApplyOperator:
         one = builtin("const1")
         got = apply_operator(one, 0.5, OperatorParams(n=2, mode="literal"), PQ98)
         assert got == pytest.approx(0.925, abs=1e-13)
+
+
+def pointwise_weights(degree, pq, x_norm, mode):
+    """The float basis weights at one point, one numpy operation at a time
+    (the reference every row of `_weights_float` must match bit for bit)."""
+    p = float(pq.p)
+    r = float(pq.q) / p
+    ks = np.arange(degree + 1)
+    if r == 1.0:
+        brackets = np.arange(1, degree + 1, dtype=float)
+    else:
+        d = r - 1.0
+        brackets = np.expm1(np.arange(1, degree + 1) * math.log1p(d)) / d
+    binoms = np.concatenate(([1.0], np.cumprod(brackets[::-1] / brackets)))
+    prefix = np.concatenate(([1.0], np.cumprod(1.0 - (r ** np.arange(degree)) * x_norm)))
+    w = binoms * (x_norm ** ks) * prefix[degree - ks]
+    if mode == "literal":
+        w = w * p ** ((degree * (degree - 1) - ks * (ks - 1)) / 2.0)
+    return w
+
+
+class TestOperatorProfile:
+    HANDLES = ("const1", "id", "square", "absdev:1", "bump:2")
+
+    # degree 52 fills 154 rows per block, 800 fills 10, 3000 fills 2 (and a
+    # last block of 1 row on 257 points)
+    @pytest.mark.parametrize("mode", ["normalized", "literal"])
+    @pytest.mark.parametrize("points", [2, 257, 258])
+    @pytest.mark.parametrize("degree", [1, 52, 800, 3000])
+    def test_rows_equal_pointwise(self, degree, points, mode):
+        params = OperatorParams(n=degree, b_n=2.0, mode=mode)
+        pq = PQPair(0.95, 0.9)
+        handles = [builtin(name) for name in self.HANDLES]
+        xs = np.linspace(0.0, 2.0, points)
+        rows = operator_profile(handles, params, pq, xs)
+        assert rows.shape == (len(handles), points)
+        a, b = _node_affine(params, pq)
+        weights = [pointwise_weights(degree, pq, x / 2.0, mode) for x in xs.tolist()]
+        for h, row in zip(handles, rows):
+            integrals = _inner_integrals(h, a, b, pq, 1e-12)
+            assert row.tolist() == [float(np.dot(w, integrals)) for w in weights], h.name
+        # apply_operator is the one-point case; compare every point of one handle
+        assert rows[2].tolist() == [apply_operator(handles[2], x, params, pq)
+                                    for x in xs.tolist()]
+
+    def test_one_handle_gives_one_row(self):
+        params = OperatorParams(n=5, b_n=2.0)
+        xs = [0.0, 0.5, 2.0]
+        one = operator_profile(builtin("square"), params, PQ98, xs)
+        many = operator_profile([builtin("square")], params, PQ98, xs)
+        assert one.shape == (3,) and many.shape == (1, 3)
+        assert one.tolist() == many[0].tolist()
+
+    def test_weights_overflow_raises(self):
+        # the r-binomial products overflow past degree ~1030 as q/p -> 1
+        params = OperatorParams(n=1100, b_n=1.0)
+        pq = PQPair(1 - 1 / 1101 ** 2, 1 - 2 / 1101 ** 2)
+        with pytest.raises(DomainError, match="1100"):
+            operator_profile([builtin("const1")], params, pq, [0.0, 0.5, 1.0])
+        with pytest.raises(DomainError, match="overflow"):
+            apply_operator(builtin("square"), 0.5, params, pq)
 
 
 class TestApplyExtended:
