@@ -5,8 +5,7 @@ Library layout:
     pq_calculus   (p,q)-integers, factorials, binomials, product powers,
                   and the series-defined unit-interval integral
     functions     named test functions with structure metadata
-    operators     basis weights, node maps, operator evaluation, and the
-                  independent classical-limit oracle
+    operators     basis weights, node maps and operator evaluation
     moments       closed-form moments vs direct summation, residually
     bounds        moduli of smoothness and rate-bound reports
     convergence   weighted-error sweeps over parameter sequences
@@ -33,13 +32,11 @@ from .moments import (
     moment_closed,
     peetre_bound_args,
     second_central_moment,
-    unit_moment_closed,
     verify_moments,
 )
 from .operators import (
     OperatorParams,
     WeightVector,
-    apply_classical_reference,
     apply_extended,
     apply_operator,
     basis_weights,
@@ -67,9 +64,8 @@ __all__ = [
     "FunctionHandle", "PiecewiseLinear", "builtin", "polynomial_handle",
     "RunManifest",
     "MomentReport", "moment_closed", "peetre_bound_args",
-    "second_central_moment", "unit_moment_closed", "verify_moments",
-    "OperatorParams", "WeightVector", "apply_classical_reference",
-    "apply_extended", "apply_operator",
+    "second_central_moment", "verify_moments",
+    "OperatorParams", "WeightVector", "apply_extended", "apply_operator",
     "basis_weights", "kantorovich_node", "node_hull_max",
     "PQPair", "pq_binomial", "pq_binomial_expand", "pq_factorial",
     "pq_integer", "pq_integer_quotient", "pq_integral_monomial",

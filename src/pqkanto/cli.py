@@ -21,6 +21,7 @@ reproduces the files byte-identically.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -284,6 +285,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _main_parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built once per process.  It is never handed
+    out, so no caller can change it between calls."""
+    return build_parser()
+
+
+#: Parameters recorded as text, so that a rational such as 9/10 replays
+#: exactly as it was given.
+_TEXT_PARAMS = ("x", "alpha", "beta", "bn", "p", "q")
+
+
+def _command_params(args: argparse.Namespace) -> dict:
+    """Params of an eval, verify or bounds call: every dest of the
+    subcommand's parser, in the parser's order, less `command` and
+    `config`.  The namespace holds exactly those dests in that order."""
+    params = {}
+    for key, value in vars(args).items():
+        if key in ("command", "config"):
+            continue
+        if key in _TEXT_PARAMS:
+            value = str(value)
+        elif key == "exact":
+            value = bool(value)
+        params[key] = value
+    return params
+
+
 def _converge_params(args: argparse.Namespace) -> dict:
     if args.seq_file:
         import json as _json
@@ -356,7 +385,7 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    parser = _main_parser()
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(argv)
@@ -366,33 +395,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             _apply_config(args, argv)
         if args.command == "eval":
             _require(args, "fn", "x", "n")
-            params = {
-                "fn": args.fn, "x": str(args.x), "op": args.op, "json": args.json,
-                "n": args.n, "m": args.m, "alpha": str(args.alpha),
-                "beta": str(args.beta), "bn": str(args.bn), "p": str(args.p),
-                "q": str(args.q), "mode": args.mode, "tol": args.tol,
-            }
-            value = run_eval(params, base)
+            value = run_eval(_command_params(args), base)
             print(fmt_float(value))
         elif args.command == "verify":
             _require(args, "x", "n")
-            params = {
-                "x": str(args.x), "exact": bool(args.exact), "out": args.out,
-                "n": args.n, "m": args.m, "alpha": str(args.alpha),
-                "beta": str(args.beta), "bn": str(args.bn), "p": str(args.p),
-                "q": str(args.q), "mode": args.mode, "tol": args.tol,
-            }
-            outputs = run_verify(params, base)
+            outputs = run_verify(_command_params(args), base)
             print(f"wrote {outputs[0]}")
         elif args.command == "bounds":
             _require(args, "fn", "n")
-            params = {
-                "fn": args.fn, "grid": args.grid, "out": args.out,
-                "n": args.n, "m": args.m, "alpha": str(args.alpha),
-                "beta": str(args.beta), "bn": str(args.bn), "p": str(args.p),
-                "q": str(args.q), "mode": args.mode, "tol": args.tol,
-            }
-            outputs = run_bounds(params, base)
+            outputs = run_bounds(_command_params(args), base)
             print(f"wrote {outputs[0]}")
         elif args.command == "converge":
             params = _converge_params(args)

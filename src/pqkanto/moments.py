@@ -48,32 +48,11 @@ def _compound_powers(params: OperatorParams, pq: PQPair, x_norm: Scalar):
     return w_full, w_less, w_sq
 
 
-def unit_moment_closed(u: int, n: int, m: int, pq: PQPair, x: Scalar) -> Scalar:
-    """Closed-form moments of the unit operator (alpha = beta = 0, b_n = 1)
-    for test powers u in {0, 1, 2}; x in [0, 1]."""
-    if not (0 <= x <= 1):
-        raise DomainError(f"x={x} outside [0, 1]")
-    params = OperatorParams(n=n, m=m)
-    deg = params.degree
-    b2 = pq_integer(2, pq)
-    b3 = pq_integer(3, pq)
-    bn1 = pq_integer(n + 1, pq)
-    bnm = pq_integer(deg, pq)
-    w_full, w_less, w_sq = _compound_powers(params, pq, x)
-    p, q = pq.p, pq.q
-    if u == 0:
-        return x * 0 + 1
-    if u == 1:
-        return w_full / (b2 * bn1) + (p + 2 * q - 1) * bnm * x / (b2 * bn1)
-    if u == 2:
-        curly_mid = 1 + 2 * q / b2 + (q * q - 1) / b3
-        curly_last = 1 + 2 * (q - 1) / b2 + (q - 1) ** 2 / b3
-        return (
-            w_sq / (b3 * bn1 ** 2)
-            + curly_mid * bnm / bn1 ** 2 * w_less * x
-            + curly_last * bnm * pq_integer(deg - 1, pq) / bn1 ** 2 * x * x
-        )
-    raise DomainError(f"u must be 0, 1 or 2, got {u}")
+def _curly(q: Scalar, b2: Scalar, b3: Scalar) -> Tuple[Scalar, Scalar]:
+    """The two bracketed coefficients of the printed second-moment
+    displays, 1 + 2q/[2] + (q^2 - 1)/[3] and 1 + 2(q - 1)/[2] + (q - 1)^2/[3]."""
+    return (1 + 2 * q / b2 + (q * q - 1) / b3,
+            1 + 2 * (q - 1) / b2 + (q - 1) ** 2 / b3)
 
 
 def moment_closed(kind, params: OperatorParams, pq: PQPair, x: Scalar) -> Scalar:
@@ -99,8 +78,7 @@ def moment_closed(kind, params: OperatorParams, pq: PQPair, x: Scalar) -> Scalar
     if kind == 1:
         return (alpha * b_n + w_full * b_n / b2 + (p + 2 * q - 1) * bnm * x / b2) / ee
     if kind == 2:
-        curly_mid = 1 + 2 * q / b2 + (q * q - 1) / b3
-        curly_last = 1 + 2 * (q - 1) / b2 + (q - 1) ** 2 / b3
+        curly_mid, curly_last = _curly(q, b2, b3)
         return (
             (alpha * alpha + 2 * alpha / b2 * w_full + w_sq / b3) * b_n * b_n
             + (2 * alpha / b2 * (p + 2 * q - 1) + curly_mid * w_less) * bnm * b_n * x
@@ -111,8 +89,7 @@ def moment_closed(kind, params: OperatorParams, pq: PQPair, x: Scalar) -> Scalar
             (p + 2 * q - 1) * bnm / (b2 * ee) - 1
         ) * x
     if kind == "central2":
-        curly_mid = 1 + 2 * q / b2 + (q * q - 1) / b3
-        curly_last = 1 + 2 * (q - 1) / b2 + (q - 1) ** 2 / b3
+        curly_mid, curly_last = _curly(q, b2, b3)
         term_b2 = (
             alpha * alpha / ee ** 2
             + 2 * alpha / (b2 * ee ** 2) * w_full
@@ -177,14 +154,15 @@ def peetre_bound_args(params: OperatorParams, pq: PQPair,
     w_full, _w_less, w_sq = _compound_powers(params, pq, x_norm)
     w_double = pq_power(p * x_norm, 1 - x_norm, 2 * deg, pq)
 
+    curly_mid, curly_last = _curly(q, b2, b3)
     term_x2 = (
-        (1 + 2 * (q - 1) / b2 + (q - 1) ** 2 / b3 + (p + 2 * q - 1) ** 2 / b2 ** 2)
+        (curly_last + (p + 2 * q - 1) ** 2 / b2 ** 2)
         * bnm ** 2 / ee ** 2
         - 4 * (p + 2 * q - 1) * bnm / (b2 * ee)
         + 2
     ) * x * x
     term_bx = (
-        (1 + 2 * q / b2 + (q * q - 1) / b3 + 2 * (p + 2 * q - 1) / b2 ** 2)
+        (curly_mid + 2 * (p + 2 * q - 1) / b2 ** 2)
         * bnm / ee ** 2 * w_full
         + 4 * alpha * (p + 2 * q - 1) * bnm / (b2 * ee ** 2)
         - 4 * w_full / (b2 * ee)

@@ -69,7 +69,6 @@ from numbers import Rational
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError, RegimeError
 from .functions import FunctionHandle, PiecewiseLinear
@@ -180,6 +179,11 @@ def _weights_float(degree: int, pq: PQPair, x_norm: np.ndarray, mode: str) -> np
     return w
 
 
+def _not_finite(what: str, degree: int) -> DomainError:
+    return DomainError(f"{what} not finite at degree n+m = {degree}: "
+                       "the float basis weights overflow past degree ~1030")
+
+
 def _weights_exact(degree: int, pq: PQPair, x_norm, mode: str) -> List[Fraction]:
     p, q = Fraction(pq.p), Fraction(pq.q)
     s = Fraction(x_norm)
@@ -200,14 +204,18 @@ def basis_weights(params: OperatorParams, pq: PQPair, x: Scalar) -> WeightVector
 
     Dispatches to exact rational arithmetic when every input is rational,
     float otherwise.  Normalized weights are nonnegative and sum to 1;
-    literal weights are nonnegative only.
+    literal weights are nonnegative only.  Raises DomainError when a float
+    weight is not finite (past degree ~1030 as q/p -> 1).
     """
     x_norm = _check_x(params, x)
     if params.is_exact(pq) and isinstance(x, Rational):
         w = _weights_exact(params.degree, pq, x_norm, params.mode)
     else:
         x_norm = float(x_norm)
-        w = _weights_float(params.degree, pq, np.array([x_norm]), params.mode)[0]
+        with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
+            w = _weights_float(params.degree, pq, np.array([x_norm]), params.mode)[0]
+        if not np.isfinite(w).all():
+            raise _not_finite("basis weights are", params.degree)
     return WeightVector(weights=w, x_norm=x_norm, mode=params.mode)
 
 
@@ -559,9 +567,7 @@ def operator_profile(fs: Union[FunctionHandle, Sequence[FunctionHandle]],
             for j, vec in enumerate(integrals):
                 out[j, i] = np.dot(row, vec)
         if not np.isfinite(out[:, start:start + rows]).all():
-            raise DomainError(
-                f"operator value is not finite at degree n+m = {params.degree}: "
-                "the float basis weights overflow past degree ~1030")
+            raise _not_finite("operator value is", params.degree)
     return out[0] if single else out
 
 
@@ -576,39 +582,3 @@ def apply_extended(f: FunctionHandle, x: Scalar, params: OperatorParams,
     if x > params.b_n:
         return float(f.evaluator(float(x)))
     return apply_operator(f, x, params, pq, rel_tol)
-
-
-def apply_classical_reference(f: FunctionHandle, x: Scalar,
-                              params: OperatorParams) -> float:
-    """Independent classical-limit oracle (p = q = 1 throughout).
-
-    Bernstein weights C(n+m, k) s^k (1-s)^{n+m-k}, node map
-    (k + t + alpha) b_n / (n+1+beta), and plain Riemann integrals over
-    [0, 1]: power rule for polynomial f, adaptive quadrature otherwise.
-    Shares no code with the (p,q) evaluation path; used only as an oracle.
-    """
-    s = float(_check_x(params, x))
-    deg = params.degree
-    alpha = float(params.alpha)
-    scale = float(params.b_n) / (params.n + 1 + float(params.beta))
-    total = 0.0
-    for k in range(deg + 1):
-        wk = math.comb(deg, k) * s ** k * (1.0 - s) ** (deg - k)
-        if wk == 0.0:
-            continue
-        a_k = (k + alpha) * scale
-        b_k = scale
-        if f.polynomial_coeffs is not None:
-            val = 0.0
-            for u, c in enumerate(f.polynomial_coeffs):
-                if c == 0:
-                    continue
-                val += float(c) * sum(
-                    math.comb(u, j) * a_k ** (u - j) * b_k ** j / (j + 1)
-                    for j in range(u + 1)
-                )
-        else:
-            val, _err = quad(lambda t: float(f.evaluator(a_k + b_k * t)),
-                             0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200)
-        total += wk * val
-    return total

@@ -16,7 +16,6 @@ import pytest
 from pqkanto import (
     OperatorParams,
     PQPair,
-    apply_classical_reference,
     apply_operator,
     basis_weights,
     builtin,
@@ -35,6 +34,8 @@ from pqkanto import (
 )
 from pqkanto.cli import main as cli_main
 from pqkanto.operators import operator_profile
+
+from oracles import apply_classical_reference
 
 ARTIFACTS = Path(__file__).parent / "_artifacts"
 

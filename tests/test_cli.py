@@ -8,6 +8,7 @@ import mpmath as mp
 import pytest
 
 import pqkanto
+from pqkanto import cli
 from pqkanto.cli import main
 from pqkanto.manifest import RunManifest
 
@@ -276,16 +277,97 @@ class TestConfig:
         assert "--n" in capsys.readouterr().err
 
 
-def test_console_script_installed(tmp_path):
+def subprocess_env() -> dict:
     # An absolute path to the imported package: a relative PYTHONPATH such as
     # `src` does not resolve from tmp_path.
     env = dict(os.environ)
     pkg_root = str(Path(pqkanto.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_console_script_installed(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "pqkanto.cli", "eval", "--fn", "id", "--x", "1",
          "--n", "1", "--p", "1", "--q", "1"],
-        capture_output=True, text=True, cwd=tmp_path, env=env,
+        capture_output=True, text=True, cwd=tmp_path, env=subprocess_env(),
     )
     assert proc.returncode == 0
     assert float(proc.stdout) == pytest.approx(0.75)
+
+
+def test_cli_import_leaves_out_scipy(tmp_path):
+    # scipy serves only the test oracles; the CLI's cold start must not pay
+    # for importing it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, pqkanto.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, cwd=tmp_path, env=subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+class TestParser:
+    def test_built_once_per_process(self, tmp_path, capsys, monkeypatch):
+        built = []
+        build_parser = cli.build_parser
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._main_parser.cache_clear()
+        value = ["eval", "--fn", "sin", "--x", "0.7", "--n", "7", "--m", "1",
+                 "--alpha", "1/2", "--beta", "1", "--bn", "2", "--p", "0.9",
+                 "--q", "0.8"]
+        sweep = ["converge", "--n-list", "5", "--grid", "5"]
+        assert run_cli(value, tmp_path) == 0
+        assert run_cli(sweep + ["--extra", "sin", "--out", "a.csv"], tmp_path) == 0
+        assert run_cli(sweep + ["--out", "b.csv"], tmp_path) == 0
+        assert run_cli(value, tmp_path) == 0
+        assert built == [1]
+        # the values printed before the parser was shared
+        assert capsys.readouterr().out == ("0.90943508802305617\n"
+                                           "wrote a.csv\nwrote b.csv\n"
+                                           "0.90943508802305617\n")
+        # an --extra of one call does not leak into the next
+        a, b = ((tmp_path / name).read_text().splitlines()[0] for name in ("a.csv", "b.csv"))
+        assert "sin" in a and "sin" not in b
+
+    @pytest.mark.parametrize("argv, want", [
+        (["eval", "--fn", "id", "--x", "1", "--n", "2", "--p", "9/10", "--q", "0.8"],
+         [("fn", "id"), ("x", "1"), ("op", "scaled"), ("json", None), ("n", 2),
+          ("m", 0), ("alpha", "0"), ("beta", "0"), ("bn", "1"), ("p", "9/10"),
+          ("q", "0.8"), ("mode", "normalized"), ("tol", 1e-12)]),
+        (["verify", "--x", "1/2", "--n", "2", "--exact", "--alpha", "1",
+          "--beta", "2"],
+         [("x", "1/2"), ("exact", True), ("out", "moment_report.json"), ("n", 2),
+          ("m", 0), ("alpha", "1"), ("beta", "2"), ("bn", "1"), ("p", "1"),
+          ("q", "1"), ("mode", "normalized"), ("tol", 1e-12)]),
+        (["bounds", "--fn", "sin", "--n", "3", "--grid", "5", "--mode", "literal"],
+         [("fn", "sin"), ("grid", 5), ("out", "bounds.csv"), ("n", 3), ("m", 0),
+          ("alpha", "0"), ("beta", "0"), ("bn", "1"), ("p", "1"), ("q", "1"),
+          ("mode", "literal"), ("tol", 1e-12)]),
+    ])
+    def test_params_follow_flags(self, argv, want, tmp_path, monkeypatch):
+        seen = []
+        runner = {"eval": "run_eval", "verify": "run_verify", "bounds": "run_bounds"}
+        result = 0.0 if argv[0] == "eval" else ["x"]
+        monkeypatch.setattr(cli, runner[argv[0]],
+                            lambda params, base: seen.append(params) or result)
+        assert run_cli(argv, tmp_path) == 0
+        assert list(seen[0].items()) == want
+
+    def test_config_values_keep_their_coercions(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "run_verify",
+                            lambda params, base: seen.append(params) or ["x"])
+        cfg = {"x": 0.25, "n": 3, "exact": 1, "p": 1, "alpha": 0.5, "beta": 1}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert run_cli(["verify", "--config", "cfg.json"], tmp_path) == 0
+        assert list(seen[0].items()) == [
+            ("x", "0.25"), ("exact", True), ("out", "moment_report.json"),
+            ("n", 3), ("m", 0), ("alpha", "0.5"), ("beta", "1"), ("bn", "1"),
+            ("p", "1"), ("q", "1"), ("mode", "normalized"), ("tol", 1e-12)]

@@ -9,39 +9,40 @@ from pqkanto import (
     OperatorParams,
     PQPair,
     SizeCapError,
-    apply_classical_reference,
     builtin,
     moment_closed,
     peetre_bound_args,
     second_central_moment,
-    unit_moment_closed,
     verify_moments,
 )
 from pqkanto.moments import MOMENT_KEYS, first_central_moment_brute
+
+from oracles import apply_classical_reference
 
 PQ98 = PQPair(0.9, 0.8)
 P11 = PQPair(1, 1)
 
 
 class TestUnitMomentClosed:
+    # the unit operator: alpha = beta = 0, b_n = 1
     def test_mass_is_one(self):
-        assert unit_moment_closed(0, 4, 2, PQ98, 0.3) == 1
+        assert moment_closed(0, OperatorParams(n=4, m=2), PQ98, 0.3) == 1
 
     def test_first_moment_classical(self):
         for n in (1, 3, 9):
             for x in (0.0, 0.4, 1.0):
-                got = unit_moment_closed(1, n, 0, P11, x)
+                got = moment_closed(1, OperatorParams(n=n), P11, x)
                 want = 1 / (2 * (n + 1)) + n * x / (n + 1)
                 assert got == pytest.approx(want, rel=1e-14)
 
     def test_first_moment_at_origin(self):
-        assert unit_moment_closed(1, 5, 0, P11, 0.0) == pytest.approx(1 / 12)
+        assert moment_closed(1, OperatorParams(n=5), P11, 0.0) == pytest.approx(1 / 12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            unit_moment_closed(1, 3, 0, PQ98, 1.2)
+            moment_closed(1, OperatorParams(n=3), PQ98, 1.2)
         with pytest.raises(DomainError):
-            unit_moment_closed(3, 3, 0, PQ98, 0.5)
+            moment_closed(3, OperatorParams(n=3), PQ98, 0.5)
 
 
 class TestMomentClosed:

@@ -13,7 +13,6 @@ from pqkanto import (
     OperatorParams,
     PQPair,
     RegimeError,
-    apply_classical_reference,
     apply_extended,
     apply_operator,
     basis_weights,
@@ -32,6 +31,8 @@ from pqkanto.operators import (
     operator_profile,
 )
 from pqkanto.pq_calculus import TERM_CAP, predicted_terms, truncated_series
+
+from oracles import apply_classical_reference
 
 PQ98 = PQPair(0.9, 0.8)
 P11 = PQPair(1, 1)
@@ -114,6 +115,14 @@ class TestBasisWeights:
                                       mode=mode)
             floats = basis_weights(params_f, PQ98, 0.75).weights
             assert np.allclose(floats, [float(v) for v in exact], rtol=1e-13)
+
+    def test_overflow_raises(self):
+        # the float r-binomial products overflow past degree ~1030 as q/p -> 1
+        params = OperatorParams(n=1100)
+        pq = PQPair(1 - 1 / 1101 ** 2, 1 - 2 / 1101 ** 2)
+        with np.errstate(over="raise", invalid="raise"):  # not a numpy warning
+            with pytest.raises(DomainError, match="basis weights .* overflow"):
+                basis_weights(params, pq, 0.5)
 
     def test_exact_normalized_sums_to_one(self):
         pq_e = PQPair(F(3, 4), F(1, 2))
