@@ -369,7 +369,7 @@ def _apply_config(args: argparse.Namespace, argv: List[str]) -> None:
         raise DomainError("config file must hold a JSON object of flag values")
     explicit = {token.split("=", 1)[0] for token in argv if token.startswith("--")}
     for key, value in config.items():
-        if not hasattr(args, key):
+        if key in ("command", "config") or not hasattr(args, key):
             raise DomainError(f"config key {key!r} is not a flag of this command")
         if f"--{key.replace('_', '-')}" in explicit:
             continue

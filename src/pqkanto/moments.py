@@ -12,47 +12,103 @@ p = q = 1 while staying inside the product definition.
 
 `verify_moments` evaluates closed form and direct summation side by side
 (floats for experiments, exact rationals for certification at n+m <= 12)
-and reports residuals.  Residuals are data, not assertions: at p = q = 1
-all five closed forms agree with direct summation, while for p < 1 the
-first and second moment displays disagree with direct summation in both
-basis modes (already at n+m = 2), so the report is the honest output.
+and reports residuals.  The five closed forms share one set of terms per
+call (the brackets [2], [3], [n+1] + beta, [n+m], [n+m-1] and the three
+compound powers), and the exact direct sums run the float path's node
+map and monomial rule on one Fraction bracket table.  Residuals are
+data, not assertions: at p = q = 1 all five closed forms agree with
+direct summation, while for p < 1 the first and second moment displays
+disagree with direct summation in both basis modes (already at n+m = 2),
+so the report is the honest output.
 The quantities feeding error bounds therefore come from direct summation,
 never from the closed forms.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .errors import DomainError, SizeCapError
 from .functions import polynomial_handle
-from .operators import OperatorParams, apply_operator, basis_weights, operator_profile
-from .pq_calculus import PQPair, Scalar, pq_integer, pq_integral_monomial, pq_power
+from .operators import (OperatorParams, _node_affine, _poly_integrals, apply_operator,
+                        basis_weights, operator_profile)
+from .pq_calculus import PQPair, Scalar, _brackets, _pq_powers, pq_power
 
 MOMENT_KEYS = ("m0", "m1", "m2", "c1", "c2")
 EXACT_DEGREE_CAP = 12
 
 
-def _compound_powers(params: OperatorParams, pq: PQPair, x_norm: Scalar):
-    """The three compound-power terms appearing in the closed forms:
-    (p s + 1 - s)^{n+m}, (p s + 1 - s)^{n+m-1}, (p^2 s + 1 - s)^{n+m}."""
-    p = pq.p
+class _Terms(NamedTuple):
+    """What the closed forms share at one point (see `_closed_terms`)."""
+    lin: Scalar  # p + 2q - 1
+    b2: Scalar  # [2]
+    b3: Scalar  # [3]
+    ee: Scalar  # [n+1] + beta
+    bnm: Scalar  # [n+m]
+    bnm1: Scalar  # [n+m-1]
+    w_full: Scalar  # (p s + 1 - s)^{n+m}
+    w_less: Scalar  # (p s + 1 - s)^{n+m-1}
+    w_sq: Scalar  # (p^2 s + 1 - s)^{n+m}
+    curly_mid: Scalar  # 1 + 2q/[2] + (q^2 - 1)/[3], as printed
+    curly_last: Scalar  # 1 + 2(q - 1)/[2] + (q - 1)^2/[3], as printed
+
+
+def _closed_terms(params: OperatorParams, pq: PQPair, x: Scalar) -> _Terms:
+    """Brackets, compound powers and curly coefficients of the closed forms
+    at x, each computed once; arithmetic follows the input types."""
+    if not (0 <= x <= params.b_n):
+        raise DomainError(f"x={x} outside [0, b_n] with b_n={params.b_n}")
+    p, q = pq.p, pq.q
     deg = params.degree
-    w_full = pq_power(p * x_norm, 1 - x_norm, deg, pq)
-    w_less = pq_power(p * x_norm, 1 - x_norm, deg - 1, pq) if deg >= 1 else None
-    w_sq = pq_power(p * p * x_norm, 1 - x_norm, deg, pq)
-    return w_full, w_less, w_sq
+    x_norm = x / params.b_n
+    br = _brackets(max(deg + 2, 4), p, q)  # entry k equals pq_integer(k, pq)
+    b2, b3 = br[2], br[3]
+    w = _pq_powers(p * x_norm, 1 - x_norm, deg, pq)  # entry k equals pq_power of order k
+    return _Terms(
+        p + 2 * q - 1, b2, b3, br[params.n + 1] + params.beta, br[deg], br[deg - 1],
+        w[deg], w[deg - 1], pq_power(p * p * x_norm, 1 - x_norm, deg, pq),
+        1 + 2 * q / b2 + (q * q - 1) / b3, 1 + 2 * (q - 1) / b2 + (q - 1) ** 2 / b3,
+    )
 
 
-def _curly(q: Scalar, b2: Scalar, b3: Scalar) -> Tuple[Scalar, Scalar]:
-    """The two bracketed coefficients of the printed second-moment
-    displays, 1 + 2q/[2] + (q^2 - 1)/[3] and 1 + 2(q - 1)/[2] + (q - 1)^2/[3]."""
-    return (1 + 2 * q / b2 + (q * q - 1) / b3,
-            1 + 2 * (q - 1) / b2 + (q - 1) ** 2 / b3)
+def _closed_moments(params: OperatorParams, x: Scalar, t: _Terms) -> Dict[str, Scalar]:
+    """The five closed forms at x, keyed as MOMENT_KEYS, from the shared
+    terms t; each is transcribed as printed (see module docstring)."""
+    alpha, b_n = params.alpha, params.b_n
+    ee2 = t.ee ** 2
+    return {
+        "m0": x * 0 + 1,
+        "m1": (alpha * b_n + t.w_full * b_n / t.b2 + t.lin * t.bnm * x / t.b2) / t.ee,
+        "m2": (
+            (alpha * alpha + 2 * alpha / t.b2 * t.w_full + t.w_sq / t.b3) * b_n * b_n
+            + (2 * alpha / t.b2 * t.lin + t.curly_mid * t.w_less) * t.bnm * b_n * x
+            + t.curly_last * t.bnm * t.bnm1 * x * x
+        ) / ee2,
+        "c1": (t.b2 * alpha + t.w_full) * b_n / (t.b2 * t.ee) + (
+            t.lin * t.bnm / (t.b2 * t.ee) - 1
+        ) * x,
+        "c2": (
+            alpha * alpha / ee2
+            + 2 * alpha / (t.b2 * ee2) * t.w_full
+            + t.w_sq / (t.b3 * ee2)
+        ) * b_n * b_n + (
+            2 * alpha * t.lin * t.bnm / (t.b2 * ee2)
+            + t.curly_mid * t.bnm / ee2 * t.w_less
+            - 2 * alpha / t.ee
+            - 2 * t.w_full / (t.b2 * t.ee)
+        ) * b_n * x + (
+            t.curly_last * t.bnm * t.bnm1 / ee2
+            - 2 * t.lin * t.bnm / (t.b2 * t.ee)
+            + 1
+        ) * x * x,
+    }
+
+
+#: moment_closed's kinds and the MOMENT_KEYS they select.
+_KINDS = ((0, "m0"), (1, "m1"), (2, "m2"), ("central1", "c1"), ("central2", "c2"))
 
 
 def moment_closed(kind, params: OperatorParams, pq: PQPair, x: Scalar) -> Scalar:
@@ -60,54 +116,13 @@ def moment_closed(kind, params: OperatorParams, pq: PQPair, x: Scalar) -> Scalar
 
     kind: 0, 1, 2 for test powers 1, t, t^2; "central1" for t - x;
     "central2" for (t - x)^2.  Evaluated exactly as printed (see module
-    docstring); arithmetic follows the input types.
+    docstring); arithmetic follows the input types.  One kind of the five
+    that `verify_moments` takes from one set of shared terms.
     """
-    if not (0 <= x <= params.b_n):
-        raise DomainError(f"x={x} outside [0, b_n] with b_n={params.b_n}")
-    p, q = pq.p, pq.q
-    deg = params.degree
-    alpha, beta, b_n = params.alpha, params.beta, params.b_n
-    x_norm = x / b_n
-    b2 = pq_integer(2, pq)
-    b3 = pq_integer(3, pq)
-    ee = pq_integer(params.n + 1, pq) + beta
-    bnm = pq_integer(deg, pq)
-    w_full, w_less, w_sq = _compound_powers(params, pq, x_norm)
-    if kind == 0:
-        return x * 0 + 1
-    if kind == 1:
-        return (alpha * b_n + w_full * b_n / b2 + (p + 2 * q - 1) * bnm * x / b2) / ee
-    if kind == 2:
-        curly_mid, curly_last = _curly(q, b2, b3)
-        return (
-            (alpha * alpha + 2 * alpha / b2 * w_full + w_sq / b3) * b_n * b_n
-            + (2 * alpha / b2 * (p + 2 * q - 1) + curly_mid * w_less) * bnm * b_n * x
-            + curly_last * bnm * pq_integer(deg - 1, pq) * x * x
-        ) / ee ** 2
-    if kind == "central1":
-        return (b2 * alpha + w_full) * b_n / (b2 * ee) + (
-            (p + 2 * q - 1) * bnm / (b2 * ee) - 1
-        ) * x
-    if kind == "central2":
-        curly_mid, curly_last = _curly(q, b2, b3)
-        term_b2 = (
-            alpha * alpha / ee ** 2
-            + 2 * alpha / (b2 * ee ** 2) * w_full
-            + w_sq / (b3 * ee ** 2)
-        ) * b_n * b_n
-        term_bx = (
-            2 * alpha * (p + 2 * q - 1) * bnm / (b2 * ee ** 2)
-            + curly_mid * bnm / ee ** 2 * w_less
-            - 2 * alpha / ee
-            - 2 * w_full / (b2 * ee)
-        ) * b_n * x
-        term_x2 = (
-            curly_last * bnm * pq_integer(deg - 1, pq) / ee ** 2
-            - 2 * (p + 2 * q - 1) * bnm / (b2 * ee)
-            + 1
-        ) * x * x
-        return term_b2 + term_bx + term_x2
-    raise DomainError(f"kind must be 0, 1, 2, 'central1' or 'central2', got {kind!r}")
+    key = next((key for k, key in _KINDS if k == kind), None)
+    if key is None:
+        raise DomainError(f"kind must be 0, 1, 2, 'central1' or 'central2', got {kind!r}")
+    return _closed_moments(params, x, _closed_terms(params, pq, x))[key]
 
 
 def second_central_moment(params: OperatorParams, pq: PQPair, x: Scalar) -> float:
@@ -141,39 +156,29 @@ def peetre_bound_args(params: OperatorParams, pq: PQPair,
     central2 + bias^2 (it merges [n+m-1] into [n+m] and squares the
     compound power by doubling its order).
     """
-    if not (0 <= x <= params.b_n):
-        raise DomainError(f"x={x} outside [0, b_n] with b_n={params.b_n}")
-    p, q = pq.p, pq.q
-    deg = params.degree
-    alpha, beta, b_n = params.alpha, params.beta, params.b_n
+    t = _closed_terms(params, pq, x)
+    alpha, b_n = params.alpha, params.b_n
     x_norm = x / b_n
-    b2 = pq_integer(2, pq)
-    b3 = pq_integer(3, pq)
-    ee = pq_integer(params.n + 1, pq) + beta
-    bnm = pq_integer(deg, pq)
-    w_full, _w_less, w_sq = _compound_powers(params, pq, x_norm)
-    w_double = pq_power(p * x_norm, 1 - x_norm, 2 * deg, pq)
-
-    curly_mid, curly_last = _curly(q, b2, b3)
+    w_double = pq_power(pq.p * x_norm, 1 - x_norm, 2 * params.degree, pq)
     term_x2 = (
-        (curly_last + (p + 2 * q - 1) ** 2 / b2 ** 2)
-        * bnm ** 2 / ee ** 2
-        - 4 * (p + 2 * q - 1) * bnm / (b2 * ee)
+        (t.curly_last + t.lin ** 2 / t.b2 ** 2)
+        * t.bnm ** 2 / t.ee ** 2
+        - 4 * t.lin * t.bnm / (t.b2 * t.ee)
         + 2
     ) * x * x
     term_bx = (
-        (curly_mid + 2 * (p + 2 * q - 1) / b2 ** 2)
-        * bnm / ee ** 2 * w_full
-        + 4 * alpha * (p + 2 * q - 1) * bnm / (b2 * ee ** 2)
-        - 4 * w_full / (b2 * ee)
-        - 4 * alpha / ee
+        (t.curly_mid + 2 * t.lin / t.b2 ** 2)
+        * t.bnm / t.ee ** 2 * t.w_full
+        + 4 * alpha * t.lin * t.bnm / (t.b2 * t.ee ** 2)
+        - 4 * t.w_full / (t.b2 * t.ee)
+        - 4 * alpha / t.ee
     ) * b_n * x
     term_b2 = (
-        w_sq / b3 + w_double / b2 ** 2 + 4 * alpha / b2 * w_full + 2 * alpha * alpha
-    ) * b_n * b_n / ee ** 2
+        t.w_sq / t.b3 + w_double / t.b2 ** 2 + 4 * alpha / t.b2 * t.w_full
+        + 2 * alpha * alpha
+    ) * b_n * b_n / t.ee ** 2
     peetre_arg = term_x2 + term_bx + term_b2
-    bias = moment_closed("central1", params, pq, x)
-    return peetre_arg, bias
+    return peetre_arg, _closed_moments(params, x, t)["c1"]
 
 
 @dataclass
@@ -228,22 +233,13 @@ class MomentReport:
 
 def _brute_moments_exact(params: OperatorParams, pq: PQPair,
                          x: Fraction) -> Dict[str, Fraction]:
-    """Exact direct summation of the five moments via rational weights and
-    the monomial rule applied to the affine node map."""
+    """Exact direct summation of the five moments: the float path's node
+    map and monomial rule on Fraction brackets (pq holds Fractions),
+    contracted with the exact weights."""
     weights = basis_weights(params, pq, x).weights
-    ee = pq_integer(params.n + 1, pq) + Fraction(params.beta)
-    mono = [pq_integral_monomial(j, pq) for j in range(3)]
-    moments = [Fraction(0), Fraction(0), Fraction(0)]
-    for k, w in enumerate(weights):
-        a_k = (pq_integer(k, pq) + Fraction(params.alpha)) * Fraction(params.b_n) / ee
-        b_k = (pq_integer(k + 1, pq) - pq_integer(k, pq)) * Fraction(params.b_n) / ee
-        for u in range(3):
-            integral = sum(
-                math.comb(u, j) * a_k ** (u - j) * b_k ** j * mono[j]
-                for j in range(u + 1)
-            )
-            moments[u] += w * integral
-    m0, m1, m2 = moments
+    a, b = _node_affine(params, pq)
+    m0, m1, m2 = (sum(w * v for w, v in zip(weights, _poly_integrals(coeffs, a, b, pq)))
+                  for coeffs in ((1,), (0, 1), (0, 0, 1)))
     return {
         "m0": m0,
         "m1": m1,
@@ -276,7 +272,8 @@ def verify_moments(params: OperatorParams, pq: PQPair, x: Scalar,
     """
     if arithmetic not in ("float", "exact"):
         raise DomainError(f"arithmetic must be 'float' or 'exact', got {arithmetic!r}")
-    if arithmetic == "exact":
+    exact = arithmetic == "exact"
+    if exact:
         if params.degree > EXACT_DEGREE_CAP:
             raise SizeCapError(
                 f"exact mode capped at n+m <= {EXACT_DEGREE_CAP}, got {params.degree}"
@@ -285,36 +282,14 @@ def verify_moments(params: OperatorParams, pq: PQPair, x: Scalar,
             raise DomainError(
                 "exact mode requires rational p, q, x, alpha, beta, b_n"
             )
-        exact_params = OperatorParams(
-            n=params.n, m=params.m, alpha=Fraction(params.alpha),
-            beta=Fraction(params.beta), b_n=Fraction(params.b_n), mode=params.mode,
-        )
-        x = Fraction(x)
-        brute = _brute_moments_exact(exact_params, pq, x)
-        closed = {
-            "m0": moment_closed(0, exact_params, pq, x),
-            "m1": moment_closed(1, exact_params, pq, x),
-            "m2": moment_closed(2, exact_params, pq, x),
-            "c1": moment_closed("central1", exact_params, pq, x),
-            "c2": moment_closed("central2", exact_params, pq, x),
-        }
-        params = exact_params
-    else:
-        xf = float(x)
-        fparams = OperatorParams(
-            n=params.n, m=params.m, alpha=float(params.alpha),
-            beta=float(params.beta), b_n=float(params.b_n), mode=params.mode,
-        )
-        fpq = PQPair(float(pq.p), float(pq.q))
-        brute = _brute_moments_float(fparams, fpq, xf)
-        closed = {
-            "m0": float(moment_closed(0, fparams, fpq, xf)),
-            "m1": float(moment_closed(1, fparams, fpq, xf)),
-            "m2": float(moment_closed(2, fparams, fpq, xf)),
-            "c1": float(moment_closed("central1", fparams, fpq, xf)),
-            "c2": float(moment_closed("central2", fparams, fpq, xf)),
-        }
-        params, pq, x = fparams, fpq, xf
+    cast = Fraction if exact else float
+    params = OperatorParams(
+        n=params.n, m=params.m, alpha=cast(params.alpha),
+        beta=cast(params.beta), b_n=cast(params.b_n), mode=params.mode,
+    )
+    pq, x = PQPair(cast(pq.p), cast(pq.q)), cast(x)
+    brute = (_brute_moments_exact if exact else _brute_moments_float)(params, pq, x)
+    closed = _closed_moments(params, x, _closed_terms(params, pq, x))
     residuals = {k: closed[k] - brute[k] for k in MOMENT_KEYS}
     return MomentReport(
         params=params, pq=pq, x=x, mode=params.mode, arithmetic=arithmetic,

@@ -77,7 +77,6 @@ from .pq_calculus import (
     Scalar,
     _as_vectorized,
     bracket_table,
-    pq_binomial,
     pq_integer,
     pq_integral_monomial,
     predicted_terms,
@@ -185,14 +184,22 @@ def _not_finite(what: str, degree: int) -> DomainError:
 
 
 def _weights_exact(degree: int, pq: PQPair, x_norm, mode: str) -> List[Fraction]:
+    """Exact weights from the literal product definition (module docstring),
+    the independent check of the r-form the float path evaluates.  The
+    binomials [N]! / ([k]! [N-k]!) and the products over j < N - k are
+    prefix products, of the tabled brackets and of the factors."""
     p, q = Fraction(pq.p), Fraction(pq.q)
     s = Fraction(x_norm)
+    factorials = [Fraction(1)]
+    for bracket in bracket_table(degree + 1, PQPair(p, q))[1:]:
+        factorials.append(factorials[-1] * bracket)
+    prods = [Fraction(1)]
+    for j in range(degree):
+        prods.append(prods[-1] * (p ** j - q ** j * s))
     out = []
     for k in range(degree + 1):
-        prod = Fraction(1)
-        for j in range(degree - k):
-            prod *= p ** j - q ** j * s
-        w = pq_binomial(degree, k, pq) * s ** k * prod
+        binomial = factorials[degree] / (factorials[k] * factorials[degree - k])
+        w = binomial * s ** k * prods[degree - k]
         if mode == "normalized":
             w *= p ** ((k * (k - 1) - degree * (degree - 1)) // 2)
         out.append(Fraction(w))
@@ -240,20 +247,24 @@ def node_hull_max(params: OperatorParams, pq: PQPair) -> float:
 
 
 def _node_affine(params: OperatorParams, pq: PQPair) -> Tuple[np.ndarray, np.ndarray]:
-    """(A, B) with node_k(t) = A[k] + B[k] t, as float arrays."""
-    br = bracket_table(params.degree + 2, pq)
-    scale = float(params.b_n) / (br[params.n + 1] + float(params.beta))
-    a = (br[: params.degree + 1] + float(params.alpha)) * scale
+    """(A, B) with node_k(t) = A[k] + B[k] t: float arrays, or object
+    arrays of Fractions when p or q is a Fraction (see `bracket_table`)."""
+    br = np.asarray(bracket_table(params.degree + 2, pq))
+    cast = Fraction if br.dtype == object else float
+    scale = cast(params.b_n) / (br[params.n + 1] + cast(params.beta))
+    a = (br[: params.degree + 1] + cast(params.alpha)) * scale
     b = (br[1: params.degree + 2] - br[: params.degree + 1]) * scale
     return a, b
 
 
-def _poly_integrals(coeffs: Sequence[float], a: np.ndarray, b: np.ndarray,
+def _poly_integrals(coeffs: Sequence[Scalar], a: np.ndarray, b: np.ndarray,
                     pq: PQPair) -> np.ndarray:
     """Exact integral of sum_u c_u (A + B t)^u over [0,1] against d_pq t,
-    via the monomial rule (integral of t^j is 1/[j+1])."""
+    via the monomial rule (integral of t^j is 1/[j+1]); in the scalars of
+    `_node_affine`, so Fraction nodes give Fraction integrals."""
+    cast = Fraction if a.dtype == object else float
     deg = len(coeffs) - 1
-    mono = [float(pq_integral_monomial(j, pq)) for j in range(deg + 1)]
+    mono = [cast(pq_integral_monomial(j, pq)) for j in range(deg + 1)]
     out = np.zeros_like(a)
     for u, c in enumerate(coeffs):
         if c == 0:
@@ -261,7 +272,7 @@ def _poly_integrals(coeffs: Sequence[float], a: np.ndarray, b: np.ndarray,
         term = np.zeros_like(a)
         for j in range(u + 1):
             term += math.comb(u, j) * a ** (u - j) * b ** j * mono[j]
-        out += float(c) * term
+        out += cast(c) * term
     return out
 
 
@@ -556,7 +567,7 @@ def operator_profile(fs: Union[FunctionHandle, Sequence[FunctionHandle]],
     single = isinstance(fs, FunctionHandle)
     handles = [fs] if single else list(fs)
     x_norm = np.array([float(_check_x(params, x)) for x in xs])
-    a, b = _node_affine(params, pq)
+    a, b = _node_affine(params, PQPair(float(pq.p), float(pq.q)))  # float nodes for any pq
     integrals = [_inner_integrals(f, a, b, pq, rel_tol) for f in handles]
     out = np.empty((len(handles), len(x_norm)))
     rows = max(1, WEIGHT_BLOCK // (params.degree + 1))

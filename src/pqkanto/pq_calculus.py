@@ -15,7 +15,9 @@ its expanded form, and the series-defined integral over [0, 1].
 Every function in this module is pure and accepts either floats or
 `fractions.Fraction` values inside `PQPair`; passing Fractions keeps the
 whole computation exact (the artifact's identity-verification mode).
-The series integral is float-only since it is an infinite sum.
+`bracket_table` is scalar-generic in the same way: one O(N) recurrence
+gives a float array, or an exact list when p or q is a Fraction.  The
+series integral is float-only since it is an infinite sum.
 """
 
 from __future__ import annotations
@@ -71,6 +73,18 @@ class PQPair:
         return isinstance(self.p, Rational) and isinstance(self.q, Rational)
 
 
+def _brackets(count: int, p: Scalar, q: Scalar) -> list:
+    """[0], [1], ..., [count-1] in the scalars of p and q, by the Horner
+    recurrence [k+1] = p^k + q [k]; entry k takes the same operations
+    whatever count is."""
+    out = [p * 0] * count
+    pw = p * 0 + 1
+    for k in range(1, count):
+        out[k] = pw + q * out[k - 1]
+        pw = pw * p
+    return out
+
+
 def pq_bracket(n: int, p: Scalar, q: Scalar) -> Scalar:
     """Raw homogeneous sum sum_{i<n} p^{n-1-i} q^i, no validation.
 
@@ -79,12 +93,7 @@ def pq_bracket(n: int, p: Scalar, q: Scalar) -> Scalar:
     """
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
-    acc = p * 0
-    pw = acc + 1
-    for _ in range(n):
-        acc = pw + q * acc
-        pw = pw * p
-    return acc
+    return _brackets(n + 1, p, q)[n]
 
 
 def pq_integer(n: int, pq: PQPair) -> Scalar:
@@ -104,12 +113,13 @@ def pq_integer_quotient(n: int, pq: PQPair) -> Scalar:
 
 
 def pq_factorial(n: int, pq: PQPair) -> Scalar:
-    """[n]! = [n][n-1]...[1]; empty product is 1."""
+    """[n]! = [1][2]...[n]; empty product is 1.  O(n): one bracket
+    recurrence, the one `pq_integer` runs."""
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
     acc = pq.p * 0 + 1
-    for j in range(1, n + 1):
-        acc = acc * pq_integer(j, pq)
+    for bracket in _brackets(n + 1, pq.p, pq.q)[1:]:
+        acc = acc * bracket
     return acc
 
 
@@ -127,25 +137,31 @@ def pq_binomial(n: int, k: int, pq: PQPair) -> Scalar:
     if pq.is_exact:
         return pq_factorial(n, pq) / (pq_factorial(k, pq) * pq_factorial(n - k, pq))
     k = min(k, n - k)
+    br = _brackets(n + 1, pq.p, pq.q)
     acc = 1.0
     for i in range(k):
-        acc *= pq_integer(n - i, pq) / pq_integer(i + 1, pq)
+        acc *= br[n - i] / br[i + 1]
     return acc
+
+
+def _pq_powers(a: Scalar, b: Scalar, n: int, pq: PQPair) -> list:
+    """The product powers of orders 0..n; entry k takes the same operations
+    as `pq_power` of order k."""
+    p, q = pq.p, pq.q
+    out = [p * 0 + 1]
+    pw_p = pw_q = out[0]
+    for _ in range(n):
+        out.append(out[-1] * (pw_p * a + pw_q * b))
+        pw_p = pw_p * p
+        pw_q = pw_q * q
+    return out
 
 
 def pq_power(a: Scalar, b: Scalar, n: int, pq: PQPair) -> Scalar:
     """Product power (a + b)(pa + qb)...(p^{n-1} a + q^{n-1} b); empty = 1."""
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
-    p, q = pq.p, pq.q
-    acc = p * 0 + 1
-    pw_p = acc
-    pw_q = acc
-    for _ in range(n):
-        acc = acc * (pw_p * a + pw_q * b)
-        pw_p = pw_p * p
-        pw_q = pw_q * q
-    return acc
+    return _pq_powers(a, b, n, pq)[n]
 
 
 def pq_binomial_expand(a: Scalar, b: Scalar, n: int, pq: PQPair) -> Scalar:
@@ -281,15 +297,11 @@ def pq_integral_monomial(j: int, pq: PQPair) -> Scalar:
     return one / pq_integer(j + 1, pq)
 
 
-def bracket_table(count: int, pq: PQPair) -> np.ndarray:
-    """Float [0], [1], ..., [count-1] via the Horner recurrence
-    [k+1] = p^k + q [k]; one pass, numerically equivalent to the
-    homogeneous sums."""
-    p = float(pq.p)
-    q = float(pq.q)
-    out = [0.0] * count  # Python floats: the same IEEE operations, less overhead
-    pw = 1.0
-    for k in range(1, count):
-        out[k] = pw + q * out[k - 1]
-        pw *= p
-    return np.array(out, dtype=float)
+def bracket_table(count: int, pq: PQPair):
+    """[0], [1], ..., [count-1] via the Horner recurrence [k+1] = p^k + q [k],
+    the operations of `pq_bracket` in one pass.  Scalar-generic: an exact
+    list when p or q is a Fraction, else a float ndarray."""
+    if isinstance(pq.p, Fraction) or isinstance(pq.q, Fraction):
+        return _brackets(count, pq.p, pq.q)
+    # Python floats: the same IEEE operations as numpy, less overhead
+    return np.array(_brackets(count, float(pq.p), float(pq.q)), dtype=float)

@@ -271,6 +271,16 @@ class TestConfig:
         assert code == 2
         assert "nope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("command", "bounds"), ("config", "c.json")])
+    def test_config_cannot_switch_command_exit_2(self, tmp_path, capsys, key, value):
+        # a config may not name the command or another config: exit 2,
+        # not a traceback from the other command's runner
+        cfg = {key: value, "x": "0.5", "n": 3}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        code = run_cli(["eval", "--fn", "id", "--config", "cfg.json"], tmp_path)
+        assert code == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+
     def test_missing_required_flag_exit_2(self, tmp_path, capsys):
         code = run_cli(["eval", "--fn", "id", "--x", "0.5"], tmp_path)
         assert code == 2

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -9,18 +10,22 @@ from pqkanto import (
     OperatorParams,
     PQPair,
     SizeCapError,
+    basis_weights,
     builtin,
     moment_closed,
     peetre_bound_args,
     second_central_moment,
     verify_moments,
 )
+from pqkanto import moments
 from pqkanto.moments import MOMENT_KEYS, first_central_moment_brute
+from pqkanto.pq_calculus import _pq_powers, pq_integer, pq_integral_monomial, pq_power
 
 from oracles import apply_classical_reference
 
 PQ98 = PQPair(0.9, 0.8)
 P11 = PQPair(1, 1)
+KINDS = (0, 1, 2, "central1", "central2")
 
 
 class TestUnitMomentClosed:
@@ -43,6 +48,14 @@ class TestUnitMomentClosed:
             moment_closed(1, OperatorParams(n=3), PQ98, 1.2)
         with pytest.raises(DomainError):
             moment_closed(3, OperatorParams(n=3), PQ98, 0.5)
+
+    def test_kind_checked_before_any_power(self, monkeypatch):
+        calls = []
+        for name in ("pq_power", "_pq_powers"):
+            monkeypatch.setattr(moments, name, lambda *a: calls.append(a))
+        with pytest.raises(DomainError, match="kind"):
+            moment_closed(3, OperatorParams(n=3), PQ98, 0.5)
+        assert calls == []
 
 
 class TestMomentClosed:
@@ -192,6 +205,49 @@ class TestVerifyMoments:
         rep = verify_moments(params, PQPair(0.9, 0.7), 1.9)
         combo = rep.brute["m2"] - 2 * 1.9 * rep.brute["m1"] + 1.9 ** 2 * rep.brute["m0"]
         assert rep.brute["c2"] == pytest.approx(combo, abs=1e-10)
+
+    def test_exact_closed_forms_share_their_powers(self, monkeypatch):
+        # one set of closed-form terms per call: at most three product
+        # powers, not three for each of the five moments
+        calls = []
+        for name, power in (("pq_power", pq_power), ("_pq_powers", _pq_powers)):
+            monkeypatch.setattr(moments, name,
+                                lambda *a, power=power: calls.append(a) or power(*a))
+        params = OperatorParams(n=10, m=2, alpha=F(1, 2), beta=F(1), b_n=F(2))
+        rep = verify_moments(params, PQPair(F(9, 10), F(4, 5)), F(4, 7), "exact")
+        assert len(calls) <= 3
+        assert rep.closed == {k: moment_closed(kind, params, PQPair(F(9, 10), F(4, 5)),
+                                               F(4, 7))
+                              for k, kind in zip(MOMENT_KEYS, KINDS)}
+
+    def test_exact_brute_equals_hand_summation(self):
+        # the direct sums written out term by term: an independent check of
+        # the node map and monomial rule shared with the float path
+        for pq in (PQPair(F(9, 10), F(4, 5)), PQPair(F(1), F(1)), PQPair(F(1, 2), F(1, 2))):
+            for n, m, mode in ((1, 0, "normalized"), (4, 2, "literal"), (10, 2, "normalized")):
+                params = OperatorParams(n=n, m=m, alpha=F(1, 2), beta=F(1), b_n=F(2),
+                                        mode=mode)
+                x = F(6, 7)
+                rep = verify_moments(params, pq, x, "exact")
+                w = basis_weights(params, pq, x).weights
+                ee = pq_integer(n + 1, pq) + params.beta
+                mono = [pq_integral_monomial(j, pq) for j in range(3)]
+                want = [F(0)] * 3
+                for k, wk in enumerate(w):
+                    a = (pq_integer(k, pq) + params.alpha) * params.b_n / ee
+                    b = (pq_integer(k + 1, pq) - pq_integer(k, pq)) * params.b_n / ee
+                    for u in range(3):
+                        want[u] += wk * sum(math.comb(u, j) * a ** (u - j) * b ** j * mono[j]
+                                            for j in range(u + 1))
+                assert [rep.brute[k] for k in ("m0", "m1", "m2")] == want
+
+    def test_exact_with_integer_pq_stays_exact(self):
+        # p = q = 1 given as ints still gives Fraction residuals
+        params = OperatorParams(n=5, m=2, alpha=F(1), beta=F(2), b_n=F(3))
+        rep = verify_moments(params, PQPair(1, 1), F(1), "exact")
+        for key in MOMENT_KEYS:
+            assert isinstance(rep.residuals[key], F) and rep.residuals[key] == 0
+        assert rep.to_json_dict()["pq"] == {"p": "1", "q": "1"}
 
     def test_size_cap(self):
         params = OperatorParams(n=9, m=4, alpha=F(0), beta=F(0), b_n=F(1))

@@ -20,6 +20,7 @@ from pqkanto import (
     kantorovich_node,
     node_hull_max,
     polynomial_handle,
+    pq_binomial,
 )
 from pqkanto import operators
 from pqkanto.functions import FunctionHandle, PiecewiseLinear
@@ -28,6 +29,7 @@ from pqkanto.operators import (
     _inner_integrals,
     _node_affine,
     _series_integrals,
+    _weights_exact,
     operator_profile,
 )
 from pqkanto.pq_calculus import TERM_CAP, predicted_terms, truncated_series
@@ -130,6 +132,38 @@ class TestBasisWeights:
         w = basis_weights(params, pq_e, F(2, 7))
         assert w.total() == 1
 
+    @staticmethod
+    def literal_reference(degree, pq, s, mode):
+        # the literal product definition with per-k (p,q)-binomials
+        p, q = F(pq.p), F(pq.q)
+        out = []
+        for k in range(degree + 1):
+            prod = F(1)
+            for j in range(degree - k):
+                prod *= p ** j - q ** j * s
+            w = pq_binomial(degree, k, PQPair(p, q)) * s ** k * prod
+            if mode == "normalized":
+                w *= p ** ((k * (k - 1) - degree * (degree - 1)) // 2)
+            out.append(w)
+        return out
+
+    @pytest.mark.parametrize("mode", ["normalized", "literal"])
+    def test_exact_equals_literal_reference(self, mode):
+        for pq in (PQPair(F(9, 10), F(4, 5)), PQPair(F(1), F(3, 4)),
+                   PQPair(F(1, 2), F(1, 2)), PQPair(F(1), F(1))):
+            for degree in range(1, 13):
+                for s in (F(0), F(2, 7), F(5, 6), F(1)):
+                    got = _weights_exact(degree, pq, s, mode)
+                    assert all(isinstance(w, F) for w in got)
+                    assert got == self.literal_reference(degree, pq, s, mode)
+
+    def test_exact_with_integer_pq_stays_exact(self):
+        # p = q = 1 given as ints still gives the exact binomial weights
+        params = OperatorParams(n=5, m=2, alpha=F(1), beta=F(2), b_n=F(3))
+        got = basis_weights(params, PQPair(1, 1), F(1)).weights
+        assert got == [math.comb(7, k) * F(1, 3) ** k * F(2, 3) ** (7 - k)
+                       for k in range(8)]
+
 
 class TestNodes:
     def test_zero_at_origin(self):
@@ -155,6 +189,23 @@ class TestNodes:
     def test_node_index_domain(self):
         with pytest.raises(DomainError):
             kantorovich_node(7, 0.5, OperatorParams(n=5), PQ98)
+
+    def test_node_affine_exact_is_the_node_map(self):
+        params = OperatorParams(n=5, m=2, alpha=F(1, 2), beta=F(1), b_n=F(2))
+        pq = PQPair(F(9, 10), F(4, 5))
+        a, b = _node_affine(params, pq)
+        for k in range(params.degree + 1):
+            assert isinstance(a[k], F) and isinstance(b[k], F)
+            assert a[k] == kantorovich_node(k, 0, params, pq)
+            assert a[k] + b[k] == kantorovich_node(k, 1, params, pq)
+
+    def test_fraction_pq_keeps_the_float_operator(self):
+        # operator_profile builds float nodes whatever scalars pq holds
+        params = OperatorParams(n=5, m=2, alpha=0.5, beta=1.0, b_n=2.0)
+        xs = [0.0, 1.3, 2.0]
+        got = operator_profile(builtin("sin"), params, PQPair(F(9, 10), F(4, 5)), xs)
+        assert got.dtype == float
+        assert got.tolist() == operator_profile(builtin("sin"), params, PQ98, xs).tolist()
 
     def test_series_arguments_stay_in_hull(self):
         params = OperatorParams(n=5, m=2, alpha=1.5, beta=2.0, b_n=3.0)

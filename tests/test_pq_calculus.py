@@ -89,10 +89,21 @@ class TestPQInteger:
             pq_integer_quotient(3, PQPair(0.7, 0.7))
 
     def test_bracket_table_matches_scalar(self):
-        pq = PQPair(0.97, 0.9)
-        table = bracket_table(12, pq)
-        for n in range(12):
-            assert table[n] == pytest.approx(pq_integer(n, pq), rel=1e-14)
+        # float parameters: the same operations as pq_integer, bit for bit
+        for pq in (PQPair(0.97, 0.9), PQ98, PQPair(0.7, 0.7), PQPair(1.0, 1.0)):
+            table = bracket_table(41, pq)
+            assert isinstance(table, np.ndarray) and table.dtype == float
+            assert table.tolist() == [pq_integer(n, pq) for n in range(41)]
+
+    @pytest.mark.parametrize("pq", [PQPair(F(9, 10), F(4, 5)), PQPair(F(1, 2), F(1, 2)),
+                                    PQPair(F(1), F(1))])
+    def test_bracket_table_exact_equals_scalar(self, pq):
+        # p > q, p = q < 1 and p = q = 1
+        table = bracket_table(41, pq)
+        assert isinstance(table, list)
+        for n in range(41):
+            assert isinstance(table[n], F)
+            assert table[n] == pq_integer(n, pq)
 
 
 class TestPQFactorial:
@@ -107,6 +118,25 @@ class TestPQFactorial:
     def test_example(self):
         # 1 * 1.7 * 2.17
         assert pq_factorial(3, PQ98) == pytest.approx(3.689, abs=1e-12)
+
+    @pytest.mark.parametrize("pq", [PQ98, PQPair(0.97, 0.9), PQPair(0.6, 0.6), PQPair(1, 1),
+                                    PQPair(F(9, 10), F(4, 5)), PQPair(F(1, 2), F(1, 2))])
+    def test_equals_product_of_brackets(self, pq):
+        # the running bracket takes the same operations as pq_integer(j)
+        acc = pq.p * 0 + 1
+        for n in range(41):
+            if n:
+                acc = acc * pq_integer(n, pq)
+            got = pq_factorial(n, pq)
+            assert got == acc and type(got) is type(acc)
+
+    def test_linear_in_n(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("pqkanto.pq_calculus.pq_bracket",
+                            lambda *a: calls.append(a) or pq_bracket(*a))
+        pq = PQPair(F(9, 10), F(4, 5))
+        assert pq_binomial(30, 12, pq) == pq_binomial(30, 18, pq)
+        assert calls == []
 
 
 class TestPQBinomial:
