@@ -8,12 +8,13 @@ Three bounds are evaluated per point:
     omega(f, |bias|)) whose bound carries an unspecified constant and is
     therefore reported without a total.
 
-central2 is always the direct-summation second central moment.  The first
-two bounds are proven inequalities for a positive operator that
-reproduces constants, so with exact moduli they must hold at every point;
-`holds_*` flags assert exactly that and are set only when the modulus
-comes from exact metadata, never from a grid estimate (grid estimates are
-lower bounds of the true modulus and could fake a violation).
+central2 is always the direct-summation second central moment, taken at
+every point of the grid by one call.  The first two bounds are proven
+inequalities for a positive operator that reproduces constants, so with
+exact moduli they must hold at every point; `holds_*` flags assert
+exactly that and are set only when the modulus comes from exact
+metadata, never from a grid estimate (grid estimates are lower bounds of
+the true modulus and could fake a violation).
 
 Moduli are measured over the node hull [0, node_hull_max]: the operator
 never evaluates f outside it, and the bound proofs only need |t - x|
@@ -44,7 +45,7 @@ import numpy as np
 
 from .errors import DomainError
 from .functions import FunctionHandle
-from .moments import peetre_bound_args, second_central_moment
+from .moments import _direct_moments, peetre_bound_args
 from .operators import OperatorParams, node_hull_max, operator_profile
 from .pq_calculus import PQPair
 
@@ -177,24 +178,23 @@ def bound_reports(f: FunctionHandle, xs, params: OperatorParams, pq: PQPair,
     [0, b_n]).
 
     Requires normalized mode: the bounds are proved for an operator that
-    reproduces constants.  The hull, the inner integrals and the
-    grid-moduli tables are built once for the whole call; the operator
-    values equal `apply_operator` at each x.  The sqrt argument of the
-    second modulus clamps the printed peetre_arg at zero (it is reported
-    unclamped)."""
+    reproduces constants.  The hull, the inner integrals, the direct sums
+    and the grid-moduli tables are built once for the whole call; the
+    values equal `apply_operator` and `second_central_moment` at each x.
+    The sqrt argument of the second modulus clamps the printed peetre_arg
+    at zero (it is reported unclamped)."""
     if params.mode != "normalized":
         raise DomainError("bound reports require normalized mode")
     omega = _Moduli(f, (0.0, node_hull_max(params, pq)))
+    values = operator_profile(f, params, pq, xs, rel_tol).tolist()
     reports = []
-    for x, kf in zip(xs, operator_profile(f, params, pq, xs, rel_tol).tolist()):
+    for x, kf, moments in zip(xs, values, _direct_moments(params, pq, xs)):
         fx = float(f.evaluator(float(x)))
         observed = abs(kf - fx)
-        central2 = max(second_central_moment(params, pq, x), 0.0)
+        central2 = max(float(moments["c2"]), 0.0)
         om = omega(1, float(np.sqrt(central2)))
         mod_bound = 2.0 * om
-        peetre_arg, bias = peetre_bound_args(params, pq, x)
-        peetre_arg = float(peetre_arg)
-        bias = float(bias)
+        peetre_arg, bias = map(float, peetre_bound_args(params, pq, x))
         om2 = omega(2, float(np.sqrt(max(peetre_arg, 0.0))))
         om_bias = omega(1, abs(bias))
         lip_bound = None

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -35,7 +36,6 @@ from .convergence import (
     DEFAULT_GRID_POINTS,
     DEFAULT_N_LIST,
     SequenceSpec,
-    default_spec,
     hypothesis_check,
     korovkin_sweep,
     sweep_csv_header,
@@ -315,10 +315,8 @@ def _command_params(args: argparse.Namespace) -> dict:
 
 def _converge_params(args: argparse.Namespace) -> dict:
     if args.seq_file:
-        import json as _json
-
         with open(args.seq_file, "r", encoding="utf-8") as fh:
-            raw = _json.load(fh)
+            raw = json.load(fh)
         if "n_list" not in raw:
             raise DomainError("--seq-file needs an n_list entry")
         if all(k in raw for k in ("p", "q", "b")):
@@ -358,12 +356,10 @@ def _apply_config(args: argparse.Namespace, argv: List[str]) -> None:
     Keys are the long flag names with dashes as underscores (n_list,
     check_only, ...); values carry the same types the flags would parse.
     """
-    import json as _json
-
     with open(args.config, "r", encoding="utf-8") as fh:
         try:
-            config = _json.load(fh)
-        except _json.JSONDecodeError as exc:
+            config = json.load(fh)
+        except json.JSONDecodeError as exc:
             raise DomainError(f"bad JSON in config {args.config!r}: {exc}") from exc
     if not isinstance(config, dict):
         raise DomainError("config file must hold a JSON object of flag values")

@@ -14,27 +14,27 @@ p = q = 1 while staying inside the product definition.
 (floats for experiments, exact rationals for certification at n+m <= 12)
 and reports residuals.  The five closed forms share one set of terms per
 call (the brackets [2], [3], [n+1] + beta, [n+m], [n+m-1] and the three
-compound powers), and the exact direct sums run the float path's node
-map and monomial rule on one Fraction bracket table.  Residuals are
-data, not assertions: at p = q = 1 all five closed forms agree with
-direct summation, while for p < 1 the first and second moment displays
-disagree with direct summation in both basis modes (already at n+m = 2),
-so the report is the honest output.
+compound powers), and one routine takes every direct sum, exact or float,
+at any number of points.  Residuals are data, not assertions: at p = q = 1
+all five closed forms agree with direct summation, while for p < 1 the
+first and second moment displays disagree with direct summation in both
+basis modes (already at n+m = 2), so the report is the honest output.
 The quantities feeding error bounds therefore come from direct summation,
 never from the closed forms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from numbers import Rational
-from typing import Dict, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Tuple
+
+import numpy as np
 
 from .errors import DomainError, SizeCapError
-from .functions import polynomial_handle
-from .operators import (OperatorParams, _node_affine, _poly_integrals, apply_operator,
-                        basis_weights, operator_profile)
+from .operators import (OperatorParams, _check_x, _monomial_terms, _node_affine, _not_finite,
+                        _poly_integrals, basis_weights)
 from .pq_calculus import PQPair, Scalar, _brackets, _pq_powers, pq_power
 
 MOMENT_KEYS = ("m0", "m1", "m2", "c1", "c2")
@@ -59,11 +59,9 @@ class _Terms(NamedTuple):
 def _closed_terms(params: OperatorParams, pq: PQPair, x: Scalar) -> _Terms:
     """Brackets, compound powers and curly coefficients of the closed forms
     at x, each computed once; arithmetic follows the input types."""
-    if not (0 <= x <= params.b_n):
-        raise DomainError(f"x={x} outside [0, b_n] with b_n={params.b_n}")
+    x_norm = _check_x(params, x)
     p, q = pq.p, pq.q
     deg = params.degree
-    x_norm = x / params.b_n
     br = _brackets(max(deg + 2, 4), p, q)  # entry k equals pq_integer(k, pq)
     b2, b3 = br[2], br[3]
     w = _pq_powers(p * x_norm, 1 - x_norm, deg, pq)  # entry k equals pq_power of order k
@@ -125,6 +123,33 @@ def moment_closed(kind, params: OperatorParams, pq: PQPair, x: Scalar) -> Scalar
     return _closed_moments(params, x, _closed_terms(params, pq, x))[key]
 
 
+def _direct_moments(params: OperatorParams, pq: PQPair, xs) -> List[Dict[str, Scalar]]:
+    """Direct summation of the five moments at every x in xs, keyed as
+    MOMENT_KEYS: Fractions where `basis_weights` gives exact weights at
+    every x, else floats that equal `operator_profile` on the moment
+    polynomials bit for bit.  One node map and one set of monomial terms
+    T_0, T_1, T_2 serve the call; each x takes one weight row and one dot
+    product per moment polynomial.  Raises DomainError when a float value
+    is not finite.
+    """
+    weights = [basis_weights(params, pq, x).weights for x in xs]
+    exact = not any(isinstance(w, np.ndarray) for w in weights)
+    cast = Fraction if exact else float
+    a, b = _node_affine(params, pq if exact else PQPair(float(pq.p), float(pq.q)))
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
+        terms = _monomial_terms(2, a, b, pq)
+        for x, w in zip(xs, weights):
+            x = cast(x)
+            # T_u is the vector of t^u itself: a handle's 0 + 1.0 * T_u equals it, as T_u >= 0
+            central = [_poly_integrals(c, terms) for c in ((-x, 1), (x * x, -2 * x, 1))]
+            values = [cast(np.dot(w, v)) for v in terms + central]
+            if not (exact or np.isfinite(values).all()):
+                raise _not_finite("operator value is", params.degree, w)
+            out.append(dict(zip(MOMENT_KEYS, values)))
+    return out
+
+
 def second_central_moment(params: OperatorParams, pq: PQPair, x: Scalar) -> float:
     """Direct-summation value of the operator applied to (t - x)^2 at x.
 
@@ -132,15 +157,12 @@ def second_central_moment(params: OperatorParams, pq: PQPair, x: Scalar) -> floa
     through the exact monomial rule, so it is insulated from any
     transcription issue in the closed second-central-moment display.
     """
-    xf = float(x)
-    handle = polynomial_handle("sqdev", (xf * xf, -2.0 * xf, 1.0))
-    return apply_operator(handle, x, params, pq)
+    return float(_direct_moments(params, pq, [x])[0]["c2"])
 
 
 def first_central_moment_brute(params: OperatorParams, pq: PQPair, x: Scalar) -> float:
     """Direct-summation value of the operator applied to (t - x) at x."""
-    handle = polynomial_handle("dev", (-float(x), 1.0))
-    return apply_operator(handle, x, params, pq)
+    return float(_direct_moments(params, pq, [x])[0]["c1"])
 
 
 def peetre_bound_args(params: OperatorParams, pq: PQPair,
@@ -205,9 +227,7 @@ class MomentReport:
 
     def to_json_dict(self) -> dict:
         def enc(v):
-            if isinstance(v, Rational) and not isinstance(v, int):
-                return str(Fraction(v))
-            return float(v) if isinstance(v, float) else v
+            return str(v) if isinstance(v, Fraction) else float(v)
 
         out = {
             "arithmetic": self.arithmetic,
@@ -231,37 +251,6 @@ class MomentReport:
         return out
 
 
-def _brute_moments_exact(params: OperatorParams, pq: PQPair,
-                         x: Fraction) -> Dict[str, Fraction]:
-    """Exact direct summation of the five moments: the float path's node
-    map and monomial rule on Fraction brackets (pq holds Fractions),
-    contracted with the exact weights."""
-    weights = basis_weights(params, pq, x).weights
-    a, b = _node_affine(params, pq)
-    m0, m1, m2 = (sum(w * v for w, v in zip(weights, _poly_integrals(coeffs, a, b, pq)))
-                  for coeffs in ((1,), (0, 1), (0, 0, 1)))
-    return {
-        "m0": m0,
-        "m1": m1,
-        "m2": m2,
-        "c1": m1 - x * m0,
-        "c2": m2 - 2 * x * m1 + x * x * m0,
-    }
-
-
-def _brute_moments_float(params: OperatorParams, pq: PQPair,
-                         x: float) -> Dict[str, float]:
-    handles = [polynomial_handle(key, coeffs) for key, coeffs in (
-        ("m0", (1.0,)),
-        ("m1", (0.0, 1.0)),
-        ("m2", (0.0, 0.0, 1.0)),
-        ("c1", (-x, 1.0)),
-        ("c2", (x * x, -2.0 * x, 1.0)),
-    )]
-    values = operator_profile(handles, params, pq, [x])[:, 0].tolist()
-    return {h.name: v for h, v in zip(handles, values)}
-
-
 def verify_moments(params: OperatorParams, pq: PQPair, x: Scalar,
                    arithmetic: str = "float") -> MomentReport:
     """Fill a MomentReport comparing closed forms with direct summation.
@@ -283,12 +272,10 @@ def verify_moments(params: OperatorParams, pq: PQPair, x: Scalar,
                 "exact mode requires rational p, q, x, alpha, beta, b_n"
             )
     cast = Fraction if exact else float
-    params = OperatorParams(
-        n=params.n, m=params.m, alpha=cast(params.alpha),
-        beta=cast(params.beta), b_n=cast(params.b_n), mode=params.mode,
-    )
+    params = replace(params, alpha=cast(params.alpha), beta=cast(params.beta),
+                     b_n=cast(params.b_n))
     pq, x = PQPair(cast(pq.p), cast(pq.q)), cast(x)
-    brute = (_brute_moments_exact if exact else _brute_moments_float)(params, pq, x)
+    brute = _direct_moments(params, pq, [x])[0]
     closed = _closed_moments(params, x, _closed_terms(params, pq, x))
     residuals = {k: closed[k] - brute[k] for k in MOMENT_KEYS}
     return MomentReport(

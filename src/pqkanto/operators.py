@@ -76,6 +76,7 @@ from .pq_calculus import (
     PQPair,
     Scalar,
     _as_vectorized,
+    _store_fractions,
     bracket_table,
     pq_integer,
     pq_integral_monomial,
@@ -93,8 +94,8 @@ class OperatorParams:
     n >= 1 is the principal degree, m >= 0 extends the summation range,
     (alpha, beta) with 0 <= alpha <= beta shift the nodes, b_n > 0 scales
     [0, 1] up to [0, b_n].  Integer alpha, beta, m are the documented
-    regime; real values are accepted as a superset.  `mode` selects the
-    basis normalization (see module docstring).
+    regime; real values are accepted as a superset, rational ones are
+    stored as Fractions.  `mode` selects the basis normalization.
     """
 
     n: int
@@ -117,6 +118,7 @@ class OperatorParams:
             raise DomainError(f"b_n must be positive, got {self.b_n}")
         if self.mode not in MODES:
             raise DomainError(f"mode must be one of {MODES}, got {self.mode!r}")
+        _store_fractions(self, "alpha", "beta", "b_n")
 
     @property
     def degree(self) -> int:
@@ -178,31 +180,30 @@ def _weights_float(degree: int, pq: PQPair, x_norm: np.ndarray, mode: str) -> np
     return w
 
 
-def _not_finite(what: str, degree: int) -> DomainError:
-    return DomainError(f"{what} not finite at degree n+m = {degree}: "
-                       "the float basis weights overflow past degree ~1030")
+def _not_finite(what: str, degree: int, weights: np.ndarray) -> DomainError:
+    cause = ("the inner integrals are not finite" if np.isfinite(weights).all()
+             else "the float basis weights overflow past degree ~1030")
+    return DomainError(f"{what} not finite at degree n+m = {degree}: {cause}")
 
 
-def _weights_exact(degree: int, pq: PQPair, x_norm, mode: str) -> List[Fraction]:
+def _weights_exact(degree: int, pq: PQPair, s: Fraction, mode: str) -> List[Fraction]:
     """Exact weights from the literal product definition (module docstring),
     the independent check of the r-form the float path evaluates.  The
     binomials [N]! / ([k]! [N-k]!) and the products over j < N - k are
     prefix products, of the tabled brackets and of the factors."""
-    p, q = Fraction(pq.p), Fraction(pq.q)
-    s = Fraction(x_norm)
     factorials = [Fraction(1)]
-    for bracket in bracket_table(degree + 1, PQPair(p, q))[1:]:
+    for bracket in bracket_table(degree + 1, pq)[1:]:
         factorials.append(factorials[-1] * bracket)
     prods = [Fraction(1)]
     for j in range(degree):
-        prods.append(prods[-1] * (p ** j - q ** j * s))
+        prods.append(prods[-1] * (pq.p ** j - pq.q ** j * s))
     out = []
     for k in range(degree + 1):
         binomial = factorials[degree] / (factorials[k] * factorials[degree - k])
         w = binomial * s ** k * prods[degree - k]
         if mode == "normalized":
-            w *= p ** ((k * (k - 1) - degree * (degree - 1)) // 2)
-        out.append(Fraction(w))
+            w *= pq.p ** ((k * (k - 1) - degree * (degree - 1)) // 2)
+        out.append(w)
     return out
 
 
@@ -222,7 +223,7 @@ def basis_weights(params: OperatorParams, pq: PQPair, x: Scalar) -> WeightVector
         with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
             w = _weights_float(params.degree, pq, np.array([x_norm]), params.mode)[0]
         if not np.isfinite(w).all():
-            raise _not_finite("basis weights are", params.degree)
+            raise _not_finite("basis weights are", params.degree, w)
     return WeightVector(weights=w, x_norm=x_norm, mode=params.mode)
 
 
@@ -257,22 +258,29 @@ def _node_affine(params: OperatorParams, pq: PQPair) -> Tuple[np.ndarray, np.nda
     return a, b
 
 
-def _poly_integrals(coeffs: Sequence[Scalar], a: np.ndarray, b: np.ndarray,
-                    pq: PQPair) -> np.ndarray:
-    """Exact integral of sum_u c_u (A + B t)^u over [0,1] against d_pq t,
-    via the monomial rule (integral of t^j is 1/[j+1]); in the scalars of
-    `_node_affine`, so Fraction nodes give Fraction integrals."""
+def _monomial_terms(deg: int, a: np.ndarray, b: np.ndarray, pq: PQPair) -> List[np.ndarray]:
+    """T_u, the exact integral of (A + B t)^u over [0,1] against d_pq t, for
+    u <= deg, via the monomial rule (integral of t^j is 1/[j+1]); in the
+    scalars of `_node_affine`, so Fraction nodes give Fraction terms."""
     cast = Fraction if a.dtype == object else float
-    deg = len(coeffs) - 1
     mono = [cast(pq_integral_monomial(j, pq)) for j in range(deg + 1)]
-    out = np.zeros_like(a)
-    for u, c in enumerate(coeffs):
-        if c == 0:
-            continue
+    terms = []
+    for u in range(deg + 1):
         term = np.zeros_like(a)
         for j in range(u + 1):
             term += math.comb(u, j) * a ** (u - j) * b ** j * mono[j]
-        out += cast(c) * term
+        terms.append(term)
+    return terms
+
+
+def _poly_integrals(coeffs: Sequence[Scalar], terms: List[np.ndarray]) -> np.ndarray:
+    """Integrals of sum_u c_u (A + B t)^u: sum_u c_u T_u over the nonzero
+    c_u, in order (see `_monomial_terms`)."""
+    cast = Fraction if terms[0].dtype == object else float
+    out = np.zeros_like(terms[0])
+    for c, term in zip(coeffs, terms):
+        if c != 0:
+            out += cast(c) * term
     return out
 
 
@@ -514,7 +522,8 @@ def _pl_integrals_strict(pl: PiecewiseLinear, a: np.ndarray, b: np.ndarray,
 def _inner_integrals(f: FunctionHandle, a: np.ndarray, b: np.ndarray,
                      pq: PQPair, rel_tol: float) -> np.ndarray:
     if f.polynomial_coeffs is not None:
-        return _poly_integrals(f.polynomial_coeffs, a, b, pq)
+        coeffs = f.polynomial_coeffs
+        return _poly_integrals(coeffs, _monomial_terms(len(coeffs) - 1, a, b, pq))
     if pq.is_classical:
         if f.piecewise_linear is not None:
             return _pl_integrals_classical(f.piecewise_linear, a, b)
@@ -561,24 +570,24 @@ def operator_profile(fs: Union[FunctionHandle, Sequence[FunctionHandle]],
     integral vector by `np.dot`, so a value does not depend on the grid,
     the block or the other handles.
 
-    Raises DomainError when a value is not finite: the float weights
-    overflow past degree ~1030 as q/p -> 1.
+    Raises DomainError, not a numpy warning, when a value is not finite;
+    it blames the weights (past degree ~1030 as q/p -> 1) only if they are.
     """
     single = isinstance(fs, FunctionHandle)
     handles = [fs] if single else list(fs)
     x_norm = np.array([float(_check_x(params, x)) for x in xs])
     a, b = _node_affine(params, PQPair(float(pq.p), float(pq.q)))  # float nodes for any pq
-    integrals = [_inner_integrals(f, a, b, pq, rel_tol) for f in handles]
     out = np.empty((len(handles), len(x_norm)))
     rows = max(1, WEIGHT_BLOCK // (params.degree + 1))
-    for start in range(0, len(x_norm), rows):
-        with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
+        integrals = [_inner_integrals(f, a, b, pq, rel_tol) for f in handles]
+        for start in range(0, len(x_norm), rows):
             w = _weights_float(params.degree, pq, x_norm[start:start + rows], params.mode)
-        for i, row in enumerate(w, start):
-            for j, vec in enumerate(integrals):
-                out[j, i] = np.dot(row, vec)
-        if not np.isfinite(out[:, start:start + rows]).all():
-            raise _not_finite("operator value is", params.degree)
+            for i, row in enumerate(w, start):
+                for j, vec in enumerate(integrals):
+                    out[j, i] = np.dot(row, vec)
+            if not np.isfinite(out[:, start:start + rows]).all():
+                raise _not_finite("operator value is", params.degree, w)
     return out[0] if single else out
 
 

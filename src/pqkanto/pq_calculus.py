@@ -47,8 +47,8 @@ class PQPair:
     """Deformation parameters with the validity regime 0 < q <= p <= 1.
 
     q < p strictly is required by the series-based integral (queryable via
-    `is_strict`); p = q = 1 is the classical limit.  Fields may be floats
-    or Fractions; mixing is allowed but keeps only float accuracy.
+    `is_strict`); p = q = 1 is the classical limit.  Fields are floats or
+    rationals, stored as Fractions; mixing keeps only float accuracy.
     """
 
     p: Scalar
@@ -57,6 +57,7 @@ class PQPair:
     def __post_init__(self):
         if not (0 < self.q <= self.p <= 1):
             raise DomainError(f"require 0 < q <= p <= 1, got p={self.p}, q={self.q}")
+        _store_fractions(self, "p", "q")
 
     @property
     def is_strict(self) -> bool:
@@ -71,6 +72,13 @@ class PQPair:
     def is_exact(self) -> bool:
         """True when both parameters are rational (exact-arithmetic mode)."""
         return isinstance(self.p, Rational) and isinstance(self.q, Rational)
+
+
+def _store_fractions(obj, *names: str) -> None:
+    """Store each named rational field of a frozen dataclass as a Fraction."""
+    for name in names:
+        if isinstance(getattr(obj, name), Rational):
+            object.__setattr__(obj, name, Fraction(getattr(obj, name)))
 
 
 def _brackets(count: int, p: Scalar, q: Scalar) -> list:
@@ -293,8 +301,7 @@ def pq_integral_monomial(j: int, pq: PQPair) -> Scalar:
     """
     if j < 0:
         raise DomainError(f"j must be nonnegative, got {j}")
-    one = pq.p * 0 + 1
-    return one / pq_integer(j + 1, pq)
+    return 1 / pq_integer(j + 1, pq)
 
 
 def bracket_table(count: int, pq: PQPair):

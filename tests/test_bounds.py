@@ -233,6 +233,42 @@ class TestGridEstimator:
             monkeypatch.setattr(operators, "_inner_integrals", inner)
             assert [row.observed_error for row in rows] == [
                 abs(kf - float(h.evaluator(x))) for kf, x in zip(want, xs)]
-            # once for f; the moments add their own polynomial integrals
+            # once for f; the direct-sum moments take no handle
             assert calls.count(name) == 1
             calls.clear()
+
+    def test_second_central_moment_column_equals_handle(self):
+        # the grid's direct sums equal the (t - x)^2 handle at each x, bit for bit
+        from pqkanto import apply_operator
+
+        for params, pq in ((OperatorParams(n=50, m=2, alpha=1.0, beta=2.0, b_n=3.0),
+                            PQPair(0.9, 0.8)),
+                           (OperatorParams(n=20, m=1, alpha=0.5, beta=1.0, b_n=2.0), P11)):
+            xs = [float(x) for x in np.linspace(0.0, float(params.b_n), 33)]
+            rows = bound_reports(builtin("absdev:0.5"), xs, params, pq)
+            for x, row in zip(xs, rows):
+                sqdev = polynomial_handle("sqdev", (x * x, -2.0 * x, 1.0))
+                want = max(apply_operator(sqdev, x, params, pq), 0.0)
+                assert row.second_central_moment.hex() == want.hex()
+
+    @pytest.mark.parametrize("points", [2, 33])
+    def test_reports_take_one_profile_and_one_moment_node_map(self, monkeypatch, points):
+        from pqkanto import bounds, moments, operators
+
+        calls = []
+
+        def counted(module, name):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, **k: calls.append(name) or original(*a, **k))
+
+        for module, name in ((operators, "operator_profile"), (operators, "_node_affine"),
+                             (moments, "_node_affine")):
+            counted(module, name)
+        # bounds holds its own binding of operator_profile
+        monkeypatch.setattr(bounds, "operator_profile", operators.operator_profile)
+        params = OperatorParams(n=50, m=2, alpha=1.0, beta=2.0, b_n=3.0)
+        xs = [float(x) for x in np.linspace(0.0, 3.0, points)]
+        bound_reports(builtin("sin"), xs, params, PQPair(0.9, 0.8))
+        assert calls.count("operator_profile") == 1
+        assert calls.count("_node_affine") <= 2

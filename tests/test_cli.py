@@ -100,6 +100,19 @@ class TestEval:
         assert code == 0
         assert float(capsys.readouterr().out) == pytest.approx(1 / 6)
 
+    @pytest.mark.parametrize("argv, want", [
+        (["--fn", "sin", "--n", "3", "--x", "0.4", "--p", "0.9", "--q", "0.8"],
+         "0.52191070589795452"),
+        (["--fn", "square", "--n", "7", "--m", "2", "--x", "0.9", "--p", "0.95",
+          "--q", "0.85", "--mode", "literal"], "0.70114602029545514"),
+        (["--fn", "absdev:1", "--n", "40", "--x", "0.3"], "0.69512195121951048"),
+    ])
+    def test_unit_variant_values_pinned(self, tmp_path, capsys, argv, want):
+        # the unit operator's int parameters are stored as Fractions; the
+        # printed values stay those of int parameters
+        assert run_cli(["eval", "--op", "unit"] + argv, tmp_path) == 0
+        assert capsys.readouterr().out.strip() == want
+
     def test_json_output_with_manifest(self, tmp_path, capsys):
         code = run_cli(["eval", "--fn", "id", "--x", "0.5", "--n", "4",
                         "--p", "0.9", "--q", "0.8", "--json", "value.json"],
@@ -304,6 +317,22 @@ def test_console_script_installed(tmp_path):
     )
     assert proc.returncode == 0
     assert float(proc.stdout) == pytest.approx(0.75)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "2", "--bn", "1e200", "--x", "1e200"],
+    ["bounds", "--fn", "sin", "--n", "2", "--bn", "1e200"],
+])
+def test_overflowing_integrals_one_error_line(tmp_path, argv):
+    # finite weights at degree 2, inner integrals past the float range:
+    # one error line that does not blame the weights, and no numpy warnings
+    proc = subprocess.run([sys.executable, "-m", "pqkanto.cli"] + argv,
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env=subprocess_env())
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert "RuntimeWarning" not in proc.stderr and "~1030" not in proc.stderr
 
 
 def test_cli_import_leaves_out_scipy(tmp_path):

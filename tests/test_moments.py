@@ -14,11 +14,13 @@ from pqkanto import (
     builtin,
     moment_closed,
     peetre_bound_args,
+    polynomial_handle,
     second_central_moment,
     verify_moments,
 )
 from pqkanto import moments
-from pqkanto.moments import MOMENT_KEYS, first_central_moment_brute
+from pqkanto.moments import MOMENT_KEYS, _direct_moments, first_central_moment_brute
+from pqkanto.operators import operator_profile
 from pqkanto.pq_calculus import _pq_powers, pq_integer, pq_integral_monomial, pq_power
 
 from oracles import apply_classical_reference
@@ -132,6 +134,73 @@ class TestBruteMoments:
                 + x * x * apply_operator(one, x, params, pq)
             )
             assert mu == pytest.approx(combo, abs=1e-10)
+
+
+def moments_by_handles(params, pq, x):
+    """The float moments as five polynomial handles through one
+    `operator_profile` call: the reference the direct sums must equal."""
+    handles = [polynomial_handle(key, coeffs) for key, coeffs in (
+        ("m0", (1.0,)),
+        ("m1", (0.0, 1.0)),
+        ("m2", (0.0, 0.0, 1.0)),
+        ("c1", (-x, 1.0)),
+        ("c2", (x * x, -2.0 * x, 1.0)),
+    )]
+    values = operator_profile(handles, params, pq, [x])[:, 0].tolist()
+    return {h.name: v for h, v in zip(handles, values)}
+
+
+class TestDirectMoments:
+    @pytest.mark.parametrize("mode", ["normalized", "literal"])
+    def test_float_equals_handles_bit_for_bit(self, mode):
+        cases = [(pq, OperatorParams(n=n, m=m, alpha=1.0, beta=2.0, b_n=3.0, mode=mode))
+                 for pq in (P11, PQPair(0.9, 0.9), PQ98, PQPair(0.95, 0.85))
+                 for n, m in ((1, 0), (6, 1), (50, 2))]
+        # the default sequence at degree 900, q/p -> 1
+        near_one = PQPair(1.0 - 1.0 / 901 ** 2, 1.0 - 2.0 / 901 ** 2)
+        cases.append((near_one, OperatorParams(n=900, b_n=900.0 ** (1 / 3), mode=mode)))
+        for pq, params in cases:
+            xs = [float(x) for x in np.linspace(0.0, float(params.b_n), 7)]
+            got = _direct_moments(params, pq, xs)
+            for x, row in zip(xs, got):
+                want = moments_by_handles(params, pq, x)
+                assert list(row) == list(MOMENT_KEYS)
+                assert [v.hex() for v in row.values()] == [v.hex() for v in want.values()]
+                assert all(type(v) is float for v in row.values())
+
+    def test_helpers_equal_handles_bit_for_bit(self):
+        params = OperatorParams(n=20, m=1, alpha=0.5, beta=1.0, b_n=2.0)
+        for pq in (P11, PQPair(0.9, 0.9), PQPair(0.95, 0.85)):
+            for x in (0.0, 0.3, 1.7, 2.0):
+                want = moments_by_handles(params, pq, x)
+                c2 = second_central_moment(params, pq, x)
+                c1 = first_central_moment_brute(params, pq, x)
+                assert (c1.hex(), c2.hex()) == (want["c1"].hex(), want["c2"].hex())
+                assert type(c1) is float and type(c2) is float
+
+    def test_exact_on_one_node_map(self, monkeypatch):
+        # the whole call shares one node map, whatever the number of points
+        calls = []
+        node_affine = moments._node_affine
+        monkeypatch.setattr(moments, "_node_affine",
+                            lambda *a: calls.append(a) or node_affine(*a))
+        params = OperatorParams(n=4, m=2, alpha=F(1, 2), beta=F(1), b_n=F(2))
+        pq = PQPair(F(9, 10), F(4, 5))
+        xs = [F(k, 3) for k in range(7)]
+        got = _direct_moments(params, pq, xs)
+        assert len(calls) == 1
+        for x, row in zip(xs, got):
+            assert all(isinstance(v, F) for v in row.values())
+            assert row == verify_moments(params, pq, x, "exact").brute
+
+    def test_overflow_blames_the_inner_integrals(self):
+        # finite weights, inner integrals past the float range: no numpy
+        # warning (the suite turns those into errors) and no word of ~1030
+        params = OperatorParams(n=2, b_n=1e200)
+        with pytest.raises(DomainError, match="inner integrals are not finite"):
+            second_central_moment(params, PQ98, 1e200)
+        with pytest.raises(DomainError, match="inner integrals are not finite"):
+            verify_moments(params, PQ98, 0.5)
 
 
 class TestPeetreArgs:
@@ -248,6 +317,11 @@ class TestVerifyMoments:
         for key in MOMENT_KEYS:
             assert isinstance(rep.residuals[key], F) and rep.residuals[key] == 0
         assert rep.to_json_dict()["pq"] == {"p": "1", "q": "1"}
+
+    def test_closed_with_integer_pq_stays_exact(self):
+        params = OperatorParams(n=3, m=1, alpha=F(1), beta=F(2), b_n=F(3))
+        got = moment_closed(2, params, PQPair(1, 1), F(1))
+        assert type(got) is F and got == F(9, 4)
 
     def test_size_cap(self):
         params = OperatorParams(n=9, m=4, alpha=F(0), beta=F(0), b_n=F(1))

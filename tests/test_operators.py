@@ -56,6 +56,12 @@ class TestParams:
     def test_degree(self):
         assert OperatorParams(n=3, m=4).degree == 7
 
+    def test_rationals_stored_as_fractions(self):
+        params = OperatorParams(n=2, m=1, alpha=0, beta=1, b_n=3)
+        assert [type(v) for v in (params.alpha, params.beta, params.b_n)] == [F] * 3
+        assert type(params.n) is int and type(params.m) is int
+        assert type(OperatorParams(n=2, alpha=0.5, beta=1.0).alpha) is float
+
 
 class TestBasisWeights:
     def test_normalized_example(self):

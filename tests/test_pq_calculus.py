@@ -42,6 +42,15 @@ class TestPQPair:
         assert PQPair(F(1, 2), F(1, 3)).is_exact
         assert not PQPair(0.5, F(1, 3)).is_exact
 
+    def test_integers_stored_as_fractions(self):
+        pq = PQPair(1, 1)
+        assert type(pq.p) is F and type(pq.q) is F
+        assert type(PQPair(0.9, 0.8).p) is float
+        # the primitives then stay exact instead of dividing int by int
+        assert type(pq_binomial(4, 2, pq)) is F and pq_binomial(4, 2, pq) == F(6)
+        got = pq_integral_monomial(2, pq)
+        assert type(got) is F and got == F(1, 3)
+
 
 class TestPQInteger:
     def test_classical_is_n(self):
