@@ -43,16 +43,15 @@ class PiecewiseLinear:
         if any(b <= a for a, b in zip(self.xs, self.xs[1:])):
             raise DomainError("breakpoints must be strictly ascending")
 
-    def piece_at(self, x: float) -> Tuple[float, float]:
-        """(intercept, slope) of the affine piece active at x."""
-        xs, ys = self.xs, self.ys
-        if x >= xs[-1] or len(xs) == 1:
-            s = self.end_slope
-            return ys[-1] - s * xs[-1], s
-        i = int(np.searchsorted(xs, x, side="right")) - 1
-        i = max(i, 0)
-        s = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
-        return ys[i] - s * xs[i], s
+    def piece_at(self, x):
+        """(intercept, slope) of the affine piece active at x, elementwise
+        for an array x.  Piece i holds [xs[i], xs[i+1]); the last one,
+        from xs[-1] on, has slope `end_slope`, and below xs[0] the first
+        piece extends."""
+        xs, ys = np.asarray(self.xs, dtype=float), np.asarray(self.ys, dtype=float)
+        slopes = np.append(np.diff(ys) / np.diff(xs), self.end_slope)
+        i = np.maximum(np.searchsorted(xs, x, side="right") - 1, 0)
+        return (ys - slopes * xs)[i], slopes[i]
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -64,8 +63,7 @@ class PiecewiseLinear:
             out = np.where(beyond, ys[-1] + self.end_slope * (x - xs[-1]), out)
         below = x < xs[0]
         if np.any(below):
-            icpt, s = (self.piece_at(xs[0]) if len(xs) > 1
-                       else (ys[-1] - self.end_slope * xs[-1], self.end_slope))
+            icpt, s = self.piece_at(xs[0])
             out = np.where(below, icpt + s * x, out)
         return out if out.shape else float(out)
 

@@ -47,6 +47,7 @@ class _Terms(NamedTuple):
     b2: Scalar  # [2]
     b3: Scalar  # [3]
     ee: Scalar  # [n+1] + beta
+    ee2: Scalar  # ([n+1] + beta)^2
     bnm: Scalar  # [n+m]
     bnm1: Scalar  # [n+m-1]
     w_full: Scalar  # (p s + 1 - s)^{n+m}
@@ -65,8 +66,14 @@ def _closed_terms(params: OperatorParams, pq: PQPair, x: Scalar) -> _Terms:
     br = _brackets(max(deg + 2, 4), p, q)  # entry k equals pq_integer(k, pq)
     b2, b3 = br[2], br[3]
     w = _pq_powers(p * x_norm, 1 - x_norm, deg, pq)  # entry k equals pq_power of order k
+    ee = br[params.n + 1] + params.beta
+    try:
+        ee2 = ee ** 2  # a Python float ** raises where * would give inf
+    except OverflowError:
+        raise DomainError(f"([n+1] + beta)^2 is past the float range at beta = {params.beta}"
+                          ) from None
     return _Terms(
-        p + 2 * q - 1, b2, b3, br[params.n + 1] + params.beta, br[deg], br[deg - 1],
+        p + 2 * q - 1, b2, b3, ee, ee2, br[deg], br[deg - 1],
         w[deg], w[deg - 1], pq_power(p * p * x_norm, 1 - x_norm, deg, pq),
         1 + 2 * q / b2 + (q * q - 1) / b3, 1 + 2 * (q - 1) / b2 + (q - 1) ** 2 / b3,
     )
@@ -76,7 +83,6 @@ def _closed_moments(params: OperatorParams, x: Scalar, t: _Terms) -> Dict[str, S
     """The five closed forms at x, keyed as MOMENT_KEYS, from the shared
     terms t; each is transcribed as printed (see module docstring)."""
     alpha, b_n = params.alpha, params.b_n
-    ee2 = t.ee ** 2
     return {
         "m0": x * 0 + 1,
         "m1": (alpha * b_n + t.w_full * b_n / t.b2 + t.lin * t.bnm * x / t.b2) / t.ee,
@@ -84,21 +90,21 @@ def _closed_moments(params: OperatorParams, x: Scalar, t: _Terms) -> Dict[str, S
             (alpha * alpha + 2 * alpha / t.b2 * t.w_full + t.w_sq / t.b3) * b_n * b_n
             + (2 * alpha / t.b2 * t.lin + t.curly_mid * t.w_less) * t.bnm * b_n * x
             + t.curly_last * t.bnm * t.bnm1 * x * x
-        ) / ee2,
+        ) / t.ee2,
         "c1": (t.b2 * alpha + t.w_full) * b_n / (t.b2 * t.ee) + (
             t.lin * t.bnm / (t.b2 * t.ee) - 1
         ) * x,
         "c2": (
-            alpha * alpha / ee2
-            + 2 * alpha / (t.b2 * ee2) * t.w_full
-            + t.w_sq / (t.b3 * ee2)
+            alpha * alpha / t.ee2
+            + 2 * alpha / (t.b2 * t.ee2) * t.w_full
+            + t.w_sq / (t.b3 * t.ee2)
         ) * b_n * b_n + (
-            2 * alpha * t.lin * t.bnm / (t.b2 * ee2)
-            + t.curly_mid * t.bnm / ee2 * t.w_less
+            2 * alpha * t.lin * t.bnm / (t.b2 * t.ee2)
+            + t.curly_mid * t.bnm / t.ee2 * t.w_less
             - 2 * alpha / t.ee
             - 2 * t.w_full / (t.b2 * t.ee)
         ) * b_n * x + (
-            t.curly_last * t.bnm * t.bnm1 / ee2
+            t.curly_last * t.bnm * t.bnm1 / t.ee2
             - 2 * t.lin * t.bnm / (t.b2 * t.ee)
             + 1
         ) * x * x,
@@ -184,21 +190,21 @@ def peetre_bound_args(params: OperatorParams, pq: PQPair,
     w_double = pq_power(pq.p * x_norm, 1 - x_norm, 2 * params.degree, pq)
     term_x2 = (
         (t.curly_last + t.lin ** 2 / t.b2 ** 2)
-        * t.bnm ** 2 / t.ee ** 2
+        * t.bnm ** 2 / t.ee2
         - 4 * t.lin * t.bnm / (t.b2 * t.ee)
         + 2
     ) * x * x
     term_bx = (
         (t.curly_mid + 2 * t.lin / t.b2 ** 2)
-        * t.bnm / t.ee ** 2 * t.w_full
-        + 4 * alpha * t.lin * t.bnm / (t.b2 * t.ee ** 2)
+        * t.bnm / t.ee2 * t.w_full
+        + 4 * alpha * t.lin * t.bnm / (t.b2 * t.ee2)
         - 4 * t.w_full / (t.b2 * t.ee)
         - 4 * alpha / t.ee
     ) * b_n * x
     term_b2 = (
         t.w_sq / t.b3 + w_double / t.b2 ** 2 + 4 * alpha / t.b2 * t.w_full
         + 2 * alpha * alpha
-    ) * b_n * b_n / t.ee ** 2
+    ) * b_n * b_n / t.ee2
     peetre_arg = term_x2 + term_bx + term_b2
     return peetre_arg, _closed_moments(params, x, t)["c1"]
 

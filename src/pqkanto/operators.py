@@ -442,27 +442,39 @@ def _gl_integrals(f: FunctionHandle, a: np.ndarray, b: np.ndarray) -> np.ndarray
     return _gauss_legendre(_as_vectorized(f), a, b, 0.0, 1.0)
 
 
+def _pl_edges(pl: PiecewiseLinear, a: np.ndarray, b: np.ndarray,
+              t_end: float) -> np.ndarray:
+    """Piece edges of f(A + Bt) on [0, t_end], one ascending row per node:
+    0, the cut points tau = (x_k - A)/B in (0, t_end) over the interior
+    breakpoints x_k, and t_end, where cuts out of range (and every cut of
+    a node with B = 0) become t_end."""
+    kinks = np.asarray(pl.xs[1:], dtype=float)
+    tau = np.divide(kinks[None, :] - a[:, None], b[:, None],
+                    out=np.full((len(a), len(kinks)), t_end), where=b[:, None] != 0.0)
+    cuts = np.sort(np.where((tau > 0.0) & (tau < t_end), tau, t_end), axis=1)
+    return np.hstack([np.zeros((len(a), 1)), cuts, np.full((len(a), 1), t_end)])
+
+
+def _sum_pieces(pieces: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Row sums of the pieces between neighbouring edges, column by column
+    from the left.  A piece between equal edges (a repeated cut, or
+    padding) adds +0.0, which leaves any sum that starts from +0.0
+    unchanged, whatever its own value."""
+    total = np.zeros(len(pieces))
+    for column in np.where(edges[:, 1:] != edges[:, :-1], pieces, 0.0).T:
+        total += column
+    return total
+
+
 def _pl_integrals_classical(pl: PiecewiseLinear, a: np.ndarray,
                             b: np.ndarray) -> np.ndarray:
     """Exact classical integral of the piecewise-linear f(A + Bt) on [0,1]:
-    trapezoid rule over the affine segments."""
-    out = np.empty_like(a)
-    for k in range(len(a)):
-        ak, bk = float(a[k]), float(b[k])
-        cuts = [0.0, 1.0]
-        if bk != 0.0:
-            for xk in pl.xs[1:]:
-                tau = (xk - ak) / bk
-                if 0.0 < tau < 1.0:
-                    cuts.append(tau)
-        cuts = sorted(set(cuts))
-        total = 0.0
-        for lo, hi in zip(cuts, cuts[1:]):
-            g_lo = float(pl(ak + bk * lo))
-            g_hi = float(pl(ak + bk * hi))
-            total += 0.5 * (g_lo + g_hi) * (hi - lo)
-        out[k] = total
-    return out
+    trapezoid rule over the affine pieces, summed upward from t = 0, for
+    every node at once."""
+    edges = _pl_edges(pl, a, b, 1.0)
+    g = pl(a[:, None] + b[:, None] * edges)
+    pieces = 0.5 * (g[:, :-1] + g[:, 1:]) * (edges[:, 1:] - edges[:, :-1])
+    return _sum_pieces(pieces, edges)
 
 
 def _pl_integrals_strict(pl: PiecewiseLinear, a: np.ndarray, b: np.ndarray,
@@ -476,47 +488,31 @@ def _pl_integrals_strict(pl: PiecewiseLinear, a: np.ndarray, b: np.ndarray,
         sum_{j>=J} (p-q) t_j       = r^J            (r = q/p)
         sum_{j>=J} (p-q) t_j^2     = r^{2J} / (p+q)
 
-    so splitting at the kinks gives the exact value in O(#kinks) work per
-    node map, independent of how slowly the series converges.
+    so splitting at the kinks gives the exact value, however slowly the
+    series converges.  All nodes are done at once, one array pass per
+    piece, the pieces summed from t = 1/p downward.  Only the cuts inside
+    (0, 1/p) need J, the count of nodes t_j above them, and its sums;
+    they take `math.log` and Python powers, one cut at a time, since
+    numpy's vector log and power can differ from them in the last bit.
     """
     p = float(pq.p)
     q = float(pq.q)
     r = q / p
     t_max = 1.0 / p
     log_r = math.log(r)
-
-    def count_above(tau: float) -> int:
-        # number of node indices j with t_j > tau
-        if tau >= t_max:
-            return 0
-        return max(0, math.ceil(math.log(p * tau) / log_r))
-
-    def s0(j: Optional[int]) -> float:
-        return 0.0 if j is None else r ** j
-
-    def s1(j: Optional[int]) -> float:
-        return 0.0 if j is None else r ** (2 * j) / (p + q)
-
-    out = np.empty_like(a)
-    for k in range(len(a)):
-        ak, bk = float(a[k]), float(b[k])
-        taus = []
-        if bk != 0.0:
-            for xk in pl.xs[1:]:
-                tau = (xk - ak) / bk
-                if 0.0 < tau < t_max:
-                    taus.append(tau)
-        edges = [t_max] + sorted(set(taus), reverse=True) + [0.0]
-        total = 0.0
-        for hi, lo in zip(edges, edges[1:]):
-            icpt, slope = pl.piece_at(ak + bk * 0.5 * (hi + lo))
-            ga = icpt + slope * ak
-            gb = slope * bk
-            j_lo = count_above(hi)
-            j_hi = count_above(lo) if lo > 0.0 else None
-            total += ga * (s0(j_lo) - s0(j_hi)) + gb * (s1(j_lo) - s1(j_hi))
-        out[k] = total
-    return out
+    edges = _pl_edges(pl, a, b, t_max)[:, ::-1]
+    # r^J and r^{2J}/(p+q) at each edge: J = 0 at t = 1/p, no node below t = 0
+    top = edges == t_max
+    s0, s1 = np.where(top, 1.0, 0.0), np.where(top, 1.0 / (p + q), 0.0)
+    cuts = (edges > 0.0) & ~top
+    counts = [max(0, math.ceil(math.log(p * tau) / log_r)) for tau in edges[cuts].tolist()]
+    s0[cuts] = [r ** j for j in counts]
+    s1[cuts] = [r ** (2 * j) / (p + q) for j in counts]
+    icpt, slope = pl.piece_at(a[:, None] + b[:, None] * 0.5 * (edges[:, :-1] + edges[:, 1:]))
+    ga = icpt + slope * a[:, None]
+    gb = slope * b[:, None]
+    pieces = ga * (s0[:, :-1] - s0[:, 1:]) + gb * (s1[:, :-1] - s1[:, 1:])
+    return _sum_pieces(pieces, edges)
 
 
 def _inner_integrals(f: FunctionHandle, a: np.ndarray, b: np.ndarray,

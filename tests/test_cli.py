@@ -335,6 +335,22 @@ def test_overflowing_integrals_one_error_line(tmp_path, argv):
     assert "RuntimeWarning" not in proc.stderr and "~1030" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "2", "--beta", "1e200", "--x", "0.5"],
+    ["bounds", "--fn", "sin", "--n", "2", "--beta", "1e200"],
+])
+def test_huge_beta_one_error_line(tmp_path, argv):
+    # ([n+1] + beta)^2 in the closed forms is past the float range: a
+    # domain error, not an OverflowError traceback
+    proc = subprocess.run([sys.executable, "-m", "pqkanto.cli"] + argv,
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env=subprocess_env())
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert "beta" in lines[0]
+
+
 def test_cli_import_leaves_out_scipy(tmp_path):
     # scipy serves only the test oracles; the CLI's cold start must not pay
     # for importing it
