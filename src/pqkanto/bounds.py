@@ -26,20 +26,23 @@ spaced base points x_i of the domain, spacing D = (hi - lo)/DOMAIN_STEPS,
 and the estimate is the largest |Delta^r_h f(x_i)| with x_i + r h in the
 domain over two kinds of offset h:
 
-  * the grid-aligned offsets h = k D <= delta, read off the base samples
-    alone: per order, a table of the per-offset maxima, prefix-maximised
-    over k, answers every delta by lookup;
+  * the grid-aligned offsets h = j D <= delta, j <= k = floor(delta/D),
+    read off the base samples alone: for r = 1 the largest max - min over
+    windows of k + 1 consecutive samples; for r = 2 a table of the
+    per-offset maxima, prefix-maximised over j, which answers every delta
+    by lookup;
   * the offset h = delta itself, which costs r evaluations of f at the
     shifted base points.
 
 Every candidate is an admissible pair (x, h <= delta), so the estimate is
-a lower estimate of the true modulus.
+a lower estimate of the true modulus.  A delta, a sample of f or an
+estimate that is not finite raises DomainError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,10 +62,6 @@ HOLDS_RTOL = 1e-9
 HOLDS_ATOL = 1e-12
 
 
-def _eval(f: FunctionHandle, x: np.ndarray) -> np.ndarray:
-    return np.asarray(f.evaluator(x), dtype=float)
-
-
 def _difference(order: int, values: Sequence[np.ndarray]) -> np.ndarray:
     """Delta^order_h f(x) from [f(x), f(x + h), ..., f(x + order h)]."""
     if order == 1:
@@ -70,13 +69,34 @@ def _difference(order: int, values: Sequence[np.ndarray]) -> np.ndarray:
     return values[2] - 2.0 * values[1] + values[0]
 
 
+def _window_range(f: np.ndarray, width: int) -> float:
+    """Largest max - min over the windows of `width` consecutive entries of
+    f, by doubling: hi[i] and lo[i] span f[i : i + span], and two
+    overlapping spans cover each window."""
+    hi = lo = f
+    span = 1
+    while 2 * span <= width:
+        hi = np.maximum(hi[:-span], hi[span:])
+        lo = np.minimum(lo[:-span], lo[span:])
+        span *= 2
+    rest = width - span
+    hi = np.maximum(hi[:hi.size - rest], hi[rest:])
+    lo = np.minimum(lo[:lo.size - rest], lo[rest:])
+    # numpy leaves open which zero np.maximum returns, so an all-zero
+    # window may give -0.0; abs keeps the loop's +0.0
+    return abs(float((hi - lo).max()))
+
+
 class _Moduli:
     """omega_1 and omega_2 of one f over one domain, at any number of deltas.
 
-    Exact metadata is returned as is.  Otherwise the base samples and the
-    per-order tables of grid-aligned maxima are built at first use and
-    grown only as far as the largest delta asked for.  An instance lives
-    for one call of the public functions below, never longer.
+    Exact metadata is returned as is.  Otherwise f is sampled at first
+    use.  Order 1 takes max - min over windows of k + 1 base samples: a
+    rounded difference is monotone in each argument and odd, so that is
+    the largest |f(x_{i+j}) - f(x_i)| over j <= k, bit for bit.  Order 2
+    loops over the offsets with one buffer and grows its table only as
+    far as the largest delta asked for.  An instance lives for one call
+    of the public functions below, never longer.
     """
 
     def __init__(self, f: FunctionHandle, domain: Tuple[float, float]):
@@ -84,11 +104,11 @@ class _Moduli:
         self.lo, self.hi = domain
         self._base: Optional[np.ndarray] = None
         self._f_base: Optional[np.ndarray] = None
-        self._tables: Dict[int, List[float]] = {1: [0.0], 2: [0.0]}
+        self._second: List[float] = [0.0]
 
     def __call__(self, order: int, delta: float) -> float:
-        if delta < 0:
-            raise DomainError(f"delta must be nonnegative, got {delta}")
+        if not 0 <= delta < np.inf:
+            raise DomainError(f"delta must be finite and nonnegative, got {delta}")
         exact = self.f.exact_modulus if order == 1 else self.f.exact_second_modulus
         if exact is not None:
             return float(exact(delta))
@@ -98,25 +118,41 @@ class _Moduli:
             return 0.0
         if self._base is None:
             self._base = np.linspace(self.lo, self.hi, DOMAIN_STEPS + 1)
-            self._f_base = _eval(self.f, self._base)
+            self._f_base = self._sample(self._base)
         step = (self.hi - self.lo) / DOMAIN_STEPS
         best = self._grid_aligned(order, min(int(delta / step), DOMAIN_STEPS // order))
         ok = self._base + order * delta <= self.hi
         if np.any(ok):
             x = self._base[ok]
-            values = [self._f_base[ok]] + [_eval(self.f, x + j * delta)
+            values = [self._f_base[ok]] + [self._sample(x + j * delta)
                                            for j in range(1, order + 1)]
             best = max(best, float(np.abs(_difference(order, values)).max()))
+        if not np.isfinite(best):
+            raise DomainError(f"grid modulus of {self.f.name} overflows at delta {delta}")
         return best
+
+    def _sample(self, x: np.ndarray) -> np.ndarray:
+        values = np.asarray(self.f.evaluator(x), dtype=float)
+        if not np.isfinite(values).all():
+            raise DomainError(f"{self.f.name} is not finite on [{self.lo}, {self.hi}]")
+        return values
 
     def _grid_aligned(self, order: int, k: int) -> float:
         """Largest |Delta^order_{jD} f(x_i)| over the offsets j <= k."""
-        table = self._tables[order]
-        f_base = self._f_base
-        for j in range(len(table), k + 1):
-            m = f_base.size - order * j
-            values = [f_base[i * j: i * j + m] for i in range(order + 1)]
-            table.append(max(table[-1], float(np.abs(_difference(order, values)).max())))
+        f = self._f_base
+        if order == 1:
+            return _window_range(f, k + 1)
+        table = self._second
+        if k >= len(table):
+            # per offset j: (f[i + 2j] - 2 f[i + j]) + f[i] in one buffer
+            twice, buf = 2.0 * f, np.empty(f.size)
+            maxima = [table[-1]]
+            for j in range(len(table), k + 1):
+                m = f.size - 2 * j
+                out = np.subtract(f[2 * j:], twice[j:j + m], out=buf[:m])
+                np.abs(np.add(out, f[:m], out=out), out=out)
+                maxima.append(out.max())
+            table.extend(np.maximum.accumulate(maxima)[1:].tolist())
         return table[k]
 
 

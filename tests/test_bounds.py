@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pqkanto import (
     DomainError,
@@ -13,7 +15,7 @@ from pqkanto import (
     polynomial_handle,
     second_modulus,
 )
-from pqkanto.bounds import BOUND_CSV_FIELDS, DOMAIN_STEPS
+from pqkanto.bounds import BOUND_CSV_FIELDS, DOMAIN_STEPS, _Moduli
 from pqkanto.functions import FunctionHandle
 
 P11 = PQPair(1, 1)
@@ -272,3 +274,163 @@ class TestGridEstimator:
         bound_reports(builtin("sin"), xs, params, PQPair(0.9, 0.8))
         assert calls.count("operator_profile") == 1
         assert calls.count("_node_affine") <= 2
+
+
+def offset_maxima(f_base, order):
+    """Entry j - 1 is the largest |Delta^order_{jD} f(x_i)|, for j = 1, 2, ..."""
+    maxima = []
+    for j in range(1, (f_base.size - 1) // order + 1):
+        m = f_base.size - order * j
+        values = [f_base[i * j: i * j + m] for i in range(order + 1)]
+        diff = values[1] - values[0] if order == 1 else values[2] - 2.0 * values[1] + values[0]
+        maxima.append(float(np.abs(diff).max()))
+    return maxima
+
+
+def reference_table(f_base, order):
+    """The per-offset loop the grid kernels replace: entry k is the largest
+    |Delta^order_{jD} f(x_i)| over the offsets j <= k."""
+    table = [0.0]
+    for best in offset_maxima(f_base, order):
+        table.append(max(table[-1], best))
+    return table
+
+
+def kernel(f_base):
+    """A _Moduli whose base samples are f_base."""
+    moduli = _Moduli(FunctionHandle(name="samples", evaluator=None), (0.0, 1.0))
+    moduli._f_base = np.asarray(f_base, dtype=float)
+    return moduli
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(np.asarray(got, dtype=float).view(np.int64),
+                          np.asarray(want, dtype=float).view(np.int64))
+
+
+class TestGridKernels:
+    """The window range (order 1) and the buffered offset loop (order 2)
+    equal the per-offset loop bit for bit at every k."""
+
+    # node_hull_max of the two operator settings of perfbench's bounds-grid
+    HULLS = (1.5271657522561723, 1.7716868861038455)
+
+    @staticmethod
+    def sampled(evaluator, hi):
+        return np.asarray(evaluator(np.linspace(0.0, hi, DOMAIN_STEPS + 1)), dtype=float)
+
+    @pytest.mark.parametrize("hi", HULLS)
+    @pytest.mark.parametrize("name", ["sin", "absdev:0.5", "lip:0.5:0.5", "bump:2", "square",
+                                      "const1"])
+    def test_builtins_at_every_k(self, name, hi):
+        f_base = self.sampled(builtin(name).evaluator, hi)
+        for order in (1, 2):
+            ks = range(DOMAIN_STEPS // order + 1)
+            moduli = kernel(f_base)
+            assert_same_bits([moduli._grid_aligned(order, k) for k in ks],
+                             reference_table(f_base, order))
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_request_order(self, order):
+        # sin(200 x) has per-offset maxima that rise and fall with j
+        f_base = self.sampled(lambda x: np.sin(200.0 * x), self.HULLS[0])
+        want = reference_table(f_base, order)
+        top = DOMAIN_STEPS // order
+        for ks in ([0, 1, 7, 300, top], [top, 300, 7, 1, 0], [5, 5, 300, 5, 300, 0, 300],
+                   [300, top]):
+            moduli = kernel(f_base)
+            assert_same_bits([moduli._grid_aligned(order, k) for k in ks],
+                             [want[k] for k in ks])
+
+    def test_second_table_grown_in_two_steps(self):
+        f_base = self.sampled(lambda x: np.sin(200.0 * x), self.HULLS[1])
+        want = reference_table(f_base, 2)
+        # the offset j = 301 alone does not reach the maximum over j <= 300
+        assert offset_maxima(f_base, 2)[300] < want[300]
+        moduli = kernel(f_base)
+        moduli._grid_aligned(2, 300)
+        assert len(moduli._second) == 301
+        moduli._grid_aligned(2, 2048)
+        assert_same_bits(moduli._second, want)
+
+    def test_signed_zeros(self):
+        for f_base in ([-0.0, 0.0, -0.0, 0.0, 0.0], [0.0, -0.0, -0.0, 0.0, -0.0]):
+            for order in (1, 2):
+                moduli = kernel(f_base)
+                want = reference_table(moduli._f_base, order)
+                assert_same_bits([moduli._grid_aligned(order, k) for k in range(len(want))],
+                                 want)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
+           st.randoms(use_true_random=False))
+    def test_random_samples(self, samples, rng):
+        f_base = np.asarray(samples, dtype=float)
+        # differences of finite samples may overflow to inf in both kernels
+        with np.errstate(over="ignore"):
+            self.check_random_samples(f_base, rng)
+
+    @staticmethod
+    def check_random_samples(f_base, rng):
+        for order in (1, 2):
+            want = reference_table(f_base, order)
+            ks = [rng.randrange(len(want)) for _ in range(6)] + list(range(len(want)))
+            moduli = kernel(f_base)
+            assert_same_bits([moduli._grid_aligned(order, k) for k in ks],
+                             [want[k] for k in ks])
+
+
+class TestNonFinite:
+    @staticmethod
+    def handle(evaluator, **metadata):
+        return FunctionHandle(name="holey", evaluator=evaluator, **metadata)
+
+    @pytest.mark.parametrize("estimate", [modulus, second_modulus])
+    def test_nan_base_samples(self, estimate):
+        # a stripped square that is nan on (0.5, 1]
+        h = self.handle(lambda x: np.where(np.asarray(x) > 0.5, np.nan, np.square(x)))
+        with pytest.raises(DomainError, match="holey"):
+            estimate(h, 0.3, (0.0, 1.0))
+
+    @pytest.mark.parametrize("estimate", [modulus, second_modulus])
+    def test_nan_shifted_samples(self, estimate):
+        # finite at the base points k / DOMAIN_STEPS, nan between them
+        def between(x):
+            x = np.asarray(x, dtype=float)
+            on_grid = np.abs(x * DOMAIN_STEPS - np.round(x * DOMAIN_STEPS)) < 1e-6
+            return np.where(on_grid, x, np.nan)
+
+        h = self.handle(between)
+        with pytest.raises(DomainError, match="holey"):
+            estimate(h, 0.3, (0.0, 1.0))
+
+    @pytest.mark.parametrize("estimate", [modulus, second_modulus])
+    def test_overflowing_differences(self, estimate):
+        h = self.handle(lambda x: np.where(np.asarray(x) < 0.5, 1.5e308, -1.5e308))
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="holey"):
+            estimate(h, 0.3, (0.0, 1.0))
+
+    @pytest.mark.parametrize("delta", [np.nan, np.inf])
+    @pytest.mark.parametrize("estimate", [modulus, second_modulus])
+    def test_non_finite_delta(self, estimate, delta):
+        for h in (stripped(builtin("sin")), builtin("absdev:0.5"), builtin("square")):
+            with pytest.raises(DomainError, match="delta"):
+                estimate(h, delta, (0.0, 1.0))
+
+    def test_bound_reports(self):
+        # the polynomial coefficients keep the operator off the evaluator,
+        # and xs avoid the nan piece, so only the grid moduli can see it
+        sq = builtin("square")
+
+        def holey(x):
+            x = np.asarray(x, dtype=float)
+            return np.where((x > 0.5) & (x < 0.6), np.nan, np.square(x))
+
+        params = OperatorParams(n=50, m=2, alpha=1.0, beta=2.0, b_n=3.0)
+        xs = np.linspace(0.0, 3.0, 9)
+        h = self.handle(holey, polynomial_coeffs=sq.polynomial_coeffs)
+        with pytest.raises(DomainError, match="holey"):
+            bound_reports(h, xs, params, PQPair(0.9, 0.8))
+        # the same handle without the hole reports
+        assert len(bound_reports(self.handle(np.square, polynomial_coeffs=sq.polynomial_coeffs),
+                                 xs, params, PQPair(0.9, 0.8))) == len(xs)
