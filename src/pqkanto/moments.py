@@ -15,7 +15,9 @@ p = q = 1 while staying inside the product definition.
 and reports residuals.  The five closed forms share one set of terms per
 call (the brackets [2], [3], [n+1] + beta, [n+m], [n+m-1] and the three
 compound powers), and one routine takes every direct sum, exact or float,
-at any number of points.  Residuals are data, not assertions: at p = q = 1
+at any number of points; its exact sums run on integer numerators over
+one denominator per vector, and each reported moment becomes one
+Fraction.  Residuals are data, not assertions: at p = q = 1
 all five closed forms agree with direct summation, while for p < 1 the
 first and second moment displays disagree with direct summation in both
 basis modes (already at n+m = 2), so the report is the honest output.
@@ -28,13 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from numbers import Rational
+from operator import mul
 from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
 from .errors import DomainError, SizeCapError
 from .operators import (OperatorParams, _check_x, _monomial_terms, _node_affine, _not_finite,
-                        _poly_integrals, basis_weights)
+                        _poly_integrals, _weights_exact, basis_weights)
 from .pq_calculus import PQPair, Scalar, _brackets, _pq_powers, pq_power
 
 MOMENT_KEYS = ("m0", "m1", "m2", "c1", "c2")
@@ -131,15 +134,17 @@ def moment_closed(kind, params: OperatorParams, pq: PQPair, x: Scalar) -> Scalar
 
 def _direct_moments(params: OperatorParams, pq: PQPair, xs) -> List[Dict[str, Scalar]]:
     """Direct summation of the five moments at every x in xs, keyed as
-    MOMENT_KEYS: Fractions where `basis_weights` gives exact weights at
-    every x, else floats that equal `operator_profile` on the moment
-    polynomials bit for bit.  One node map and one set of monomial terms
-    T_0, T_1, T_2 serve the call; each x takes one weight row and one dot
-    product per moment polynomial.  Raises DomainError when a float value
-    is not finite.
+    MOMENT_KEYS.  When every input is rational the sums run on integer
+    numerators over one denominator per vector (weights, node map, monomial
+    terms) and each moment becomes one Fraction; else they are floats that
+    equal `operator_profile` on the moment polynomials bit for bit.  One
+    node map and one set of monomial terms T_0, T_1, T_2 serve the call;
+    each x takes one weight row and one dot product per moment polynomial.
+    Raises DomainError when a float value is not finite.
     """
-    weights = [basis_weights(params, pq, x).weights for x in xs]
-    exact = not any(isinstance(w, np.ndarray) for w in weights)
+    exact = params.is_exact(pq) and all(isinstance(x, Rational) for x in xs)
+    weights = [_weights_exact(params.degree, pq, _check_x(params, x), params.mode) if exact
+               else basis_weights(params, pq, x).weights for x in xs]
     cast = Fraction if exact else float
     a, b = _node_affine(params, pq if exact else PQPair(float(pq.p), float(pq.q)))
     out = []
@@ -149,7 +154,8 @@ def _direct_moments(params: OperatorParams, pq: PQPair, xs) -> List[Dict[str, Sc
             x = cast(x)
             # T_u is the vector of t^u itself: a handle's 0 + 1.0 * T_u equals it, as T_u >= 0
             central = [_poly_integrals(c, terms) for c in ((-x, 1), (x * x, -2 * x, 1))]
-            values = [cast(np.dot(w, v)) for v in terms + central]
+            values = [Fraction(sum(map(mul, w.nums, v.nums)), w.den * v.den) if exact
+                      else float(np.dot(w, v)) for v in terms + central]
             if not (exact or np.isfinite(values).all()):
                 raise _not_finite("operator value is", params.degree, w)
             out.append(dict(zip(MOMENT_KEYS, values)))

@@ -66,7 +66,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -76,6 +76,7 @@ from .pq_calculus import (
     PQPair,
     Scalar,
     _as_vectorized,
+    _brackets,
     _store_fractions,
     bracket_table,
     pq_integer,
@@ -129,6 +130,18 @@ class OperatorParams:
         return pq.is_exact and all(
             isinstance(v, Rational) for v in (self.alpha, self.beta, self.b_n)
         )
+
+
+class Scaled(NamedTuple):
+    """An exact vector: Python-int numerators over one int denominator."""
+    nums: List[int]
+    den: int
+
+
+def _scaled(values: Sequence[Fraction]) -> Scaled:
+    """Rationals as integer numerators over their least common denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return Scaled([v.numerator * (den // v.denominator) for v in values], den)
 
 
 @dataclass(frozen=True)
@@ -186,25 +199,25 @@ def _not_finite(what: str, degree: int, weights: np.ndarray) -> DomainError:
     return DomainError(f"{what} not finite at degree n+m = {degree}: {cause}")
 
 
-def _weights_exact(degree: int, pq: PQPair, s: Fraction, mode: str) -> List[Fraction]:
+def _weights_exact(degree: int, pq: PQPair, s: Fraction, mode: str) -> Scaled:
     """Exact weights from the literal product definition (module docstring),
-    the independent check of the r-form the float path evaluates.  The
-    binomials [N]! / ([k]! [N-k]!) and the products over j < N - k are
-    prefix products, of the tabled brackets and of the factors."""
-    factorials = [Fraction(1)]
-    for bracket in bracket_table(degree + 1, pq)[1:]:
+    the independent check of the r-form the float path evaluates.  With
+    p = P/D, q = Q/D, s = S/T and [k] = N_k / D^{k-1} (N_k: the brackets of
+    the integers P, Q), weight k is N_1..N_N // (N_1..N_k N_1..N_{N-k}) S^k
+    prod_{j<N-k} (P^j T - Q^j S) / (T^N D^{e_k}), e_k = (N(N-1) - k(k-1))/2;
+    normalized mode turns D^{e_k} into P^{e_k}."""
+    (big_p, big_q), d = _scaled([pq.p, pq.q])
+    top, bottom = s.numerator, s.denominator
+    factorials = [1]
+    for bracket in _brackets(degree + 1, big_p, big_q)[1:]:
         factorials.append(factorials[-1] * bracket)
-    prods = [Fraction(1)]
+    prods = [1]
     for j in range(degree):
-        prods.append(prods[-1] * (pq.p ** j - pq.q ** j * s))
-    out = []
-    for k in range(degree + 1):
-        binomial = factorials[degree] / (factorials[k] * factorials[degree - k])
-        w = binomial * s ** k * prods[degree - k]
-        if mode == "normalized":
-            w *= pq.p ** ((k * (k - 1) - degree * (degree - 1)) // 2)
-        out.append(w)
-    return out
+        prods.append(prods[-1] * (big_p ** j * bottom - big_q ** j * top))
+    base = big_p if mode == "normalized" else d
+    nums = [factorials[degree] // (factorials[k] * factorials[degree - k]) * top ** k
+            * prods[degree - k] * base ** (k * (k - 1) // 2) for k in range(degree + 1)]
+    return Scaled(nums, bottom ** degree * base ** (degree * (degree - 1) // 2))
 
 
 def basis_weights(params: OperatorParams, pq: PQPair, x: Scalar) -> WeightVector:
@@ -217,7 +230,8 @@ def basis_weights(params: OperatorParams, pq: PQPair, x: Scalar) -> WeightVector
     """
     x_norm = _check_x(params, x)
     if params.is_exact(pq) and isinstance(x, Rational):
-        w = _weights_exact(params.degree, pq, x_norm, params.mode)
+        exact = _weights_exact(params.degree, pq, x_norm, params.mode)
+        w = [Fraction(v, exact.den) for v in exact.nums]
     else:
         x_norm = float(x_norm)
         with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
@@ -247,23 +261,46 @@ def node_hull_max(params: OperatorParams, pq: PQPair) -> float:
     return float(top * params.b_n / (pq_integer(params.n + 1, pq) + params.beta))
 
 
-def _node_affine(params: OperatorParams, pq: PQPair) -> Tuple[np.ndarray, np.ndarray]:
-    """(A, B) with node_k(t) = A[k] + B[k] t: float arrays, or object
-    arrays of Fractions when p or q is a Fraction (see `bracket_table`)."""
-    br = np.asarray(bracket_table(params.degree + 2, pq))
-    cast = Fraction if br.dtype == object else float
-    scale = cast(params.b_n) / (br[params.n + 1] + cast(params.beta))
-    a = (br[: params.degree + 1] + cast(params.alpha)) * scale
-    b = (br[1: params.degree + 2] - br[: params.degree + 1]) * scale
-    return a, b
+def _node_affine(params: OperatorParams, pq: PQPair):
+    """(A, B) with node_k(t) = A[k] + B[k] t: float arrays, or, for exact
+    inputs, integer numerators over one denominator shared by A and B (the
+    brackets [k] = N_k / D^{k-1} of `_weights_exact`, over D^{n+m})."""
+    deg = params.degree
+    if not params.is_exact(pq):
+        br = bracket_table(deg + 2, pq)
+        scale = float(params.b_n) / (br[params.n + 1] + float(params.beta))
+        a = (br[: deg + 1] + float(params.alpha)) * scale
+        b = (br[1: deg + 2] - br[: deg + 1]) * scale
+        return a, b
+    (big_p, big_q), d = _scaled([pq.p, pq.q])
+    top, alpha, beta, b_n = d ** deg, params.alpha, params.beta, params.b_n
+    br = [v * d ** (deg + 1 - k) for k, v in enumerate(_brackets(deg + 2, big_p, big_q))]
+    # ([k] + alpha) b_n / ([n+1] + beta) with [k] = br[k] / top, where top cancels
+    num = b_n.numerator * beta.denominator
+    den = alpha.denominator * b_n.denominator * (br[params.n + 1] * beta.denominator
+                                                  + beta.numerator * top)
+    a = [(v * alpha.denominator + alpha.numerator * top) * num for v in br[:deg + 1]]
+    b = [(v1 - v0) * alpha.denominator * num for v0, v1 in zip(br, br[1:])]
+    return Scaled(a, den), Scaled(b, den)
 
 
-def _monomial_terms(deg: int, a: np.ndarray, b: np.ndarray, pq: PQPair) -> List[np.ndarray]:
+def _monomial_terms(deg: int, a, b, pq: PQPair) -> list:
     """T_u, the exact integral of (A + B t)^u over [0,1] against d_pq t, for
-    u <= deg, via the monomial rule (integral of t^j is 1/[j+1]); in the
-    scalars of `_node_affine`, so Fraction nodes give Fraction terms."""
-    cast = Fraction if a.dtype == object else float
-    mono = [cast(pq_integral_monomial(j, pq)) for j in range(deg + 1)]
+    u <= deg, via the monomial rule (integral of t^j is 1/[j+1]); in the form
+    of the nodes, so `Scaled` nodes give numerators over A.den^u times one."""
+    if isinstance(a, Scaled):
+        (big_p, big_q), d = _scaled([pq.p, pq.q])
+        mono = _scaled([Fraction(d ** j, v)  # 1/[j+1] = D^j / N_{j+1}
+                        for j, v in enumerate(_brackets(deg + 2, big_p, big_q)[1:])])
+        terms = []
+        for u in range(deg + 1):
+            term = [0] * len(a.nums)
+            for j in range(u + 1):
+                c = math.comb(u, j) * mono.nums[j]
+                term = [t + c * ak ** (u - j) * bk ** j for t, ak, bk in zip(term, a.nums, b.nums)]
+            terms.append(Scaled(term, a.den ** u * mono.den))
+        return terms
+    mono = [float(pq_integral_monomial(j, pq)) for j in range(deg + 1)]
     terms = []
     for u in range(deg + 1):
         term = np.zeros_like(a)
@@ -273,14 +310,21 @@ def _monomial_terms(deg: int, a: np.ndarray, b: np.ndarray, pq: PQPair) -> List[
     return terms
 
 
-def _poly_integrals(coeffs: Sequence[Scalar], terms: List[np.ndarray]) -> np.ndarray:
+def _poly_integrals(coeffs: Sequence[Scalar], terms: list):
     """Integrals of sum_u c_u (A + B t)^u: sum_u c_u T_u over the nonzero
-    c_u, in order (see `_monomial_terms`)."""
-    cast = Fraction if terms[0].dtype == object else float
+    c_u, in order (see `_monomial_terms`); `Scaled` terms and rational c_u
+    give numerators over a common denominator."""
+    if isinstance(terms[0], Scaled):
+        den = math.lcm(*(c.denominator * t.den for c, t in zip(coeffs, terms)))
+        out = [0] * len(terms[0].nums)
+        for c, t in zip(coeffs, terms):
+            scale = c.numerator * (den // (c.denominator * t.den))
+            out = [o + scale * v for o, v in zip(out, t.nums)]
+        return Scaled(out, den)
     out = np.zeros_like(terms[0])
     for c, term in zip(coeffs, terms):
         if c != 0:
-            out += cast(c) * term
+            out += float(c) * term
     return out
 
 

@@ -15,9 +15,11 @@ its expanded form, and the series-defined integral over [0, 1].
 Every function in this module is pure and accepts either floats or
 `fractions.Fraction` values inside `PQPair`; passing Fractions keeps the
 whole computation exact (the artifact's identity-verification mode).
-`bracket_table` is scalar-generic in the same way: one O(N) recurrence
-gives a float array, or an exact list when p or q is a Fraction.  The
-series integral is float-only since it is an infinite sum.
+The bracket recurrence `_brackets` runs on any scalars, Python ints
+included: with p = P/D and q = Q/D it gives the integer numerators of
+[k] = N_k / D^{k-1} from P and Q, which the exact direct sums carry.
+`bracket_table` is its float-array form.  The series integral is
+float-only since it is an infinite sum.
 """
 
 from __future__ import annotations
@@ -304,11 +306,9 @@ def pq_integral_monomial(j: int, pq: PQPair) -> Scalar:
     return 1 / pq_integer(j + 1, pq)
 
 
-def bracket_table(count: int, pq: PQPair):
-    """[0], [1], ..., [count-1] via the Horner recurrence [k+1] = p^k + q [k],
-    the operations of `pq_bracket` in one pass.  Scalar-generic: an exact
-    list when p or q is a Fraction, else a float ndarray."""
-    if isinstance(pq.p, Fraction) or isinstance(pq.q, Fraction):
-        return _brackets(count, pq.p, pq.q)
+def bracket_table(count: int, pq: PQPair) -> np.ndarray:
+    """[0], [1], ..., [count-1] as a float array via the Horner recurrence
+    [k+1] = p^k + q [k], the operations of `pq_bracket` on float(p) and
+    float(q) in one pass."""
     # Python floats: the same IEEE operations as numpy, less overhead
     return np.array(_brackets(count, float(pq.p), float(pq.q)), dtype=float)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -148,6 +149,46 @@ class TestVerify:
                         "--exact"], tmp_path)
         assert code == 2
         assert "n+m" in capsys.readouterr().err
+
+    GOLDEN_CASES = {
+        "degree-12": ["--n", "12", "--alpha", "1/2", "--beta", "1", "--bn", "2",
+                      "--p", "9/10", "--q", "4/5", "--x", "4/7"],
+        "classical-degree-7": ["--n", "6", "--m", "1", "--alpha", "1/2", "--beta", "1",
+                               "--bn", "2", "--p", "1", "--q", "1", "--x", "10/7"],
+        "defect-n-2": ["--n", "2", "--p", "9/10", "--q", "4/5", "--x", "1/2"],
+    }
+    # SHA-256 of (report, manifest) bytes; the manifest records __version__
+    GOLDEN_DIGESTS = {
+        ("normalized", "degree-12"): (
+            "c9f4adbe774a43d9ec8fbc2cec04916dab13afb059252b000d6cd765d8876939",
+            "da7c90ff0de92adca958cdcc7ec9c706a32850ecb2ebf021b242c2fe1742fef8"),
+        ("normalized", "classical-degree-7"): (
+            "b656e98b05ea6db100097dec4f0a670bf7cf928e228d8311c2d1335b05954ac1",
+            "115a4d02e67f3ceb911602c7cd842112e8a36486ccff06f4329a16327cf4277b"),
+        ("normalized", "defect-n-2"): (
+            "0a33b70b3dcec0d930f23e0ed8a86590c73858d06bf644e836fa68e450bbea90",
+            "8701a423b6c41fa609bad231ecd01c51f2631addef6abbd6cd368197c6573397"),
+        ("literal", "degree-12"): (
+            "6428ebdab5a8ddfc586bbaa948b00df26d136bfdb9adf8cdaf94c4ff676b5470",
+            "748259bc5c22ad2c550bf019818b614ecd292548709cb40d8096446a9ab3a454"),
+        ("literal", "classical-degree-7"): (
+            "75323a44bc005efec11acc474eea60ab4aaac4f993808cb0332bc916815167fa",
+            "d9de507286b126532f910278bc5618d36a2946ed030a222b4eb2a07d0e57ba59"),
+        ("literal", "defect-n-2"): (
+            "3a07ce6f734f940b493649f7d983786efca8c98a01de74f5bf46a060330d0b27",
+            "0d0331df6c54d6c7a8272711770346d2ac9fd71c89a4fb8063e6a83c13681dbc"),
+    }
+
+    @pytest.mark.parametrize("case", list(GOLDEN_CASES))
+    @pytest.mark.parametrize("mode", ["normalized", "literal"])
+    def test_exact_report_bytes_pinned(self, tmp_path, mode, case):
+        # exact reports and manifests keep their bytes across rewrites of
+        # the exact arithmetic
+        argv = ["verify", "--exact", "--out", "rep.json", "--mode", mode]
+        assert run_cli(argv + self.GOLDEN_CASES[case], tmp_path) == 0
+        got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                    for name in ("rep.json", "rep.json.manifest.json"))
+        assert got == self.GOLDEN_DIGESTS[mode, case]
 
     def test_nonzero_residuals_still_exit_0(self, tmp_path):
         code = run_cli(["verify", "--x", "0.5", "--n", "2", "--p", "0.9",

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pqkanto import (
     DomainError,
@@ -23,7 +25,7 @@ from pqkanto.moments import MOMENT_KEYS, _direct_moments, first_central_moment_b
 from pqkanto.operators import operator_profile
 from pqkanto.pq_calculus import _pq_powers, pq_integer, pq_integral_monomial, pq_power
 
-from oracles import apply_classical_reference
+from oracles import apply_classical_reference, direct_moments_fractions, weights_exact_fractions
 
 PQ98 = PQPair(0.9, 0.8)
 P11 = PQPair(1, 1)
@@ -150,6 +152,27 @@ def moments_by_handles(params, pq, x):
     return {h.name: v for h, v in zip(handles, values)}
 
 
+@st.composite
+def exact_instances(draw):
+    """(params, pq, xs), all rational: q <= p in (0, 1] (p = q < 1 and the
+    integer p = q = 1 included), alpha <= beta, b_n, degrees 1 to 12, both
+    modes, and two to four points in [0, b_n], the ends included."""
+    unit = st.fractions(min_value=0, max_value=1, max_denominator=12)
+    p = F(1) if draw(st.integers(0, 3)) == 0 else draw(unit.filter(lambda v: v > 0))
+    q = p if draw(st.integers(0, 3)) == 0 else draw(unit.filter(lambda v: 0 < v <= p))
+    pq = PQPair(1, 1) if p == q == 1 else PQPair(p, q)
+    alpha = draw(st.fractions(min_value=0, max_value=3, max_denominator=6))
+    beta = alpha + draw(st.fractions(min_value=0, max_value=3, max_denominator=6))
+    b_n = draw(st.fractions(min_value=F(1, 4), max_value=4, max_denominator=6))
+    degree = draw(st.integers(1, 12))
+    n = draw(st.integers(1, degree))
+    params = OperatorParams(n=n, m=degree - n, alpha=alpha, beta=beta, b_n=b_n,
+                            mode=draw(st.sampled_from(["normalized", "literal"])))
+    ends = st.sampled_from([F(0), F(1)])
+    xs = [t * b_n for t in draw(st.lists(st.one_of(ends, unit), min_size=2, max_size=4))]
+    return params, pq, xs
+
+
 class TestDirectMoments:
     @pytest.mark.parametrize("mode", ["normalized", "literal"])
     def test_float_equals_handles_bit_for_bit(self, mode):
@@ -192,6 +215,24 @@ class TestDirectMoments:
         for x, row in zip(xs, got):
             assert all(isinstance(v, F) for v in row.values())
             assert row == verify_moments(params, pq, x, "exact").brute
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(instance=exact_instances())
+    @example(instance=(OperatorParams(n=9, m=3, alpha=F(1, 2), beta=F(1), b_n=F(2),
+                                      mode="literal"), PQPair(1, 1), [F(0), F(6, 7), F(2)]))
+    def test_exact_equals_fraction_reference(self, instance):
+        # the integer-numerator sums against the object-array Fraction path
+        # they replaced, on every moment key and on basis_weights
+        params, pq, xs = instance
+        got = _direct_moments(params, pq, xs)
+        assert got == direct_moments_fractions(params, pq, xs)
+        for x, row in zip(xs, got):
+            assert list(row) == list(MOMENT_KEYS)
+            assert all(type(v) is F for v in row.values())
+            weights = basis_weights(params, pq, x).weights
+            assert all(type(w) is F for w in weights)
+            assert weights == weights_exact_fractions(params.degree, pq, x / params.b_n,
+                                                      params.mode)
 
     def test_overflow_blames_the_inner_integrals(self):
         # finite weights, inner integrals past the float range: no numpy

@@ -160,8 +160,9 @@ class TestBasisWeights:
             for degree in range(1, 13):
                 for s in (F(0), F(2, 7), F(5, 6), F(1)):
                     got = _weights_exact(degree, pq, s, mode)
-                    assert all(isinstance(w, F) for w in got)
-                    assert got == self.literal_reference(degree, pq, s, mode)
+                    assert all(type(v) is int for v in got.nums) and type(got.den) is int
+                    assert [F(v, got.den) for v in got.nums] == \
+                        self.literal_reference(degree, pq, s, mode)
 
     def test_exact_with_integer_pq_stays_exact(self):
         # p = q = 1 given as ints still gives the exact binomial weights
@@ -200,10 +201,13 @@ class TestNodes:
         params = OperatorParams(n=5, m=2, alpha=F(1, 2), beta=F(1), b_n=F(2))
         pq = PQPair(F(9, 10), F(4, 5))
         a, b = _node_affine(params, pq)
+        # integer numerators over one denominator, shared by A and B
+        assert type(a.den) is int and a.den == b.den
+        assert len(a.nums) == len(b.nums) == params.degree + 1
         for k in range(params.degree + 1):
-            assert isinstance(a[k], F) and isinstance(b[k], F)
-            assert a[k] == kantorovich_node(k, 0, params, pq)
-            assert a[k] + b[k] == kantorovich_node(k, 1, params, pq)
+            assert type(a.nums[k]) is int and type(b.nums[k]) is int
+            assert F(a.nums[k], a.den) == kantorovich_node(k, 0, params, pq)
+            assert F(a.nums[k] + b.nums[k], a.den) == kantorovich_node(k, 1, params, pq)
 
     def test_fraction_pq_keeps_the_float_operator(self):
         # operator_profile builds float nodes whatever scalars pq holds

@@ -20,7 +20,7 @@ from pqkanto import (
     pq_integral_unit,
     pq_power,
 )
-from pqkanto.pq_calculus import TERM_CAP, bracket_table, pq_bracket, predicted_terms
+from pqkanto.pq_calculus import TERM_CAP, _brackets, bracket_table, pq_bracket, predicted_terms
 
 PQ98 = PQPair(0.9, 0.8)
 
@@ -107,12 +107,16 @@ class TestPQInteger:
     @pytest.mark.parametrize("pq", [PQPair(F(9, 10), F(4, 5)), PQPair(F(1, 2), F(1, 2)),
                                     PQPair(F(1), F(1))])
     def test_bracket_table_exact_equals_scalar(self, pq):
-        # p > q, p = q < 1 and p = q = 1
-        table = bracket_table(41, pq)
-        assert isinstance(table, list)
+        # p > q, p = q < 1 and p = q = 1: the recurrence on Fractions (the
+        # closed-form terms) and on the integers P, Q of p = P/D, q = Q/D
+        # (the exact direct sums), whose entry n is N_n in [n] = N_n / D^(n-1)
+        table = _brackets(41, pq.p, pq.q)
+        d = math.lcm(pq.p.denominator, pq.q.denominator)
+        integers = _brackets(41, int(pq.p * d), int(pq.q * d))
         for n in range(41):
-            assert isinstance(table[n], F)
+            assert isinstance(table[n], F) and type(integers[n]) is int
             assert table[n] == pq_integer(n, pq)
+            assert F(integers[n], d ** max(n - 1, 0)) == pq_integer(n, pq)
 
 
 class TestPQFactorial:
