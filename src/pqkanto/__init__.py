@@ -2,8 +2,8 @@
 
 Library layout:
 
-    pq_calculus   (p,q)-integers, factorials, binomials, product powers,
-                  and the series-defined unit-interval integral
+    pq_calculus   (p,q)-integers, product powers, and the unit-interval
+                  integral: truncated series and closed monomial form
     functions     named test functions with structure metadata
     operators     basis weights, node maps and operator evaluation
     moments       closed-form moments vs direct summation, residually
@@ -14,7 +14,7 @@ Library layout:
 
 __version__ = "0.1.0"
 
-from .bounds import BoundReport, bound_report, bound_reports, modulus, second_modulus
+from .bounds import BoundReport, bound_reports, modulus, second_modulus
 from .convergence import (
     SequenceSpec,
     SweepRecord,
@@ -40,24 +40,13 @@ from .operators import (
     apply_extended,
     apply_operator,
     basis_weights,
-    kantorovich_node,
     node_hull_max,
 )
-from .pq_calculus import (
-    PQPair,
-    pq_binomial,
-    pq_binomial_expand,
-    pq_factorial,
-    pq_integer,
-    pq_integer_quotient,
-    pq_integral_monomial,
-    pq_integral_unit,
-    pq_power,
-)
+from .pq_calculus import PQPair, pq_integer, pq_integral_monomial, pq_power
 
 __all__ = [
     "__version__",
-    "BoundReport", "bound_report", "bound_reports", "modulus", "second_modulus",
+    "BoundReport", "bound_reports", "modulus", "second_modulus",
     "SequenceSpec", "SweepRecord", "default_spec", "hypothesis_check",
     "korovkin_sweep", "vanishing_sweep", "weighted_sup_error",
     "ConvergenceError", "DomainError", "RegimeError", "SizeCapError",
@@ -66,8 +55,6 @@ __all__ = [
     "MomentReport", "moment_closed", "peetre_bound_args",
     "second_central_moment", "verify_moments",
     "OperatorParams", "WeightVector", "apply_extended", "apply_operator",
-    "basis_weights", "kantorovich_node", "node_hull_max",
-    "PQPair", "pq_binomial", "pq_binomial_expand", "pq_factorial",
-    "pq_integer", "pq_integer_quotient", "pq_integral_monomial",
-    "pq_integral_unit", "pq_power",
+    "basis_weights", "node_hull_max",
+    "PQPair", "pq_integer", "pq_integral_monomial", "pq_power",
 ]

@@ -256,8 +256,3 @@ def bound_reports(f: FunctionHandle, xs, params: OperatorParams, pq: PQPair,
         ))
     return reports
 
-
-def bound_report(f: FunctionHandle, x: float, params: OperatorParams, pq: PQPair,
-                 rel_tol: float = 1e-12) -> BoundReport:
-    """`bound_reports` at the single point x in [0, b_n]."""
-    return bound_reports(f, [x], params, pq, rel_tol)[0]

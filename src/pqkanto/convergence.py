@@ -85,16 +85,6 @@ class SequenceSpec:
         i = self.n_list.index(n)
         return float(self.p_table[i]), float(self.q_table[i]), float(self.b_table[i])
 
-    def describe(self) -> dict:
-        if self.rule is not None:
-            return {"rule": self.rule, "n_list": list(self.n_list)}
-        return {
-            "n_list": list(self.n_list),
-            "p": list(self.p_table),
-            "q": list(self.q_table),
-            "b": list(self.b_table),
-        }
-
 
 def default_spec(n_list: Sequence[int] = DEFAULT_N_LIST) -> SequenceSpec:
     return SequenceSpec(n_list=tuple(int(n) for n in n_list), rule="default")

@@ -172,11 +172,6 @@ def second_central_moment(params: OperatorParams, pq: PQPair, x: Scalar) -> floa
     return float(_direct_moments(params, pq, [x])[0]["c2"])
 
 
-def first_central_moment_brute(params: OperatorParams, pq: PQPair, x: Scalar) -> float:
-    """Direct-summation value of the operator applied to (t - x) at x."""
-    return float(_direct_moments(params, pq, [x])[0]["c1"])
-
-
 def peetre_bound_args(params: OperatorParams, pq: PQPair,
                       x: Scalar) -> Tuple[Scalar, Scalar]:
     """The two arguments of the two-term smoothness bound, as printed.

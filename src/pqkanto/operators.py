@@ -79,7 +79,6 @@ from .pq_calculus import (
     _brackets,
     _store_fractions,
     bracket_table,
-    pq_integer,
     pq_integral_monomial,
     predicted_terms,
     truncated_series,
@@ -241,24 +240,13 @@ def basis_weights(params: OperatorParams, pq: PQPair, x: Scalar) -> WeightVector
     return WeightVector(weights=w, x_norm=x_norm, mode=params.mode)
 
 
-def kantorovich_node(k: int, t: Scalar, params: OperatorParams, pq: PQPair) -> Scalar:
-    """Integration-node map ((1-t) [k] + [k+1] t + alpha) b_n / ([n+1] + beta).
-
-    Affine in t; for 0 <= k <= n+m and t in [0, 1/p] the values stay in
-    [0, node_hull_max].
-    """
-    if not (0 <= k <= params.degree):
-        raise DomainError(f"k={k} outside 0..{params.degree}")
-    num = (1 - t) * pq_integer(k, pq) + pq_integer(k + 1, pq) * t + params.alpha
-    return num * params.b_n / (pq_integer(params.n + 1, pq) + params.beta)
-
-
 def node_hull_max(params: OperatorParams, pq: PQPair) -> float:
     """Upper end of the interval containing every argument f sees inside
     the operator: ([n+m+1]/p + alpha) b_n / ([n+1] + beta).  (The series
     integral samples t up to 1/p.)"""
-    top = pq_integer(params.degree + 1, pq) / pq.p + params.alpha
-    return float(top * params.b_n / (pq_integer(params.n + 1, pq) + params.beta))
+    br = _brackets(params.degree + 2, pq.p, pq.q)
+    top = br[params.degree + 1] / pq.p + params.alpha
+    return float(top * params.b_n / (br[params.n + 1] + params.beta))
 
 
 def _node_affine(params: OperatorParams, pq: PQPair):

@@ -5,12 +5,12 @@ For 0 < q <= p <= 1 the (p,q)-integer is
     [n] = p^{n-1} + p^{n-2} q + ... + q^{n-1},
 
 which equals (p^n - q^n)/(p - q) when p != q and n p^{n-1} at p = q.
-On top of it sit the (p,q)-factorial, binomial coefficient, the product
-power
+On top of it sit the product power
 
     (a + b)^n = (a + b)(pa + qb)(p^2 a + q^2 b) ... (p^{n-1} a + q^{n-1} b),
 
-its expanded form, and the series-defined integral over [0, 1].
+and the integral over [0, 1]: the series-defined truncated sum, and the
+closed form 1/[j+1] for monomials.
 
 Every function in this module is pure and accepts either floats or
 `fractions.Fraction` values inside `PQPair`; passing Fractions keeps the
@@ -95,63 +95,15 @@ def _brackets(count: int, p: Scalar, q: Scalar) -> list:
     return out
 
 
-def pq_bracket(n: int, p: Scalar, q: Scalar) -> Scalar:
-    """Raw homogeneous sum sum_{i<n} p^{n-1-i} q^i, no validation.
-
-    Symmetric in (p, q) and well defined at p = q, unlike the quotient
-    (p^n - q^n)/(p - q) it equals for p != q.
-    """
-    if n < 0:
-        raise DomainError(f"n must be nonnegative, got {n}")
-    return _brackets(n + 1, p, q)[n]
-
-
 def pq_integer(n: int, pq: PQPair) -> Scalar:
-    """(p,q)-integer [n], via the homogeneous sum."""
-    return pq_bracket(n, pq.p, pq.q)
+    """(p,q)-integer [n], via the homogeneous sum sum_{i<n} p^{n-1-i} q^i.
 
-
-def pq_integer_quotient(n: int, pq: PQPair) -> Scalar:
-    """[n] via (p^n - q^n)/(p - q); requires q < p.
-
-    Kept as an independent cross-check of `pq_integer`; the homogeneous
-    sum is the production form because it is uniformly valid at p = q.
+    Well defined at p = q, unlike the quotient (p^n - q^n)/(p - q) it
+    equals for p != q.
     """
-    if not pq.is_strict:
-        raise RegimeError("quotient form requires q < p")
-    return (pq.p ** n - pq.q ** n) / (pq.p - pq.q)
-
-
-def pq_factorial(n: int, pq: PQPair) -> Scalar:
-    """[n]! = [1][2]...[n]; empty product is 1.  O(n): one bracket
-    recurrence, the one `pq_integer` runs."""
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
-    acc = pq.p * 0 + 1
-    for bracket in _brackets(n + 1, pq.p, pq.q)[1:]:
-        acc = acc * bracket
-    return acc
-
-
-def pq_binomial(n: int, k: int, pq: PQPair) -> Scalar:
-    """(p,q)-binomial coefficient [n]! / ([k]! [n-k]!).
-
-    Exact inputs go through the factorials; float inputs use the product
-    of ratios [n-i]/[i+1], which keeps intermediates near the magnitude
-    of the result instead of near [n]!.
-    """
-    if k < 0 or n < 0:
-        raise DomainError("n and k must be nonnegative")
-    if k > n:
-        raise DomainError(f"k={k} exceeds n={n}")
-    if pq.is_exact:
-        return pq_factorial(n, pq) / (pq_factorial(k, pq) * pq_factorial(n - k, pq))
-    k = min(k, n - k)
-    br = _brackets(n + 1, pq.p, pq.q)
-    acc = 1.0
-    for i in range(k):
-        acc *= br[n - i] / br[i + 1]
-    return acc
+    return _brackets(n + 1, pq.p, pq.q)[n]
 
 
 def _pq_powers(a: Scalar, b: Scalar, n: int, pq: PQPair) -> list:
@@ -172,33 +124,6 @@ def pq_power(a: Scalar, b: Scalar, n: int, pq: PQPair) -> Scalar:
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
     return _pq_powers(a, b, n, pq)[n]
-
-
-def pq_binomial_expand(a: Scalar, b: Scalar, n: int, pq: PQPair) -> Scalar:
-    """Expanded form of `pq_power`:
-
-        sum_k [n k] p^{(n-k)(n-k-1)/2} q^{k(k-1)/2} a^{n-k} b^k.
-
-    The triangular power factors are essential: the naive expansion
-    without them already contradicts the product definition at n = 2
-    ((a+b)(pa+qb) has cross term (p+q)ab, matching [2] ab only with the
-    factors p^0 q^0 in place and p a^2, q b^2 on the ends).  Equality
-    with `pq_power` is exact in rational arithmetic and is covered by
-    the test suite for n <= 12.
-    """
-    if n < 0:
-        raise DomainError(f"n must be nonnegative, got {n}")
-    p, q = pq.p, pq.q
-    acc = p * 0
-    for k in range(n + 1):
-        acc = acc + (
-            pq_binomial(n, k, pq)
-            * p ** ((n - k) * (n - k - 1) // 2)
-            * q ** (k * (k - 1) // 2)
-            * a ** (n - k)
-            * b ** k
-        )
-    return acc
 
 
 def _as_vectorized(f) -> Callable[[np.ndarray], np.ndarray]:
@@ -283,17 +208,6 @@ def truncated_series(f, a: np.ndarray, b: np.ndarray, pq: PQPair,
     )
 
 
-def pq_integral_unit(f, pq: PQPair, rel_tol: float = 1e-12) -> float:
-    """Truncated series for the integral of f over [0, 1]:
-
-        (p - q) * sum_{j>=0} (q^j / p^{j+1}) f(q^j / p^{j+1}),
-
-    the one-node case a = 0, b = 1 of `truncated_series` (same stop rule,
-    same ConvergenceError).  f must be evaluable on [0, 1/p].
-    """
-    return float(truncated_series(f, np.zeros(1), np.ones(1), pq, rel_tol)[0])
-
-
 def pq_integral_monomial(j: int, pq: PQPair) -> Scalar:
     """Closed form of the unit-interval integral of t^j: 1/[j+1].
 
@@ -308,7 +222,7 @@ def pq_integral_monomial(j: int, pq: PQPair) -> Scalar:
 
 def bracket_table(count: int, pq: PQPair) -> np.ndarray:
     """[0], [1], ..., [count-1] as a float array via the Horner recurrence
-    [k+1] = p^k + q [k], the operations of `pq_bracket` on float(p) and
+    [k+1] = p^k + q [k], the operations of `pq_integer` on float(p) and
     float(q) in one pass."""
     # Python floats: the same IEEE operations as numpy, less overhead
     return np.array(_brackets(count, float(pq.p), float(pq.q)), dtype=float)

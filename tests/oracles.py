@@ -1,6 +1,8 @@
 """Independent reference implementations that the tests compare against.
 
-Kept out of the package so that importing `pqkanto` does not import scipy.
+Kept out of the package: the classical oracle imports scipy, and the
+commands never call the scalar cross-checks of the (p,q)-primitives and
+of the node map.
 """
 
 import math
@@ -9,9 +11,103 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 
-from pqkanto import DomainError, FunctionHandle, OperatorParams, PQPair
+from pqkanto import DomainError, FunctionHandle, OperatorParams, PQPair, RegimeError
 from pqkanto.moments import MOMENT_KEYS
-from pqkanto.pq_calculus import _brackets, pq_integral_monomial
+from pqkanto.pq_calculus import (Scalar, _brackets, pq_integer, pq_integral_monomial,
+                                 truncated_series)
+
+
+def pq_integer_quotient(n: int, pq: PQPair) -> Scalar:
+    """[n] via (p^n - q^n)/(p - q); requires q < p.
+
+    Kept as an independent cross-check of `pq_integer`; the homogeneous
+    sum is the production form because it is uniformly valid at p = q.
+    """
+    if not pq.is_strict:
+        raise RegimeError("quotient form requires q < p")
+    return (pq.p ** n - pq.q ** n) / (pq.p - pq.q)
+
+
+def pq_factorial(n: int, pq: PQPair) -> Scalar:
+    """[n]! = [1][2]...[n]; empty product is 1.  O(n): one bracket
+    recurrence, the one `pq_integer` runs."""
+    if n < 0:
+        raise DomainError(f"n must be nonnegative, got {n}")
+    acc = pq.p * 0 + 1
+    for bracket in _brackets(n + 1, pq.p, pq.q)[1:]:
+        acc = acc * bracket
+    return acc
+
+
+def pq_binomial(n: int, k: int, pq: PQPair) -> Scalar:
+    """(p,q)-binomial coefficient [n]! / ([k]! [n-k]!).
+
+    Exact inputs go through the factorials; float inputs use the product
+    of ratios [n-i]/[i+1], which keeps intermediates near the magnitude
+    of the result instead of near [n]!.
+    """
+    if k < 0 or n < 0:
+        raise DomainError("n and k must be nonnegative")
+    if k > n:
+        raise DomainError(f"k={k} exceeds n={n}")
+    if pq.is_exact:
+        return pq_factorial(n, pq) / (pq_factorial(k, pq) * pq_factorial(n - k, pq))
+    k = min(k, n - k)
+    br = _brackets(n + 1, pq.p, pq.q)
+    acc = 1.0
+    for i in range(k):
+        acc *= br[n - i] / br[i + 1]
+    return acc
+
+
+def pq_binomial_expand(a: Scalar, b: Scalar, n: int, pq: PQPair) -> Scalar:
+    """Expanded form of `pq_power`:
+
+        sum_k [n k] p^{(n-k)(n-k-1)/2} q^{k(k-1)/2} a^{n-k} b^k.
+
+    The triangular power factors are essential: the naive expansion
+    without them already contradicts the product definition at n = 2
+    ((a+b)(pa+qb) has cross term (p+q)ab, matching [2] ab only with the
+    factors p^0 q^0 in place and p a^2, q b^2 on the ends).  Equality
+    with `pq_power` is exact in rational arithmetic and is covered by
+    the test suite for n <= 12.
+    """
+    if n < 0:
+        raise DomainError(f"n must be nonnegative, got {n}")
+    p, q = pq.p, pq.q
+    acc = p * 0
+    for k in range(n + 1):
+        acc = acc + (
+            pq_binomial(n, k, pq)
+            * p ** ((n - k) * (n - k - 1) // 2)
+            * q ** (k * (k - 1) // 2)
+            * a ** (n - k)
+            * b ** k
+        )
+    return acc
+
+
+def pq_integral_unit(f, pq: PQPair, rel_tol: float = 1e-12) -> float:
+    """Truncated series for the integral of f over [0, 1]:
+
+        (p - q) * sum_{j>=0} (q^j / p^{j+1}) f(q^j / p^{j+1}),
+
+    the one-node case a = 0, b = 1 of `truncated_series` (same stop rule,
+    same ConvergenceError).  f must be evaluable on [0, 1/p].
+    """
+    return float(truncated_series(f, np.zeros(1), np.ones(1), pq, rel_tol)[0])
+
+
+def kantorovich_node(k: int, t: Scalar, params: OperatorParams, pq: PQPair) -> Scalar:
+    """Integration-node map ((1-t) [k] + [k+1] t + alpha) b_n / ([n+1] + beta).
+
+    Affine in t; for 0 <= k <= n+m and t in [0, 1/p] the values stay in
+    [0, node_hull_max].
+    """
+    if not (0 <= k <= params.degree):
+        raise DomainError(f"k={k} outside 0..{params.degree}")
+    num = (1 - t) * pq_integer(k, pq) + pq_integer(k + 1, pq) * t + params.alpha
+    return num * params.b_n / (pq_integer(params.n + 1, pq) + params.beta)
 
 
 def apply_classical_reference(f: FunctionHandle, x, params: OperatorParams) -> float:

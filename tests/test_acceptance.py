@@ -21,11 +21,8 @@ from pqkanto import (
     builtin,
     default_spec,
     korovkin_sweep,
-    pq_binomial_expand,
     pq_integer,
-    pq_integer_quotient,
     pq_integral_monomial,
-    pq_integral_unit,
     pq_power,
     polynomial_handle,
     second_central_moment,
@@ -35,7 +32,8 @@ from pqkanto import (
 from pqkanto.cli import main as cli_main
 from pqkanto.operators import operator_profile
 
-from oracles import apply_classical_reference
+from oracles import (apply_classical_reference, pq_binomial_expand, pq_integer_quotient,
+                     pq_integral_unit)
 
 ARTIFACTS = Path(__file__).parent / "_artifacts"
 

@@ -7,7 +7,6 @@ from pqkanto import (
     DomainError,
     OperatorParams,
     PQPair,
-    bound_report,
     bound_reports,
     builtin,
     modulus,
@@ -88,7 +87,7 @@ class TestSecondModulus:
 
 class TestBoundReport:
     def test_constant_function(self):
-        rep = bound_report(builtin("const1"), 0.4, OperatorParams(n=4), PQPair(0.9, 0.8))
+        rep = bound_reports(builtin("const1"), [0.4], OperatorParams(n=4), PQPair(0.9, 0.8))[0]
         assert rep.observed_error == pytest.approx(0.0, abs=1e-12)
         assert rep.modulus_bound >= 0.0
         assert rep.holds_modulus is True
@@ -103,7 +102,7 @@ class TestBoundReport:
                                     m=int(rng.integers(0, 3)),
                                     alpha=1.0, beta=2.0, b_n=2.0)
             x = rng.uniform(0, 2.0)
-            rep = bound_report(builtin("absdev:0.9"), x, params, pq)
+            rep = bound_reports(builtin("absdev:0.9"), [x], params, pq)[0]
             assert rep.holds_modulus is True
             assert rep.holds_lipschitz is True
             assert rep.modulus_bound == pytest.approx(2 * rep.modulus_at_sqrt_moment)
@@ -111,7 +110,7 @@ class TestBoundReport:
     def test_lip_bound_formula(self):
         params = OperatorParams(n=5, b_n=1.0)
         pq = PQPair(0.9, 0.8)
-        rep = bound_report(builtin("lip:0.5:0.5"), 0.3, params, pq)
+        rep = bound_reports(builtin("lip:0.5:0.5"), [0.3], params, pq)[0]
         assert rep.lipschitz_bound == pytest.approx(
             rep.second_central_moment ** 0.25, rel=1e-12
         )
@@ -123,21 +122,21 @@ class TestBoundReport:
         params = OperatorParams(n=4, m=0, alpha=0.0, beta=6.0, b_n=1.0)
         pq = PQPair(0.95, 0.9)
         h = builtin("absdev:0.5")
-        rep = bound_report(h, 1.0, params, pq)
+        rep = bound_reports(h, [1.0], params, pq)[0]
         assert rep.bias < 0
         assert rep.modulus_at_abs_bias == pytest.approx(abs(rep.bias))
 
     def test_grid_moduli_set_no_flags(self):
         h = stripped(builtin("sin"))
-        rep = bound_report(h, 0.5, OperatorParams(n=4), PQPair(0.9, 0.8))
+        rep = bound_reports(h, [0.5], OperatorParams(n=4), PQPair(0.9, 0.8))[0]
         assert rep.holds_modulus is None
         assert rep.holds_lipschitz is None
         assert rep.lipschitz_bound is None
 
     def test_requires_normalized_mode(self):
         with pytest.raises(DomainError):
-            bound_report(builtin("id"), 0.2, OperatorParams(n=3, mode="literal"),
-                         PQPair(0.9, 0.8))
+            bound_reports(builtin("id"), [0.2], OperatorParams(n=3, mode="literal"),
+                          PQPair(0.9, 0.8))[0]
 
     def test_moduli_measured_over_hull(self):
         # square has no exact modulus; its grid modulus grows with the
@@ -146,14 +145,14 @@ class TestBoundReport:
         pq = PQPair(0.8, 0.5)
         hull_hi = node_hull_max(params, pq)
         assert hull_hi > 1.0
-        rep = bound_report(builtin("square"), 0.5, params, pq)
+        rep = bound_reports(builtin("square"), [0.5], params, pq)[0]
         direct = modulus(builtin("square"), np.sqrt(rep.second_central_moment),
                          (0.0, hull_hi))
         assert rep.modulus_at_sqrt_moment == pytest.approx(direct, rel=1e-12)
 
     def test_csv_fields_cover_report(self):
-        rep = bound_report(builtin("absdev:1"), 0.5, OperatorParams(n=3),
-                           PQPair(0.9, 0.8))
+        rep = bound_reports(builtin("absdev:1"), [0.5], OperatorParams(n=3),
+                            PQPair(0.9, 0.8))[0]
         payload = rep.to_json_dict()
         for field in BOUND_CSV_FIELDS:
             assert field in payload
@@ -190,7 +189,7 @@ class TestGridEstimator:
         for h in (stripped(builtin("sin")), builtin("square"), builtin("lip:0.5:0.5"),
                   builtin("absdev:0.5")):
             rows = bound_reports(h, xs, params, pq)
-            assert rows == [bound_report(h, x, params, pq) for x in xs]
+            assert rows == [bound_reports(h, [x], params, pq)[0] for x in xs]
             # tables grown in another order give the same values
             assert bound_reports(h, xs[::-1], params, pq) == rows[::-1]
 

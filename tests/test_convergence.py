@@ -44,10 +44,6 @@ class TestSequenceSpec:
             SequenceSpec(n_list=(1, 2), p_table=(0.9,), q_table=(0.8, 0.7),
                          b_table=(1.0, 1.0))
 
-    def test_describe_round_trip(self):
-        spec = default_spec((10, 50))
-        assert spec.describe() == {"rule": "default", "n_list": [10, 50]}
-
 
 class TestHypothesisCheck:
     def test_default_spec_is_valid(self):

@@ -17,10 +17,8 @@ from pqkanto import (
     apply_operator,
     basis_weights,
     builtin,
-    kantorovich_node,
     node_hull_max,
     polynomial_handle,
-    pq_binomial,
 )
 from pqkanto import operators
 from pqkanto.functions import FunctionHandle, PiecewiseLinear
@@ -34,7 +32,7 @@ from pqkanto.operators import (
 )
 from pqkanto.pq_calculus import TERM_CAP, predicted_terms, truncated_series
 
-from oracles import apply_classical_reference
+from oracles import apply_classical_reference, kantorovich_node, pq_binomial
 
 PQ98 = PQPair(0.9, 0.8)
 P11 = PQPair(1, 1)
