@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -37,13 +38,10 @@ from .convergence import (
     DEFAULT_N_LIST,
     SequenceSpec,
     hypothesis_check,
-    korovkin_sweep,
-    sweep_csv_header,
-    sweep_csv_rows,
-    vanishing_sweep,
+    sweep_rows,
 )
 from .errors import ConvergenceError, DomainError
-from .functions import builtin
+from .functions import builtin, const1, identity, square
 from .manifest import (
     RunManifest,
     fmt_float,
@@ -156,45 +154,40 @@ def run_bounds(params: dict, base: Path) -> List[str]:
 
 
 def _spec_from_params(spec_params: dict) -> SequenceSpec:
+    """The SequenceSpec of recorded spec params: an n_list of integers with
+    a rule name, or with p, q and b tables of finite numbers."""
+    def entries(key: str, kinds: tuple, what: str) -> list:
+        values = spec_params[key]
+        if not (isinstance(values, list)
+                and all(type(v) in kinds and -math.inf < v < math.inf for v in values)):
+            raise DomainError(f"sequence {key} must be a list of {what}, got {values!r}")
+        return values
+
+    n_list = tuple(entries("n_list", (int,), "integers"))
     if "rule" in spec_params:
-        return SequenceSpec(n_list=tuple(int(n) for n in spec_params["n_list"]),
-                            rule=spec_params["rule"])
-    return SequenceSpec(
-        n_list=tuple(int(n) for n in spec_params["n_list"]),
-        p_table=tuple(float(v) for v in spec_params["p"]),
-        q_table=tuple(float(v) for v in spec_params["q"]),
-        b_table=tuple(float(v) for v in spec_params["b"]),
-    )
+        return SequenceSpec(n_list=n_list, rule=spec_params["rule"])
+    p, q, b = (tuple(float(v) for v in entries(key, (int, float), "finite numbers"))
+               for key in ("p", "q", "b"))
+    return SequenceSpec(n_list=n_list, p_table=p, q_table=q, b_table=b)
 
 
 def run_converge(params: dict, base: Path) -> List[str]:
     spec = _spec_from_params(params["spec"])
     out = params["out"]
     if params["check_only"]:
-        report = hypothesis_check(spec)
-        write_json(report, _resolve(base, out))
-        _write_manifest("converge", params, [out], base)
-        return [out]
-    m = int(params["m"])
-    alpha = _scalar(params["alpha"])
-    beta = _scalar(params["beta"])
-    grid = int(params["grid"])
-    if params.get("vanishing"):
-        f = builtin(params["vanishing"])
-        results = vanishing_sweep(spec, f, m=m, alpha=alpha, beta=beta,
-                                  grid_points=grid)
-        header = ["n", "p_n", "q_n", "b_n", "err_sup"]
-        rows = []
-        for n, err in results:
-            p_n, q_n, b_n = spec.realize(n)
-            rows.append([n, p_n, q_n, b_n, err])
+        write_json(hypothesis_check(spec), _resolve(base, out))
     else:
-        extra = [builtin(name) for name in params["extra"]]
-        records = korovkin_sweep(spec, extra=extra, m=m, alpha=alpha, beta=beta,
-                                 grid_points=grid)
-        header = sweep_csv_header([h.name for h in extra])
-        rows = sweep_csv_rows(records)
-    write_csv(header, rows, _resolve(base, out))
+        m, alpha, beta = int(params["m"]), _scalar(params["alpha"]), _scalar(params["beta"])
+        grid = int(params["grid"])
+        if params.get("vanishing"):
+            fs, names, weighted = [builtin(params["vanishing"])], ["sup"], False
+        else:
+            extra = [builtin(name) for name in params["extra"]]
+            fs = [const1(), identity(), square(), *extra]
+            names, weighted = ["e0", "e1", "e2", *(h.name for h in extra)], True
+        rows = sweep_rows(spec, fs, m, alpha, beta, grid, weighted=weighted)
+        write_csv(["n", "p_n", "q_n", "b_n", *(f"err_{name}" for name in names)], rows,
+                  _resolve(base, out))
     _write_manifest("converge", params, [out], base)
     return [out]
 
@@ -298,79 +291,87 @@ _TEXT_PARAMS = ("x", "alpha", "beta", "bn", "p", "q")
 
 
 def _command_params(args: argparse.Namespace) -> dict:
-    """Params of an eval, verify or bounds call: every dest of the
-    subcommand's parser, in the parser's order, less `command` and
-    `config`.  The namespace holds exactly those dests in that order."""
+    """Params of a call: every dest of the subcommand's parser, in the
+    parser's order, less `command` and `config`, with the switches `exact`
+    and `check_only` as bools.  The namespace holds exactly those dests in
+    that order."""
     params = {}
     for key, value in vars(args).items():
         if key in ("command", "config"):
             continue
         if key in _TEXT_PARAMS:
             value = str(value)
-        elif key == "exact":
+        elif key in ("exact", "check_only"):
             value = bool(value)
         params[key] = value
     return params
 
 
+def _load_json(path: str, what: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"bad JSON in {what} {path!r}: {exc}") from exc
+
+
 def _converge_params(args: argparse.Namespace) -> dict:
-    if args.seq_file:
-        with open(args.seq_file, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if "n_list" not in raw:
+    """`_command_params` with --rule, --n-list and the --seq-file contents
+    folded into one recorded `spec`, and the mode's default --out."""
+    params = _command_params(args)
+    rule, n_list, seq_file = params.pop("rule"), params.pop("n_list"), params.pop("seq_file")
+    if seq_file:
+        raw = _load_json(seq_file, "--seq-file")
+        if not isinstance(raw, dict) or "n_list" not in raw:
             raise DomainError("--seq-file needs an n_list entry")
-        if all(k in raw for k in ("p", "q", "b")):
-            spec_params = {k: raw[k] for k in ("n_list", "p", "q", "b")}
-        else:
-            spec_params = {"n_list": raw["n_list"],
-                           "rule": raw.get("rule", "default")}
+        tables = all(k in raw for k in ("p", "q", "b"))
+        spec_params = ({k: raw[k] for k in ("n_list", "p", "q", "b")} if tables
+                       else {"n_list": raw["n_list"], "rule": raw.get("rule", "default")})
     else:
         try:
-            n_list = [int(v) for v in args.n_list.split(",") if v.strip()]
+            spec_params = {"n_list": [int(v) for v in n_list.split(",") if v.strip()],
+                           "rule": rule}
         except ValueError as exc:
-            raise DomainError(f"bad --n-list {args.n_list!r}") from exc
-        spec_params = {"n_list": n_list, "rule": args.rule}
+            raise DomainError(f"bad --n-list {n_list!r}") from exc
     _spec_from_params(spec_params)  # validate early
-    if args.out is None:
-        out = ("hypothesis_report.json" if args.check_only
-               else "vanishing_sweep.csv" if args.vanishing
-               else "korovkin_sweep.csv")
-    else:
-        out = args.out
-    return {
-        "spec": spec_params,
-        "extra": list(args.extra),
-        "m": args.m,
-        "alpha": str(args.alpha),
-        "beta": str(args.beta),
-        "grid": args.grid,
-        "check_only": bool(args.check_only),
-        "vanishing": args.vanishing,
-        "out": out,
-    }
+    params["spec"] = spec_params
+    if params["out"] is None:
+        params["out"] = ("hypothesis_report.json" if params["check_only"]
+                         else "vanishing_sweep.csv" if params["vanishing"]
+                         else "korovkin_sweep.csv")
+    return params
 
 
-def _apply_config(args: argparse.Namespace, argv: List[str]) -> None:
+def _apply_config(args: argparse.Namespace, argv: List[str],
+                  parser: argparse.ArgumentParser) -> None:
     """Merge a --config JSON into the namespace; explicit flags win.
 
     Keys are the long flag names with dashes as underscores (n_list,
-    check_only, ...); values carry the same types the flags would parse.
+    check_only, ...).  A value of a flag with a type or choices is checked
+    as argparse checks the flag's text: {"n": "abc"} is an error.
     """
-    with open(args.config, "r", encoding="utf-8") as fh:
-        try:
-            config = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"bad JSON in config {args.config!r}: {exc}") from exc
+    config = _load_json(args.config, "config")
     if not isinstance(config, dict):
         raise DomainError("config file must hold a JSON object of flag values")
+    [commands] = [action for action in parser._actions if action.dest == "command"]
+    flags = {action.dest: action for action in commands.choices[args.command]._actions}
     explicit = {token.split("=", 1)[0] for token in argv if token.startswith("--")}
     for key, value in config.items():
         if key in ("command", "config") or not hasattr(args, key):
             raise DomainError(f"config key {key!r} is not a flag of this command")
         if f"--{key.replace('_', '-')}" in explicit:
             continue
-        if key == "n_list" and isinstance(value, list):
-            value = ",".join(str(v) for v in value)
+        flag = flags[key]
+        try:
+            if flag.type is not None:
+                value = flag.type(str(value))
+            if flag.choices is not None and value not in flag.choices:
+                raise ValueError
+        except ValueError:
+            raise DomainError(f"config value {key}={value!r} is not a valid "
+                              f"--{key.replace('_', '-')}") from None
+        if key == "n_list":
+            value = ",".join(map(str, value)) if isinstance(value, list) else str(value)
         setattr(args, key, value)
 
 
@@ -388,29 +389,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     base = Path.cwd()
     try:
         if getattr(args, "config", None):
-            _apply_config(args, argv)
+            _apply_config(args, argv, parser)
         if args.command == "eval":
             _require(args, "fn", "x", "n")
-            value = run_eval(_command_params(args), base)
-            print(fmt_float(value))
+            print(fmt_float(run_eval(_command_params(args), base)))
         elif args.command == "verify":
             _require(args, "x", "n")
-            outputs = run_verify(_command_params(args), base)
-            print(f"wrote {outputs[0]}")
+            print(f"wrote {run_verify(_command_params(args), base)[0]}")
         elif args.command == "bounds":
             _require(args, "fn", "n")
-            outputs = run_bounds(_command_params(args), base)
-            print(f"wrote {outputs[0]}")
+            print(f"wrote {run_bounds(_command_params(args), base)[0]}")
         elif args.command == "converge":
-            params = _converge_params(args)
-            outputs = run_converge(params, base)
-            print(f"wrote {outputs[0]}")
+            print(f"wrote {run_converge(_converge_params(args), base)[0]}")
         elif args.command == "replay":
-            outputs = run_replay(args.manifest, args.outdir)
-            for out in outputs:
+            for out in run_replay(args.manifest, args.outdir):
                 print(f"wrote {Path(args.outdir) / out}")
-        else:  # pragma: no cover - argparse enforces the choices
-            parser.error(f"unknown command {args.command!r}")
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

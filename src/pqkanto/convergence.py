@@ -66,7 +66,7 @@ class SequenceSpec:
         if any(a >= b for a, b in zip(self.n_list, self.n_list[1:])):
             raise DomainError("n_list must be strictly increasing")
         if self.rule is not None:
-            if self.rule not in SEQUENCE_RULES:
+            if not isinstance(self.rule, str) or self.rule not in SEQUENCE_RULES:
                 raise DomainError(
                     f"unknown rule {self.rule!r}; builtins: {sorted(SEQUENCE_RULES)}"
                 )
@@ -101,19 +101,14 @@ def hypothesis_check(spec: SequenceSpec) -> dict:
     for n in spec.n_list:
         p_n, q_n, b_n = spec.realize(n)
         valid = 0.0 < q_n < p_n <= 1.0 and b_n > 0.0
-        row = {
+        bracket = float(pq_integer(n, PQPair(p_n, q_n))) if valid else None
+        rows.append({
             "n": n, "p_n": p_n, "q_n": q_n, "b_n": b_n, "valid": valid,
             "p_pow_n": p_n ** n if valid else None,
             "q_pow_n": q_n ** n if valid else None,
-        }
-        if valid:
-            bracket = float(pq_integer(n, PQPair(p_n, q_n)))
-            row["bn_over_bracket"] = b_n / bracket
-            row["bn2_over_bracket"] = b_n * b_n / bracket
-        else:
-            row["bn_over_bracket"] = None
-            row["bn2_over_bracket"] = None
-        rows.append(row)
+            "bn_over_bracket": b_n / bracket if valid else None,
+            "bn2_over_bracket": b_n * b_n / bracket if valid else None,
+        })
 
     def trend(key: str) -> dict:
         vals = [r[key] for r in rows if r[key] is not None]
@@ -198,26 +193,33 @@ class SweepRecord:
     err_extra: Dict[str, float] = field(default_factory=dict)
 
 
+def sweep_rows(spec: SequenceSpec, fs: Sequence[FunctionHandle], m: int = 0,
+               alpha: float = 0.0, beta: float = 0.0,
+               grid_points: int = DEFAULT_GRID_POINTS, rel_tol: float = 1e-12,
+               weighted: bool = True) -> List[list]:
+    """One row [n, p_n, q_n, b_n, err per f] per n of a valid spec: the sup
+    errors of every f in fs from one operator profile, divided by 1 + x^2
+    when weighted.  Unweighted errors need handles with a support bound."""
+    if not weighted and any(f.support_bound is None for f in fs):
+        raise DomainError("vanishing sweep requires a handle with support_bound")
+    _require_valid(spec)
+    rows = []
+    for n in spec.n_list:
+        p_n, q_n, b_n = spec.realize(n)
+        params = OperatorParams(n=n, m=m, alpha=alpha, beta=beta, b_n=b_n)
+        rows.append([n, p_n, q_n, b_n, *_sup_errors(fs, params, PQPair(p_n, q_n),
+                                                    grid_points, rel_tol, weighted)])
+    return rows
+
+
 def korovkin_sweep(spec: SequenceSpec, extra: Sequence[FunctionHandle] = (),
                    m: int = 0, alpha: float = 0.0, beta: float = 0.0,
                    grid_points: int = DEFAULT_GRID_POINTS,
                    rel_tol: float = 1e-12) -> List[SweepRecord]:
     """Weighted sup errors of the test set {1, t, t^2} (plus extras) per n."""
-    _require_valid(spec)
-    e0, e1, e2 = const1(), identity(), square()
-    records = []
-    for n in spec.n_list:
-        p_n, q_n, b_n = spec.realize(n)
-        pq = PQPair(p_n, q_n)
-        params = OperatorParams(n=n, m=m, alpha=alpha, beta=beta, b_n=b_n)
-        errs = _sup_errors([e0, e1, e2, *extra], params, pq, grid_points, rel_tol,
-                           weighted=True)
-        records.append(SweepRecord(
-            n=n, p_n=p_n, q_n=q_n, b_n=b_n,
-            err_e0=errs[0], err_e1=errs[1], err_e2=errs[2],
-            err_extra={h.name: err for h, err in zip(extra, errs[3:])},
-        ))
-    return records
+    return [SweepRecord(*row[:7], err_extra={h.name: err for h, err in zip(extra, row[7:])})
+            for row in sweep_rows(spec, [const1(), identity(), square(), *extra], m, alpha,
+                                  beta, grid_points, rel_tol)]
 
 
 def vanishing_sweep(spec: SequenceSpec, f: FunctionHandle,
@@ -226,30 +228,5 @@ def vanishing_sweep(spec: SequenceSpec, f: FunctionHandle,
                     rel_tol: float = 1e-12) -> List[Tuple[int, float]]:
     """Unweighted sup |Kf - f| over [0, b_n] per n, for f vanishing on
     [C, inf) (the handle must carry a support bound)."""
-    if f.support_bound is None:
-        raise DomainError("vanishing sweep requires a handle with support_bound")
-    _require_valid(spec)
-    out = []
-    for n in spec.n_list:
-        p_n, q_n, b_n = spec.realize(n)
-        pq = PQPair(p_n, q_n)
-        params = OperatorParams(n=n, m=m, alpha=alpha, beta=beta, b_n=b_n)
-        [err] = _sup_errors([f], params, pq, grid_points, rel_tol, weighted=False)
-        out.append((n, err))
-    return out
-
-
-def sweep_csv_header(extra_names: Sequence[str] = ()) -> List[str]:
-    return ["n", "p_n", "q_n", "b_n", "err_e0", "err_e1", "err_e2"] + [
-        f"err_{name}" for name in extra_names
-    ]
-
-
-def sweep_csv_rows(records: Sequence[SweepRecord]) -> List[List]:
-    extra_names = list(records[0].err_extra) if records else []
-    rows = []
-    for r in records:
-        row = [r.n, r.p_n, r.q_n, r.b_n, r.err_e0, r.err_e1, r.err_e2]
-        row += [r.err_extra[name] for name in extra_names]
-        rows.append(row)
-    return rows
+    return [(row[0], row[4]) for row in
+            sweep_rows(spec, [f], m, alpha, beta, grid_points, rel_tol, weighted=False)]

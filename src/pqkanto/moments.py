@@ -16,9 +16,9 @@ and reports residuals.  The five closed forms share one set of terms per
 call (the brackets [2], [3], [n+1] + beta, [n+m], [n+m-1] and the three
 compound powers), and one routine takes every direct sum, exact or float,
 at any number of points; its exact sums run on integer numerators over
-one denominator per vector, and each reported moment becomes one
-Fraction.  Residuals are data, not assertions: at p = q = 1
-all five closed forms agree with direct summation, while for p < 1 the
+one denominator per vector, with three dot products per point and the
+central moments from those.  Residuals are data, not assertions: at
+p = q = 1 all five closed forms agree with direct summation, while for p < 1 the
 first and second moment displays disagree with direct summation in both
 basis modes (already at n+m = 2), so the report is the honest output.
 The quantities feeding error bounds therefore come from direct summation,
@@ -27,6 +27,7 @@ never from the closed forms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from numbers import Rational
@@ -36,8 +37,9 @@ from typing import Dict, List, NamedTuple, Tuple
 import numpy as np
 
 from .errors import DomainError, SizeCapError
-from .operators import (OperatorParams, _check_x, _monomial_terms, _node_affine, _not_finite,
-                        _poly_integrals, _weights_exact, basis_weights)
+from .operators import (OperatorParams, _check_x, _monomial_terms, _node_affine,
+                        _node_numerators, _not_finite, _poly_integrals, _scaled, _weights_exact,
+                        basis_weights)
 from .pq_calculus import PQPair, Scalar, _brackets, _pq_powers, pq_power
 
 MOMENT_KEYS = ("m0", "m1", "m2", "c1", "c2")
@@ -132,31 +134,50 @@ def moment_closed(kind, params: OperatorParams, pq: PQPair, x: Scalar) -> Scalar
     return _closed_moments(params, x, _closed_terms(params, pq, x))[key]
 
 
+def _exact_moments(params: OperatorParams, pq: PQPair, xs) -> List[Dict[str, Fraction]]:
+    """The five moments at every rational x in xs for exact inputs, keyed as
+    MOMENT_KEYS.  T_0, T_1, T_2 are integer numerators over one denominator
+    each; each x takes its exact weights and three dot products, and
+    c1 = m1 - x m0, c2 = m2 - 2x m1 + x^2 m0 follow exactly."""
+    (big_p, big_q), d = _scaled([pq.p, pq.q])
+    a, b, den = _node_numerators(params, pq)
+    mono = _scaled([Fraction(d ** j, v)  # 1/[j+1] = D^j / N_{j+1}
+                    for j, v in enumerate(_brackets(4, big_p, big_q)[1:])])
+    terms = [([sum(math.comb(u, j) * mono.nums[j] * ak ** (u - j) * bk ** j
+                   for j in range(u + 1)) for ak, bk in zip(a, b)], den ** u * mono.den)
+             for u in range(3)]
+    out = []
+    for x in xs:
+        w = _weights_exact(params.degree, pq, _check_x(params, x), params.mode)
+        m0, m1, m2 = (Fraction(sum(map(mul, w.nums, nums)), w.den * t_den)
+                      for nums, t_den in terms)
+        out.append(dict(zip(MOMENT_KEYS, (m0, m1, m2, m1 - x * m0,
+                                          m2 - 2 * x * m1 + x * x * m0))))
+    return out
+
+
 def _direct_moments(params: OperatorParams, pq: PQPair, xs) -> List[Dict[str, Scalar]]:
     """Direct summation of the five moments at every x in xs, keyed as
-    MOMENT_KEYS.  When every input is rational the sums run on integer
-    numerators over one denominator per vector (weights, node map, monomial
-    terms) and each moment becomes one Fraction; else they are floats that
-    equal `operator_profile` on the moment polynomials bit for bit.  One
-    node map and one set of monomial terms T_0, T_1, T_2 serve the call;
-    each x takes one weight row and one dot product per moment polynomial.
-    Raises DomainError when a float value is not finite.
+    MOMENT_KEYS.  When every input is rational they are Fractions from
+    `_exact_moments`; else they are floats that equal `operator_profile` on
+    the moment polynomials bit for bit.  One node map and one set of
+    monomial terms T_0, T_1, T_2 serve the call; each x takes one weight row
+    and one dot product per moment polynomial.  Raises DomainError when a
+    float value is not finite.
     """
-    exact = params.is_exact(pq) and all(isinstance(x, Rational) for x in xs)
-    weights = [_weights_exact(params.degree, pq, _check_x(params, x), params.mode) if exact
-               else basis_weights(params, pq, x).weights for x in xs]
-    cast = Fraction if exact else float
-    a, b = _node_affine(params, pq if exact else PQPair(float(pq.p), float(pq.q)))
+    if params.is_exact(pq) and all(isinstance(x, Rational) for x in xs):
+        return _exact_moments(params, pq, xs)
+    weights = [basis_weights(params, pq, x).weights for x in xs]
+    a, b = _node_affine(params, pq)
     out = []
     with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
         terms = _monomial_terms(2, a, b, pq)
         for x, w in zip(xs, weights):
-            x = cast(x)
+            x = float(x)
             # T_u is the vector of t^u itself: a handle's 0 + 1.0 * T_u equals it, as T_u >= 0
             central = [_poly_integrals(c, terms) for c in ((-x, 1), (x * x, -2 * x, 1))]
-            values = [Fraction(sum(map(mul, w.nums, v.nums)), w.den * v.den) if exact
-                      else float(np.dot(w, v)) for v in terms + central]
-            if not (exact or np.isfinite(values).all()):
+            values = [float(np.dot(w, v)) for v in terms + central]
+            if not np.isfinite(values).all():
                 raise _not_finite("operator value is", params.degree, w)
             out.append(dict(zip(MOMENT_KEYS, values)))
     return out

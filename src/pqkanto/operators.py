@@ -249,17 +249,22 @@ def node_hull_max(params: OperatorParams, pq: PQPair) -> float:
     return float(top * params.b_n / (br[params.n + 1] + params.beta))
 
 
-def _node_affine(params: OperatorParams, pq: PQPair):
-    """(A, B) with node_k(t) = A[k] + B[k] t: float arrays, or, for exact
-    inputs, integer numerators over one denominator shared by A and B (the
-    brackets [k] = N_k / D^{k-1} of `_weights_exact`, over D^{n+m})."""
+def _node_affine(params: OperatorParams, pq: PQPair) -> Tuple[np.ndarray, np.ndarray]:
+    """(A, B) with node_k(t) = A[k] + B[k] t, as float arrays whatever
+    scalars params and pq hold."""
     deg = params.degree
-    if not params.is_exact(pq):
-        br = bracket_table(deg + 2, pq)
-        scale = float(params.b_n) / (br[params.n + 1] + float(params.beta))
-        a = (br[: deg + 1] + float(params.alpha)) * scale
-        b = (br[1: deg + 2] - br[: deg + 1]) * scale
-        return a, b
+    br = bracket_table(deg + 2, pq)
+    scale = float(params.b_n) / (br[params.n + 1] + float(params.beta))
+    a = (br[: deg + 1] + float(params.alpha)) * scale
+    b = (br[1: deg + 2] - br[: deg + 1]) * scale
+    return a, b
+
+
+def _node_numerators(params: OperatorParams, pq: PQPair) -> Tuple[List[int], List[int], int]:
+    """The node map of exact inputs: integer numerators of A and B over one
+    shared denominator (the brackets [k] = N_k / D^{k-1} of `_weights_exact`,
+    over D^{n+m})."""
+    deg = params.degree
     (big_p, big_q), d = _scaled([pq.p, pq.q])
     top, alpha, beta, b_n = d ** deg, params.alpha, params.beta, params.b_n
     br = [v * d ** (deg + 1 - k) for k, v in enumerate(_brackets(deg + 2, big_p, big_q))]
@@ -269,25 +274,12 @@ def _node_affine(params: OperatorParams, pq: PQPair):
                                                   + beta.numerator * top)
     a = [(v * alpha.denominator + alpha.numerator * top) * num for v in br[:deg + 1]]
     b = [(v1 - v0) * alpha.denominator * num for v0, v1 in zip(br, br[1:])]
-    return Scaled(a, den), Scaled(b, den)
+    return a, b, den
 
 
-def _monomial_terms(deg: int, a, b, pq: PQPair) -> list:
-    """T_u, the exact integral of (A + B t)^u over [0,1] against d_pq t, for
-    u <= deg, via the monomial rule (integral of t^j is 1/[j+1]); in the form
-    of the nodes, so `Scaled` nodes give numerators over A.den^u times one."""
-    if isinstance(a, Scaled):
-        (big_p, big_q), d = _scaled([pq.p, pq.q])
-        mono = _scaled([Fraction(d ** j, v)  # 1/[j+1] = D^j / N_{j+1}
-                        for j, v in enumerate(_brackets(deg + 2, big_p, big_q)[1:])])
-        terms = []
-        for u in range(deg + 1):
-            term = [0] * len(a.nums)
-            for j in range(u + 1):
-                c = math.comb(u, j) * mono.nums[j]
-                term = [t + c * ak ** (u - j) * bk ** j for t, ak, bk in zip(term, a.nums, b.nums)]
-            terms.append(Scaled(term, a.den ** u * mono.den))
-        return terms
+def _monomial_terms(deg: int, a: np.ndarray, b: np.ndarray, pq: PQPair) -> List[np.ndarray]:
+    """T_u, the integral of (A + B t)^u over [0,1] against d_pq t, for
+    u <= deg, via the monomial rule (integral of t^j is 1/[j+1])."""
     mono = [float(pq_integral_monomial(j, pq)) for j in range(deg + 1)]
     terms = []
     for u in range(deg + 1):
@@ -298,17 +290,9 @@ def _monomial_terms(deg: int, a, b, pq: PQPair) -> list:
     return terms
 
 
-def _poly_integrals(coeffs: Sequence[Scalar], terms: list):
+def _poly_integrals(coeffs: Sequence[Scalar], terms: List[np.ndarray]) -> np.ndarray:
     """Integrals of sum_u c_u (A + B t)^u: sum_u c_u T_u over the nonzero
-    c_u, in order (see `_monomial_terms`); `Scaled` terms and rational c_u
-    give numerators over a common denominator."""
-    if isinstance(terms[0], Scaled):
-        den = math.lcm(*(c.denominator * t.den for c, t in zip(coeffs, terms)))
-        out = [0] * len(terms[0].nums)
-        for c, t in zip(coeffs, terms):
-            scale = c.numerator * (den // (c.denominator * t.den))
-            out = [o + scale * v for o, v in zip(out, t.nums)]
-        return Scaled(out, den)
+    c_u, in order (see `_monomial_terms`)."""
     out = np.zeros_like(terms[0])
     for c, term in zip(coeffs, terms):
         if c != 0:
@@ -604,7 +588,7 @@ def operator_profile(fs: Union[FunctionHandle, Sequence[FunctionHandle]],
     single = isinstance(fs, FunctionHandle)
     handles = [fs] if single else list(fs)
     x_norm = np.array([float(_check_x(params, x)) for x in xs])
-    a, b = _node_affine(params, PQPair(float(pq.p), float(pq.q)))  # float nodes for any pq
+    a, b = _node_affine(params, pq)
     out = np.empty((len(handles), len(x_norm)))
     rows = max(1, WEIGHT_BLOCK // (params.degree + 1))
     with np.errstate(over="ignore", invalid="ignore"):  # raised below instead

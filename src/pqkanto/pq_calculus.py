@@ -149,12 +149,12 @@ def predicted_terms(pq: PQPair, rel_tol: float) -> int:
 
     The tail bound M (q/p)^J compares with rel_tol |acc|, and |acc| < M
     (M = running max |f|), so it cannot drop below before (q/p)^J <=
-    rel_tol.  Requires q < p strictly and rel_tol > 0.
+    rel_tol.  Requires q < p strictly and 0 < rel_tol < inf.
     """
     if not pq.is_strict:
         raise RegimeError("series integral requires q < p strictly")
-    if rel_tol <= 0:
-        raise DomainError("rel_tol must be positive")
+    if not 0 < rel_tol < math.inf:
+        raise DomainError(f"rel_tol must be a positive finite number, got {rel_tol}")
     p = float(pq.p)
     return max(0, math.ceil(math.log(rel_tol) / math.log1p(-(p - float(pq.q)) / p)))
 

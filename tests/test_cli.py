@@ -271,6 +271,22 @@ class TestConverge:
         err = capsys.readouterr().err
         assert "n=3" in err
 
+    @pytest.mark.parametrize("text", [
+        '{"n_list": ["a"]}', '{"n_list": 5}', '{"n_list": [10.5]}', '{"n_list": [true]}',
+        '{"n_list": [3], "p": ["x"], "q": [0.8], "b": [1.0]}',
+        '{"n_list": [3], "p": 0.9, "q": [0.8], "b": [1.0]}',
+        '{"n_list": [3], "p": [0.9], "q": [0.8], "b": [Infinity]}',
+        '{"n_list": [3], "rule": ["default"]}', '{not json', '5'],
+        ids=["n-text", "n-scalar", "n-float", "n-bool", "table-text", "table-scalar",
+             "table-inf", "rule-list", "not-json", "not-object"])
+    def test_seq_file_malformed_exit_2(self, tmp_path, capsys, text):
+        # integer n_list, numeric tables, a JSON object: else one error line
+        (tmp_path / "bad.json").write_text(text)
+        code = run_cli(["converge", "--seq-file", "bad.json", "--out", "t.csv"], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "t.csv").exists()
+
     def test_vanishing_mode(self, tmp_path):
         code = run_cli(["converge", "--vanishing", "bump:2", "--n-list",
                         "10,50", "--out", "v.csv"], tmp_path)
@@ -325,6 +341,22 @@ class TestConfig:
         assert code == 2
         assert "nope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, cfg", [
+        (["eval", "--fn", "id", "--x", "0.5"], {"n": "abc"}),
+        (["eval", "--fn", "id", "--x", "0.5", "--n", "3"], {"op": "bogus"}),
+        (["bounds", "--fn", "sin", "--n", "3"], {"grid": "many"}),
+        (["converge", "--n-list", "10"], {"m": "one"}),
+        (["converge"], {"n_list": [10.5]}),
+        (["bounds", "--fn", "sin", "--n", "3"], {"grid": None}),
+    ])
+    def test_config_value_the_flag_rejects_exit_2(self, tmp_path, capsys, argv, cfg):
+        # a config value is checked as argparse checks the flag's text
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert run_cli(argv + ["--config", "cfg.json"], tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not list(tmp_path.glob("*.manifest.json"))
+
     @pytest.mark.parametrize("key, value", [("command", "bounds"), ("config", "c.json")])
     def test_config_cannot_switch_command_exit_2(self, tmp_path, capsys, key, value):
         # a config may not name the command or another config: exit 2,
@@ -374,6 +406,18 @@ def test_overflowing_integrals_one_error_line(tmp_path, argv):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
     assert "RuntimeWarning" not in proc.stderr and "~1030" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["eval", "bounds"])
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_tol_not_positive_finite_exit_2(tmp_path, capsys, command, tol):
+    # a series path needs 0 < tol < inf: exit 2 with one error line
+    argv = [command, "--fn", "sin", "--n", "3", "--p", "0.9", "--q", "0.8", "--tol", tol]
+    argv += ["--x", "0.5"] if command == "eval" else ["--out", "b.csv"]
+    assert run_cli(argv, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: rel_tol must be a positive finite number")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -446,10 +490,16 @@ class TestParser:
          [("fn", "sin"), ("grid", 5), ("out", "bounds.csv"), ("n", 3), ("m", 0),
           ("alpha", "0"), ("beta", "0"), ("bn", "1"), ("p", "1"), ("q", "1"),
           ("mode", "literal"), ("tol", 1e-12)]),
+        (["converge", "--n-list", "10,50", "--extra", "sin", "--alpha", "1/2",
+          "--beta", "1", "--check-only"],
+         [("extra", ["sin"]), ("m", 0), ("alpha", "1/2"), ("beta", "1"), ("grid", 257),
+          ("check_only", True), ("vanishing", None), ("out", "hypothesis_report.json"),
+          ("spec", {"n_list": [10, 50], "rule": "default"})]),
     ])
     def test_params_follow_flags(self, argv, want, tmp_path, monkeypatch):
         seen = []
-        runner = {"eval": "run_eval", "verify": "run_verify", "bounds": "run_bounds"}
+        runner = {"eval": "run_eval", "verify": "run_verify", "bounds": "run_bounds",
+                  "converge": "run_converge"}
         result = 0.0 if argv[0] == "eval" else ["x"]
         monkeypatch.setattr(cli, runner[argv[0]],
                             lambda params, base: seen.append(params) or result)

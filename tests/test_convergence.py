@@ -16,8 +16,9 @@ from pqkanto import (
     weighted_sup_error,
 )
 from pqkanto import operators
-from pqkanto.convergence import sweep_csv_header, sweep_csv_rows
-from pqkanto.functions import FunctionHandle
+from pqkanto.cli import main
+from pqkanto.convergence import sweep_rows
+from pqkanto.functions import FunctionHandle, const1, identity, square
 
 P11 = PQPair(1, 1)
 
@@ -110,16 +111,44 @@ class TestKorovkinSweep:
         direct = weighted_sup_error(builtin("id"), params, PQPair(p, q))
         assert record.err_e1 == direct
 
-    def test_extras_and_csv_layout(self):
+    def test_extras_and_csv_layout(self, tmp_path, monkeypatch):
         spec = default_spec((10, 50))
         extra = [builtin("bump:2")]
         records = korovkin_sweep(spec, extra=extra)
         assert "bump:2" in records[0].err_extra
-        header = sweep_csv_header([h.name for h in extra])
+        monkeypatch.chdir(tmp_path)
+        assert main(["converge", "--n-list", "10", "--grid", "5", "--extra", "bump:2",
+                     "--out", "s.csv"]) == 0
+        header = (tmp_path / "s.csv").read_text().splitlines()[0].split(",")
         assert header == ["n", "p_n", "q_n", "b_n", "err_e0", "err_e1", "err_e2",
                           "err_bump:2"]
-        rows = sweep_csv_rows(records)
+        rows = sweep_rows(spec, [const1(), identity(), square(), *extra])
         assert len(rows) == 2 and len(rows[0]) == len(header)
+
+    @pytest.mark.parametrize("vanishing", [False, True])
+    def test_sweeps_and_csv_equal_sweep_rows(self, tmp_path, monkeypatch, vanishing):
+        # both sweeps and the converge CSV are the rows of one loop, bit for bit
+        spec = default_spec((10, 50))
+        kw = {"m": 1, "alpha": 0.5, "beta": 1.0, "grid_points": 33}
+        argv = ["converge", "--n-list", "10,50", "--m", "1", "--alpha", "1/2",
+                "--beta", "1", "--grid", "33", "--out", "s.csv"]
+        if vanishing:
+            f = builtin("bump:2")
+            rows = sweep_rows(spec, [f], weighted=False, **kw)
+            assert vanishing_sweep(spec, f, **kw) == [(r[0], r[4]) for r in rows]
+            argv += ["--vanishing", "bump:2"]
+        else:
+            extra = [builtin("absdev:1"), builtin("sin")]
+            rows = sweep_rows(spec, [const1(), identity(), square(), *extra], **kw)
+            got = [[r.n, r.p_n, r.q_n, r.b_n, r.err_e0, r.err_e1, r.err_e2,
+                    *r.err_extra.values()] for r in korovkin_sweep(spec, extra, **kw)]
+            assert got == rows
+            argv += ["--extra", "absdev:1", "--extra", "sin"]
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        lines = (tmp_path / "s.csv").read_text().splitlines()[1:]
+        assert [[float(v).hex() for v in line.split(",")] for line in lines] == \
+            [[float(v).hex() for v in row] for row in rows]
 
     def test_invalid_spec_reports_rows(self):
         spec = SequenceSpec(n_list=(2, 3), p_table=(0.9, 0.9),

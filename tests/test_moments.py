@@ -204,9 +204,9 @@ class TestDirectMoments:
     def test_exact_on_one_node_map(self, monkeypatch):
         # the whole call shares one node map, whatever the number of points
         calls = []
-        node_affine = moments._node_affine
-        monkeypatch.setattr(moments, "_node_affine",
-                            lambda *a: calls.append(a) or node_affine(*a))
+        node_numerators = moments._node_numerators
+        monkeypatch.setattr(moments, "_node_numerators",
+                            lambda *a: calls.append(a) or node_numerators(*a))
         params = OperatorParams(n=4, m=2, alpha=F(1, 2), beta=F(1), b_n=F(2))
         pq = PQPair(F(9, 10), F(4, 5))
         xs = [F(k, 3) for k in range(7)]

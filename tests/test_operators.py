@@ -26,6 +26,7 @@ from pqkanto.operators import (
     _euler_maclaurin,
     _inner_integrals,
     _node_affine,
+    _node_numerators,
     _series_integrals,
     _weights_exact,
     operator_profile,
@@ -198,14 +199,14 @@ class TestNodes:
     def test_node_affine_exact_is_the_node_map(self):
         params = OperatorParams(n=5, m=2, alpha=F(1, 2), beta=F(1), b_n=F(2))
         pq = PQPair(F(9, 10), F(4, 5))
-        a, b = _node_affine(params, pq)
+        a, b, den = _node_numerators(params, pq)
         # integer numerators over one denominator, shared by A and B
-        assert type(a.den) is int and a.den == b.den
-        assert len(a.nums) == len(b.nums) == params.degree + 1
+        assert type(den) is int
+        assert len(a) == len(b) == params.degree + 1
         for k in range(params.degree + 1):
-            assert type(a.nums[k]) is int and type(b.nums[k]) is int
-            assert F(a.nums[k], a.den) == kantorovich_node(k, 0, params, pq)
-            assert F(a.nums[k] + b.nums[k], a.den) == kantorovich_node(k, 1, params, pq)
+            assert type(a[k]) is int and type(b[k]) is int
+            assert F(a[k], den) == kantorovich_node(k, 0, params, pq)
+            assert F(a[k] + b[k], den) == kantorovich_node(k, 1, params, pq)
 
     def test_fraction_pq_keeps_the_float_operator(self):
         # operator_profile builds float nodes whatever scalars pq holds
