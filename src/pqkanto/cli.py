@@ -11,11 +11,12 @@ Subcommands:
 
 Numeric flags accept plain decimals or rationals like 9/10; with
 --exact (verify) the rationals are kept exact.  A --config JSON mirrors
-the flags one-to-one (keys are flag names with underscores); explicit
-flags override it.  Exit codes: 0 success, 2 domain/validation error,
-3 numerical-convergence error; diagnostics go to stderr.  Commands that
-write files put a RunManifest next to the primary output; `replay`
-reproduces the files byte-identically.
+the flags one-to-one (keys are flag names with underscores); the parser
+checks its values as flags, and explicit flags override it.  Exit codes:
+0 success, 2 domain/validation/usage error, 3 numerical-convergence
+error; each diagnostic is one stderr line.  Commands that write files put
+a RunManifest next to the primary output; `replay` reproduces the files
+byte-identically.
 """
 
 from __future__ import annotations
@@ -97,8 +98,6 @@ def _build_operator(params: dict, exact: bool = False) -> Tuple[OperatorParams, 
 
 def _write_manifest(command: str, params: dict, outputs: List[str],
                     base: Path) -> None:
-    if not outputs:
-        return
     manifest = RunManifest(command=command, params=params, version=__version__,
                            outputs=outputs)
     manifest.save(manifest_path_for(_resolve(base, outputs[0])))
@@ -117,12 +116,10 @@ def run_eval(params: dict, base: Path) -> float:
         value = apply_extended(f, x, op, pq, tol)
     else:
         value = apply_operator(f, x, op, pq, tol)
-    outputs = []
     if params.get("json"):
         write_json({"command": "eval", "params": params, "value": value},
                    _resolve(base, params["json"]))
-        outputs = [params["json"]]
-    _write_manifest("eval", params, outputs, base)
+        _write_manifest("eval", params, [params["json"]], base)
     return value
 
 
@@ -192,18 +189,20 @@ def run_converge(params: dict, base: Path) -> List[str]:
     return [out]
 
 
-_RUNNERS = {
-    "eval": run_eval,
-    "verify": run_verify,
-    "bounds": run_bounds,
-    "converge": run_converge,
+#: command -> (runner, the flags it cannot run without)
+_COMMANDS = {
+    "eval": (run_eval, ("fn", "x", "n")),
+    "verify": (run_verify, ("x", "n")),
+    "bounds": (run_bounds, ("fn", "n")),
+    "converge": (run_converge, ()),
 }
 
 
 def run_replay(manifest_file: str, outdir: str) -> List[str]:
     manifest = RunManifest.load(manifest_file)
-    if manifest.command not in _RUNNERS:
+    if manifest.command not in _COMMANDS:
         raise DomainError(f"manifest command {manifest.command!r} is not replayable")
+    run, _ = _COMMANDS[manifest.command]
     params = dict(manifest.params)
     # absolute output paths would escape the target directory; re-root them
     for key in ("out", "json"):
@@ -211,15 +210,23 @@ def run_replay(manifest_file: str, outdir: str) -> List[str]:
             params[key] = Path(params[key]).name
     base = Path(outdir)
     base.mkdir(parents=True, exist_ok=True)
-    result = _RUNNERS[manifest.command](params, base)
+    result = run(params, base)
     if manifest.command == "eval":
         print(fmt_float(result))
         return params.get("json") and [params["json"]] or []
     return result
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and subparsers, whose usage errors raise
+    DomainError: a bad flag or config value exits 2 with one error line."""
+
+    def error(self, message: str):
+        raise DomainError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pqkanto",
         description="Two-parameter Kantorovich-type operators: evaluation, "
                     "moment verification, bounds, convergence sweeps.",
@@ -285,26 +292,13 @@ def _main_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-#: Parameters recorded as text, so that a rational such as 9/10 replays
-#: exactly as it was given.
-_TEXT_PARAMS = ("x", "alpha", "beta", "bn", "p", "q")
-
-
 def _command_params(args: argparse.Namespace) -> dict:
     """Params of a call: every dest of the subcommand's parser, in the
-    parser's order, less `command` and `config`, with the switches `exact`
-    and `check_only` as bools.  The namespace holds exactly those dests in
-    that order."""
-    params = {}
-    for key, value in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if key in _TEXT_PARAMS:
-            value = str(value)
-        elif key in ("exact", "check_only"):
-            value = bool(value)
-        params[key] = value
-    return params
+    parser's order, less `command` and `config`, as the parser gave them
+    (config values included), so 9/10 is recorded as text and replays
+    exactly.  The namespace holds exactly those dests in that order."""
+    return {key: value for key, value in vars(args).items()
+            if key not in ("command", "config")}
 
 
 def _load_json(path: str, what: str):
@@ -342,68 +336,59 @@ def _converge_params(args: argparse.Namespace) -> dict:
     return params
 
 
-def _apply_config(args: argparse.Namespace, argv: List[str],
-                  parser: argparse.ArgumentParser) -> None:
-    """Merge a --config JSON into the namespace; explicit flags win.
+def _config_tokens(args: argparse.Namespace, argv: List[str]) -> List[str]:
+    """The --config JSON as flag tokens for the parser; explicit flags win.
 
     Keys are the long flag names with dashes as underscores (n_list,
-    check_only, ...).  A value of a flag with a type or choices is checked
-    as argparse checks the flag's text: {"n": "abc"} is an error.
-    """
+    check_only, ...), and a value is the flag's text as a string or
+    number.  A switch (bool default) takes true or false.  A list is
+    comma-joined for --n-list and gives one token per entry for a
+    repeatable flag (list default).  Anything else is an error."""
     config = _load_json(args.config, "config")
     if not isinstance(config, dict):
         raise DomainError("config file must hold a JSON object of flag values")
-    [commands] = [action for action in parser._actions if action.dest == "command"]
-    flags = {action.dest: action for action in commands.choices[args.command]._actions}
     explicit = {token.split("=", 1)[0] for token in argv if token.startswith("--")}
+    tokens = []
     for key, value in config.items():
         if key in ("command", "config") or not hasattr(args, key):
             raise DomainError(f"config key {key!r} is not a flag of this command")
-        if f"--{key.replace('_', '-')}" in explicit:
+        flag, default = f"--{key.replace('_', '-')}", getattr(args, key)
+        if flag in explicit:
             continue
-        flag = flags[key]
-        try:
-            if flag.type is not None:
-                value = flag.type(str(value))
-            if flag.choices is not None and value not in flag.choices:
-                raise ValueError
-        except ValueError:
-            raise DomainError(f"config value {key}={value!r} is not a valid "
-                              f"--{key.replace('_', '-')}") from None
-        if key == "n_list":
-            value = ",".join(map(str, value)) if isinstance(value, list) else str(value)
-        setattr(args, key, value)
-
-
-def _require(args: argparse.Namespace, *names: str) -> None:
-    for name in names:
-        if getattr(args, name) is None:
-            raise DomainError(f"--{name} is required (flag or config)")
+        if isinstance(default, bool):
+            valid = type(value) in (bool, int) and value in (0, 1)
+            flag_tokens = [flag] if value else []
+        else:
+            many = isinstance(value, list) and (key == "n_list" or isinstance(default, list))
+            entries = value if many else [value]
+            valid = all(type(entry) in (str, int, float) for entry in entries)
+            texts = [",".join(map(str, entries))] if key == "n_list" else map(str, entries)
+            flag_tokens = [f"{flag}={text}" for text in texts]
+        if not valid:
+            raise DomainError(f"config value {key}={value!r} is not a valid {flag}")
+        tokens += flag_tokens
+    return tokens
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _main_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(argv)
-    base = Path.cwd()
     try:
+        args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            _apply_config(args, argv, parser)
-        if args.command == "eval":
-            _require(args, "fn", "x", "n")
-            print(fmt_float(run_eval(_command_params(args), base)))
-        elif args.command == "verify":
-            _require(args, "x", "n")
-            print(f"wrote {run_verify(_command_params(args), base)[0]}")
-        elif args.command == "bounds":
-            _require(args, "fn", "n")
-            print(f"wrote {run_bounds(_command_params(args), base)[0]}")
-        elif args.command == "converge":
-            print(f"wrote {run_converge(_converge_params(args), base)[0]}")
-        elif args.command == "replay":
+            args = parser.parse_args([args.command, *_config_tokens(args, argv), *argv[1:]])
+        if args.command == "replay":
             for out in run_replay(args.manifest, args.outdir):
                 print(f"wrote {Path(args.outdir) / out}")
+            return 0
+        run, required = _COMMANDS[args.command]
+        for name in required:
+            if getattr(args, name) is None:
+                raise DomainError(f"--{name} is required (flag or config)")
+        params_of = _converge_params if args.command == "converge" else _command_params
+        result = run(params_of(args), Path.cwd())
+        print(fmt_float(result) if args.command == "eval" else f"wrote {result[0]}")
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,7 +16,8 @@ Builtin registry names (stable CLI surface):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -113,30 +114,19 @@ def polynomial_handle(name: str, coeffs: Sequence) -> FunctionHandle:
 
 
 def const1() -> FunctionHandle:
-    h = polynomial_handle("const1", (1.0,))
-    return FunctionHandle(
-        name="const1", evaluator=h.evaluator, polynomial_coeffs=(1.0,),
-        lip=(0.0, 1.0), exact_modulus=lambda d: 0.0,
-        exact_second_modulus=lambda d: 0.0, kinks=(),
-    )
+    return replace(polynomial_handle("const1", (1.0,)), lip=(0.0, 1.0),
+                   exact_modulus=lambda d: 0.0, exact_second_modulus=lambda d: 0.0)
 
 
 def identity() -> FunctionHandle:
-    h = polynomial_handle("id", (0.0, 1.0))
-    return FunctionHandle(
-        name="id", evaluator=h.evaluator, polynomial_coeffs=(0.0, 1.0),
-        lip=(1.0, 1.0), exact_modulus=lambda d: float(d),
-        exact_second_modulus=lambda d: 0.0, kinks=(),
-    )
+    return replace(polynomial_handle("id", (0.0, 1.0)), lip=(1.0, 1.0),
+                   exact_modulus=lambda d: float(d), exact_second_modulus=lambda d: 0.0)
 
 
 def square() -> FunctionHandle:
     # unbounded on [0, inf): no global modulus, no Lipschitz pair
-    h = polynomial_handle("square", (0.0, 0.0, 1.0))
-    return FunctionHandle(
-        name="square", evaluator=h.evaluator, polynomial_coeffs=(0.0, 0.0, 1.0),
-        exact_second_modulus=lambda d: 2.0 * d * d, kinks=(),
-    )
+    return replace(polynomial_handle("square", (0.0, 0.0, 1.0)),
+                   exact_second_modulus=lambda d: 2.0 * d * d)
 
 
 def sine() -> FunctionHandle:
@@ -152,8 +142,8 @@ def sine() -> FunctionHandle:
 
 def absdev(a: float) -> FunctionHandle:
     """|x - a|: kink at a, slope 1 beyond; exact modulus delta."""
-    if a < 0:
-        raise DomainError("absdev requires a >= 0")
+    if not 0 <= a < math.inf:
+        raise DomainError(f"absdev requires a finite a >= 0, got a={a}")
     if a == 0:
         pl = PiecewiseLinear(xs=(0.0,), ys=(0.0,), end_slope=1.0)
     else:
@@ -173,8 +163,8 @@ def lip_handle(a: float, gamma: float) -> FunctionHandle:
     antiderivative sign(x - a) |x - a|^(gamma+1) / (gamma+1) integrates
     across the kink exactly.
     """
-    if a < 0:
-        raise DomainError("lip requires a >= 0")
+    if not 0 <= a < math.inf:
+        raise DomainError(f"lip requires a finite a >= 0, got a={a}")
     if not (0 < gamma <= 1):
         raise DomainError("lip requires gamma in (0, 1]")
 
@@ -199,8 +189,8 @@ def bump(c: float) -> FunctionHandle:
     Exact modulus min(1, delta/C); satisfies the vanishing-function
     hypothesis of the unweighted sup-error sweep.
     """
-    if c <= 0:
-        raise DomainError("bump requires C > 0")
+    if not 0 < c < math.inf:
+        raise DomainError(f"bump requires a finite C > 0, got C={c}")
     pl = PiecewiseLinear(xs=(0.0, float(c)), ys=(1.0, 0.0), end_slope=0.0)
     return FunctionHandle(
         name=f"bump:{c:g}", evaluator=pl, lip=(1.0 / c, 1.0),
@@ -227,6 +217,8 @@ def builtin(name: str) -> FunctionHandle:
         if head == "lip" and rest:
             a_str, _, g_str = rest.partition(":")
             return lip_handle(float(a_str), float(g_str))
+    except DomainError:
+        raise
     except ValueError as exc:
         raise DomainError(f"bad parameters in function name {name!r}") from exc
     raise DomainError(

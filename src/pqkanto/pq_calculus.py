@@ -176,7 +176,8 @@ def truncated_series(f, a: np.ndarray, b: np.ndarray, pq: PQPair,
     terms.  The running max makes the bound rigorous for f whose
     magnitude on the unvisited nodes does not exceed the visited ones.
     When `predicted_terms` exceeds TERM_CAP the rule cannot fire within
-    the cap, and ConvergenceError is raised before f is evaluated.
+    the cap, and ConvergenceError is raised before f is evaluated.  A
+    value of f that is not finite raises DomainError after its chunk.
     """
     needed = predicted_terms(pq, rel_tol)
     p = float(pq.p)
@@ -198,6 +199,8 @@ def truncated_series(f, a: np.ndarray, b: np.ndarray, pq: PQPair,
         fv = call(a[:, None] + b[:, None] * t[None, :])
         acc += (p - q) * (fv @ t)
         max_abs = np.maximum(max_abs, np.max(np.abs(fv), axis=1))
+        if not np.isfinite(max_abs).all():
+            raise DomainError("the integrand is not finite on the series nodes")
         j0 = int(js[-1]) + 1
         tail = max_abs * ((p - q) / p) * r ** j0 / (1.0 - r)
         if j0 >= MIN_TERMS and np.all(tail <= rel_tol * np.abs(acc)):

@@ -91,6 +91,12 @@ class TestEval:
                        tmp_path)
         assert code == 2
 
+    def test_non_finite_function_parameter_exit_2(self, tmp_path, capsys):
+        code = run_cli(["eval", "--fn", "lip:nan:0.5", "--x", "0.5", "--n", "3",
+                        "--p", "0.9", "--q", "0.8"], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == "error: lip requires a finite a >= 0, got a=nan\n"
+
     def test_unit_and_extended_variants(self, tmp_path, capsys):
         code = run_cli(["eval", "--fn", "square", "--x", "7", "--n", "3",
                         "--bn", "2", "--op", "extended"], tmp_path)
@@ -335,6 +341,15 @@ class TestConfig:
         assert code == 0
         assert float(capsys.readouterr().out) == pytest.approx(0.25)
 
+    def test_explicit_repeatable_flag_overrides_config(self, tmp_path):
+        # the config's --extra entries are dropped, not added to the flag's
+        (tmp_path / "cfg.json").write_text(json.dumps({"extra": ["sin"]}))
+        code = run_cli(["converge", "--n-list", "10", "--grid", "9", "--extra", "bump:2",
+                        "--config", "cfg.json", "--out", "s.csv"], tmp_path)
+        assert code == 0
+        header = (tmp_path / "s.csv").read_text().splitlines()[0]
+        assert header == "n,p_n,q_n,b_n,err_e0,err_e1,err_e2,err_bump:2"
+
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         (tmp_path / "cfg.json").write_text(json.dumps({"fn": "id", "nope": 1}))
         code = run_cli(["eval", "--config", "cfg.json"], tmp_path)
@@ -348,6 +363,13 @@ class TestConfig:
         (["converge", "--n-list", "10"], {"m": "one"}),
         (["converge"], {"n_list": [10.5]}),
         (["bounds", "--fn", "sin", "--n", "3"], {"grid": None}),
+        (["eval", "--x", "0.5", "--n", "3"], {"fn": 5}),
+        (["converge", "--n-list", "10"], {"extra": ["sin", 3]}),
+        (["converge", "--n-list", "10"], {"vanishing": ["bump:2"]}),
+        (["eval", "--fn", "sin", "--x", "0.5", "--n", "3"], {"json": True}),
+        (["verify", "--x", "1/2", "--n", "3"], {"exact": "false"}),
+        (["converge", "--n-list", "10"], {"check_only": "no"}),
+        (["converge", "--n-list", "10"], {"extra": {"sin": 1}}),
     ])
     def test_config_value_the_flag_rejects_exit_2(self, tmp_path, capsys, argv, cfg):
         # a config value is checked as argparse checks the flag's text
@@ -371,6 +393,33 @@ class TestConfig:
         code = run_cli(["eval", "--fn", "id", "--x", "0.5"], tmp_path)
         assert code == 2
         assert "--n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, cfg, flags", [
+        (["verify", "--x", "0.5", "--n", "3"], {"out": 5}, ["--out", "5"]),
+        (["converge", "--n-list", "10", "--grid", "9"], {"extra": "sin"}, ["--extra", "sin"]),
+        (["converge"], {"seq_file": 0}, ["--seq-file", "0"]),
+        (["converge"], {"seq_file": 2}, ["--seq-file", "2"]),
+    ])
+    def test_config_value_behaves_as_its_flag(self, tmp_path, capsys, argv, cfg, flags):
+        # exit code, stdout, stderr and every file written are the flag's own
+        outcomes = []
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        for name, extra in (("config", ["--config", "../cfg.json"]), ("flags", flags)):
+            (tmp_path / name).mkdir()
+            code = run_cli(argv + extra, tmp_path / name)
+            files = {f.name: f.read_bytes() for f in (tmp_path / name).iterdir()}
+            outcomes.append((code, capsys.readouterr(), files))
+        assert outcomes[0] == outcomes[1]
+
+    def test_config_seq_file_descriptor_keeps_stderr_open(self, tmp_path):
+        # {"seq_file": 2} names a file "2", not the process's stderr
+        (tmp_path / "cfg.json").write_text(json.dumps({"seq_file": 2}))
+        proc = subprocess.run([sys.executable, "-m", "pqkanto.cli", "converge",
+                               "--config", "cfg.json"], capture_output=True, text=True,
+                              cwd=tmp_path, env=subprocess_env())
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "No such file" in proc.stderr
 
 
 def subprocess_env() -> dict:
@@ -448,6 +497,29 @@ def test_cli_import_leaves_out_scipy(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+#: A value for every flag of the commands that take --config: as a config
+#: holds it, and as the command line spells it.
+FLAG_SAMPLES = {
+    "fn": ("sin", ["--fn", "sin"]), "x": (0.25, ["--x", "0.25"]),
+    "op": ("unit", ["--op", "unit"]), "json": ("v.json", ["--json", "v.json"]),
+    "exact": (True, ["--exact"]), "out": (5, ["--out", "5"]),
+    "grid": (5, ["--grid", "5"]), "n": (3, ["--n", "3"]), "m": (1, ["--m", "1"]),
+    "alpha": ("1/2", ["--alpha", "1/2"]), "beta": (1, ["--beta", "1"]),
+    "bn": (2, ["--bn", "2"]), "p": (0.9, ["--p", "0.9"]), "q": ("4/5", ["--q", "4/5"]),
+    "mode": ("literal", ["--mode", "literal"]), "tol": (1e-10, ["--tol", "1e-10"]),
+    "rule": ("default", ["--rule", "default"]),
+    "n_list": ([10, 50], ["--n-list", "10,50"]),
+    "seq_file": ("seq.json", ["--seq-file", "seq.json"]),
+    "extra": (["sin", "bump:2"], ["--extra", "sin", "--extra", "bump:2"]),
+    "check_only": (True, ["--check-only"]),
+    "vanishing": ("bump:2", ["--vanishing", "bump:2"]),
+}
+#: Every dest of every subcommand that takes --config.
+CONFIG_DESTS = [(command, key) for command in ("eval", "verify", "bounds", "converge")
+                for key in vars(cli.build_parser().parse_args([command]))
+                if key not in ("command", "config")]
+
+
 class TestParser:
     def test_built_once_per_process(self, tmp_path, capsys, monkeypatch):
         built = []
@@ -498,18 +570,49 @@ class TestParser:
     ])
     def test_params_follow_flags(self, argv, want, tmp_path, monkeypatch):
         seen = []
-        runner = {"eval": "run_eval", "verify": "run_verify", "bounds": "run_bounds",
-                  "converge": "run_converge"}
         result = 0.0 if argv[0] == "eval" else ["x"]
-        monkeypatch.setattr(cli, runner[argv[0]],
-                            lambda params, base: seen.append(params) or result)
+        monkeypatch.setitem(cli._COMMANDS, argv[0],
+                            (lambda params, base: seen.append(params) or result,
+                             cli._COMMANDS[argv[0]][1]))
         assert run_cli(argv, tmp_path) == 0
         assert list(seen[0].items()) == want
 
+    @pytest.mark.parametrize("command, key", CONFIG_DESTS)
+    def test_config_records_the_params_of_its_flag(self, command, key, tmp_path,
+                                                   monkeypatch):
+        # a config holding a flag's value records the flag's params dict
+        seen = []
+        required = cli._COMMANDS[command][1]
+        result = 0.0 if command == "eval" else ["x"]
+        monkeypatch.setitem(cli._COMMANDS, command,
+                            (lambda params, base: seen.append(params) or result, required))
+        (tmp_path / "seq.json").write_text(json.dumps({"n_list": [3, 5]}))
+        value, flags = FLAG_SAMPLES[key]
+        (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+        argv = [command] + [token for name in required if name != key
+                            for token in FLAG_SAMPLES[name][1]]
+        assert run_cli(argv + flags, tmp_path) == 0
+        assert run_cli(argv + ["--config", "cfg.json"], tmp_path) == 0
+        assert list(seen[0].items()) == list(seen[1].items())
+        if key in seen[0]:  # rule, n_list and seq_file are folded into `spec`
+            assert seen[0][key] != vars(cli.build_parser().parse_args([command]))[key]
+
+    @pytest.mark.parametrize("argv, err", [
+        (["eval", "--n", "abc"], "error: argument --n: invalid int value: 'abc'\n"),
+        (["bounds", "--mode", "loose"], "error: argument --mode: invalid choice: 'loose' "
+                                        "(choose from 'normalized', 'literal')\n"),
+        (["verify", "--x", "1", "--bogus"], "error: unrecognized arguments: --bogus\n"),
+        ([], "error: the following arguments are required: command\n"),
+    ])
+    def test_usage_error_is_one_line(self, argv, err, tmp_path, capsys):
+        assert run_cli(argv, tmp_path) == 2
+        assert capsys.readouterr() == ("", err)
+
     def test_config_values_keep_their_coercions(self, tmp_path, monkeypatch):
         seen = []
-        monkeypatch.setattr(cli, "run_verify",
-                            lambda params, base: seen.append(params) or ["x"])
+        monkeypatch.setitem(cli._COMMANDS, "verify",
+                            (lambda params, base: seen.append(params) or ["x"],
+                             cli._COMMANDS["verify"][1]))
         cfg = {"x": 0.25, "n": 3, "exact": 1, "p": 1, "alpha": 0.5, "beta": 1}
         (tmp_path / "cfg.json").write_text(json.dumps(cfg))
         assert run_cli(["verify", "--config", "cfg.json"], tmp_path) == 0

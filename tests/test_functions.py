@@ -23,6 +23,16 @@ def test_bad_names_raise(name):
         builtin(name)
 
 
+@pytest.mark.parametrize("name, param", [
+    ("absdev:nan", "a=nan"), ("absdev:inf", "a=inf"), ("lip:nan:0.5", "a=nan"),
+    ("lip:inf:0.5", "a=inf"), ("lip:1:nan", "gamma"), ("lip:1:inf", "gamma"),
+    ("bump:nan", "C=nan"), ("bump:inf", "C=inf")])
+def test_non_finite_parameters_raise(name, param):
+    # NaN passes a < 0 and C <= 0, and bump:inf ran as the constant 1
+    with pytest.raises(DomainError, match=param):
+        builtin(name)
+
+
 def test_polynomial_handle_matches_horner():
     h = polynomial_handle("cubic", (1.0, -2.0, 0.5, 3.0))
     xs = np.linspace(0, 3, 7)

@@ -510,6 +510,21 @@ class TestSeriesPaths:
     """Inner integrals for general f at q < p: truncated sum and
     Euler-Maclaurin."""
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_integrand_stops_at_first_chunk(self, bad):
+        # such a value never passes the tail test: one chunk of 256 terms
+        # per node, then DomainError, not TERM_CAP terms and ConvergenceError
+        points = []
+
+        def ev(t):
+            points.append(np.size(t))
+            return np.full_like(np.asarray(t, float), bad)
+
+        with pytest.raises(DomainError, match="not finite"):
+            apply_operator(FunctionHandle(name="bad", evaluator=ev), 0.5,
+                           OperatorParams(n=40), PQPair(0.9, 0.8))
+        assert points == [41 * 256]
+
     def test_sin_matches_mpmath_default_n200(self):
         pq, params = default_pq_params(200)
         a, b = _node_affine(params, pq)
