@@ -36,7 +36,6 @@ from .moments import (
 )
 from .operators import (
     OperatorParams,
-    WeightVector,
     apply_extended,
     apply_operator,
     basis_weights,
@@ -54,7 +53,7 @@ __all__ = [
     "RunManifest",
     "MomentReport", "moment_closed", "peetre_bound_args",
     "second_central_moment", "verify_moments",
-    "OperatorParams", "WeightVector", "apply_extended", "apply_operator",
-    "basis_weights", "node_hull_max",
+    "OperatorParams", "apply_extended", "apply_operator", "basis_weights",
+    "node_hull_max",
     "PQPair", "pq_integer", "pq_integral_monomial", "pq_power",
 ]

@@ -41,7 +41,7 @@ estimate that is not finite raises DomainError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -171,9 +171,10 @@ def second_modulus(f: FunctionHandle, delta: float, domain: Tuple[float, float])
     return _Moduli(f, domain)(2, delta)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class BoundReport:
-    """Observed error and every bound quantity at a single point.
+    """Observed error and every bound quantity at a single point, its
+    fields in the order of the `bounds` CSV columns.
 
     `lipschitz_bound` and `holds_lipschitz` are present only for handles
     carrying a Lipschitz pair; `holds_modulus` only when the modulus is
@@ -184,24 +185,19 @@ class BoundReport:
     second_central_moment: float
     modulus_at_sqrt_moment: float
     modulus_bound: float
+    lipschitz_bound: Optional[float] = None
     peetre_arg: float
     bias: float
     second_modulus_at_sqrt_peetre: float
     modulus_at_abs_bias: float
-    lipschitz_bound: Optional[float] = None
     holds_lipschitz: Optional[bool] = None
     holds_modulus: Optional[bool] = None
 
     def to_json_dict(self) -> dict:
-        return {k: v for k, v in self.__dict__.items()}
+        return asdict(self)
 
 
-BOUND_CSV_FIELDS = (
-    "x", "observed_error", "second_central_moment", "modulus_at_sqrt_moment",
-    "modulus_bound", "lipschitz_bound", "peetre_arg", "bias",
-    "second_modulus_at_sqrt_peetre", "modulus_at_abs_bias",
-    "holds_lipschitz", "holds_modulus",
-)
+BOUND_CSV_FIELDS = tuple(f.name for f in fields(BoundReport))
 
 
 def _holds(observed: float, bound: float) -> bool:

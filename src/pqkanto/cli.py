@@ -22,6 +22,7 @@ byte-identically.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -67,11 +68,6 @@ def _scalar(text: str, exact: bool = False):
     return value if exact else float(value)
 
 
-def _resolve(base: Path, rel: str) -> Path:
-    p = Path(rel)
-    return p if p.is_absolute() else base / p
-
-
 def _operator_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--n", type=int, default=None, help="principal degree (>= 1)")
     sp.add_argument("--m", type=int, default=0, help="summation-range extension")
@@ -100,7 +96,7 @@ def _write_manifest(command: str, params: dict, outputs: List[str],
                     base: Path) -> None:
     manifest = RunManifest(command=command, params=params, version=__version__,
                            outputs=outputs)
-    manifest.save(manifest_path_for(_resolve(base, outputs[0])))
+    manifest.save(manifest_path_for(base / outputs[0]))
 
 
 def run_eval(params: dict, base: Path) -> float:
@@ -118,7 +114,7 @@ def run_eval(params: dict, base: Path) -> float:
         value = apply_operator(f, x, op, pq, tol)
     if params.get("json"):
         write_json({"command": "eval", "params": params, "value": value},
-                   _resolve(base, params["json"]))
+                   base / params["json"])
         _write_manifest("eval", params, [params["json"]], base)
     return value
 
@@ -129,7 +125,7 @@ def run_verify(params: dict, base: Path) -> List[str]:
     x = _scalar(params["x"], exact)
     report = verify_moments(op, pq, x, arithmetic="exact" if exact else "float")
     out = params["out"]
-    write_json(report.to_json_dict(), _resolve(base, out))
+    write_json(report.to_json_dict(), base / out)
     _write_manifest("verify", params, [out], base)
     return [out]
 
@@ -142,10 +138,9 @@ def run_bounds(params: dict, base: Path) -> List[str]:
     if grid < 2:
         raise DomainError("--grid must be at least 2")
     xs = [float(x) for x in np.linspace(0.0, float(op.b_n), grid)]
-    rows = [[getattr(rep, field) for field in BOUND_CSV_FIELDS]
-            for rep in bound_reports(f, xs, op, pq, tol)]
+    rows = [dataclasses.astuple(rep) for rep in bound_reports(f, xs, op, pq, tol)]
     out = params["out"]
-    write_csv(BOUND_CSV_FIELDS, rows, _resolve(base, out))
+    write_csv(BOUND_CSV_FIELDS, rows, base / out)
     _write_manifest("bounds", params, [out], base)
     return [out]
 
@@ -153,8 +148,11 @@ def run_bounds(params: dict, base: Path) -> List[str]:
 def _spec_from_params(spec_params: dict) -> SequenceSpec:
     """The SequenceSpec of recorded spec params: an n_list of integers with
     a rule name, or with p, q and b tables of finite numbers."""
+    if not isinstance(spec_params, dict):
+        raise DomainError(f"sequence spec must be a JSON object, got {spec_params!r}")
+
     def entries(key: str, kinds: tuple, what: str) -> list:
-        values = spec_params[key]
+        values = spec_params.get(key)
         if not (isinstance(values, list)
                 and all(type(v) in kinds and -math.inf < v < math.inf for v in values)):
             raise DomainError(f"sequence {key} must be a list of {what}, got {values!r}")
@@ -172,7 +170,7 @@ def run_converge(params: dict, base: Path) -> List[str]:
     spec = _spec_from_params(params["spec"])
     out = params["out"]
     if params["check_only"]:
-        write_json(hypothesis_check(spec), _resolve(base, out))
+        write_json(hypothesis_check(spec), base / out)
     else:
         m, alpha, beta = int(params["m"]), _scalar(params["alpha"]), _scalar(params["beta"])
         grid = int(params["grid"])
@@ -184,7 +182,7 @@ def run_converge(params: dict, base: Path) -> List[str]:
             names, weighted = ["e0", "e1", "e2", *(h.name for h in extra)], True
         rows = sweep_rows(spec, fs, m, alpha, beta, grid, weighted=weighted)
         write_csv(["n", "p_n", "q_n", "b_n", *(f"err_{name}" for name in names)], rows,
-                  _resolve(base, out))
+                  base / out)
     _write_manifest("converge", params, [out], base)
     return [out]
 
@@ -198,28 +196,49 @@ _COMMANDS = {
 }
 
 
+def _run(args: argparse.Namespace, base: Path, spec: Optional[dict] = None):
+    """Run a parsed command on the params of its flags; a given `spec`
+    replaces converge's --rule, --n-list and --seq-file."""
+    run, required = _COMMANDS[args.command]
+    for name in required:
+        if getattr(args, name) is None:
+            raise DomainError(f"--{name} is required (flag or config)")
+    converge = args.command == "converge"
+    return run(_converge_params(args, spec) if converge else _command_params(args), base)
+
+
 def run_replay(manifest_file: str, outdir: str) -> List[str]:
-    manifest = RunManifest.load(manifest_file)
-    if manifest.command not in _COMMANDS:
-        raise DomainError(f"manifest command {manifest.command!r} is not replayable")
-    run, _ = _COMMANDS[manifest.command]
-    params = dict(manifest.params)
+    """Re-run a manifest into outdir.  Its params are flag values that the
+    parser checks as it checks a config's, null standing for an unset flag;
+    converge's recorded `spec` is checked as a --seq-file is."""
+    manifest = _load_json(manifest_file, "manifest")
+    command = manifest.get("command") if isinstance(manifest, dict) else None
+    if not isinstance(command, str) or command not in _COMMANDS:
+        raise DomainError(f"manifest command {command!r} is not replayable")
+    params = manifest.get("params")
+    if not isinstance(params, dict):
+        raise DomainError(f"manifest params must be a JSON object, got {params!r}")
+    params = {key: value for key, value in params.items() if value is not None}
+    spec = params.pop("spec", None) if command == "converge" else None
     # absolute output paths would escape the target directory; re-root them
     for key in ("out", "json"):
-        if params.get(key) and Path(params[key]).is_absolute():
+        if isinstance(params.get(key), str) and Path(params[key]).is_absolute():
             params[key] = Path(params[key]).name
-    base = Path(outdir)
-    base.mkdir(parents=True, exist_ok=True)
-    result = run(params, base)
-    if manifest.command == "eval":
+    args = _parse_with([command], params, "manifest")
+    result = _run(args, Path(outdir), spec)
+    if command == "eval":
         print(fmt_float(result))
-        return params.get("json") and [params["json"]] or []
+        return [args.json] if args.json else []
     return result
 
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser, and subparsers, whose usage errors raise
-    DomainError: a bad flag or config value exits 2 with one error line."""
+    DomainError: a bad flag or config value exits 2 with one error line.
+    Flags are spelled in full: a prefix is not a flag."""
+
+    def __init__(self, *args, allow_abbrev: bool = False, **kwargs):
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
 
     def error(self, message: str):
         raise DomainError(message)
@@ -309,12 +328,15 @@ def _load_json(path: str, what: str):
             raise DomainError(f"bad JSON in {what} {path!r}: {exc}") from exc
 
 
-def _converge_params(args: argparse.Namespace) -> dict:
+def _converge_params(args: argparse.Namespace, spec: Optional[dict] = None) -> dict:
     """`_command_params` with --rule, --n-list and the --seq-file contents
-    folded into one recorded `spec`, and the mode's default --out."""
+    folded into one recorded `spec` (a given spec instead), and the mode's
+    default --out."""
     params = _command_params(args)
     rule, n_list, seq_file = params.pop("rule"), params.pop("n_list"), params.pop("seq_file")
-    if seq_file:
+    if spec is not None:
+        spec_params = spec
+    elif seq_file:
         raw = _load_json(seq_file, "--seq-file")
         if not isinstance(raw, dict) or "n_list" not in raw:
             raise DomainError("--seq-file needs an n_list entry")
@@ -327,7 +349,6 @@ def _converge_params(args: argparse.Namespace) -> dict:
                            "rule": rule}
         except ValueError as exc:
             raise DomainError(f"bad --n-list {n_list!r}") from exc
-    _spec_from_params(spec_params)  # validate early
     params["spec"] = spec_params
     if params["out"] is None:
         params["out"] = ("hypothesis_report.json" if params["check_only"]
@@ -336,22 +357,22 @@ def _converge_params(args: argparse.Namespace) -> dict:
     return params
 
 
-def _config_tokens(args: argparse.Namespace, argv: List[str]) -> List[str]:
-    """The --config JSON as flag tokens for the parser; explicit flags win.
+def _parse_with(argv: List[str], values: dict, source: str) -> argparse.Namespace:
+    """argv parsed with the flag values of a config or a manifest before
+    its own flags, skipping the values of flags that argv holds.
 
     Keys are the long flag names with dashes as underscores (n_list,
     check_only, ...), and a value is the flag's text as a string or
     number.  A switch (bool default) takes true or false.  A list is
     comma-joined for --n-list and gives one token per entry for a
     repeatable flag (list default).  Anything else is an error."""
-    config = _load_json(args.config, "config")
-    if not isinstance(config, dict):
-        raise DomainError("config file must hold a JSON object of flag values")
+    parser = _main_parser()
+    args = parser.parse_args(argv)
     explicit = {token.split("=", 1)[0] for token in argv if token.startswith("--")}
     tokens = []
-    for key, value in config.items():
+    for key, value in values.items():
         if key in ("command", "config") or not hasattr(args, key):
-            raise DomainError(f"config key {key!r} is not a flag of this command")
+            raise DomainError(f"{source} key {key!r} is not a flag of this command")
         flag, default = f"--{key.replace('_', '-')}", getattr(args, key)
         if flag in explicit:
             continue
@@ -365,9 +386,9 @@ def _config_tokens(args: argparse.Namespace, argv: List[str]) -> List[str]:
             texts = [",".join(map(str, entries))] if key == "n_list" else map(str, entries)
             flag_tokens = [f"{flag}={text}" for text in texts]
         if not valid:
-            raise DomainError(f"config value {key}={value!r} is not a valid {flag}")
+            raise DomainError(f"{source} value {key}={value!r} is not a valid {flag}")
         tokens += flag_tokens
-    return tokens
+    return parser.parse_args([argv[0], *tokens, *argv[1:]])
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -377,17 +398,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            args = parser.parse_args([args.command, *_config_tokens(args, argv), *argv[1:]])
+            config = _load_json(args.config, "config")
+            if not isinstance(config, dict):
+                raise DomainError("config file must hold a JSON object of flag values")
+            args = _parse_with(argv, config, "config")
         if args.command == "replay":
             for out in run_replay(args.manifest, args.outdir):
                 print(f"wrote {Path(args.outdir) / out}")
             return 0
-        run, required = _COMMANDS[args.command]
-        for name in required:
-            if getattr(args, name) is None:
-                raise DomainError(f"--{name} is required (flag or config)")
-        params_of = _converge_params if args.command == "converge" else _command_params
-        result = run(params_of(args), Path.cwd())
+        result = _run(args, Path.cwd())
         print(fmt_float(result) if args.command == "eval" else f"wrote {result[0]}")
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

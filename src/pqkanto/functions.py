@@ -73,8 +73,10 @@ class PiecewiseLinear:
 class FunctionHandle:
     """A named real function on [0, inf) plus optional exact metadata.
 
-    Metadata, when present, must agree with the evaluator; the test suite
-    spot-checks this.  `lip` is a pair (M, gamma) certifying
+    The evaluator maps a float to a float and a float ndarray of any shape
+    to a float array of that shape: the operator calls it on 2-D arrays of
+    nodes.  Metadata, when present, must agree with the evaluator; the
+    test suite spot-checks this.  `lip` is a pair (M, gamma) certifying
     |f(t) - f(x)| <= M |t - x|^gamma; `exact_modulus` maps delta to the
     modulus of continuity over [0, inf); `support_bound` C certifies
     f == 0 on [C, inf); `antiderivative` is a vectorised F with F' = f,

@@ -68,26 +68,10 @@ class RunManifest:
     outputs: List[str]
 
     def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "params": self.params,
-            "version": self.version,
-            "outputs": list(self.outputs),
-        }
+        return dict(vars(self))
 
     def save(self, path) -> None:
         write_json(self.to_json_dict(), path)
-
-    @classmethod
-    def load(cls, path) -> "RunManifest":
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return cls(
-            command=data["command"],
-            params=data["params"],
-            version=data["version"],
-            outputs=list(data["outputs"]),
-        )
 
 
 def manifest_path_for(output_path) -> Path:

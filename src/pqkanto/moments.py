@@ -38,8 +38,8 @@ import numpy as np
 
 from .errors import DomainError, SizeCapError
 from .operators import (OperatorParams, _check_x, _monomial_terms, _node_affine,
-                        _node_numerators, _not_finite, _poly_integrals, _scaled, _weights_exact,
-                        basis_weights)
+                        _node_numerators, _not_finite, _poly_integrals, _scaled,
+                        _weight_blocks, _weights_exact)
 from .pq_calculus import PQPair, Scalar, _brackets, _pq_powers, pq_power
 
 MOMENT_KEYS = ("m0", "m1", "m2", "c1", "c2")
@@ -159,27 +159,29 @@ def _exact_moments(params: OperatorParams, pq: PQPair, xs) -> List[Dict[str, Fra
 def _direct_moments(params: OperatorParams, pq: PQPair, xs) -> List[Dict[str, Scalar]]:
     """Direct summation of the five moments at every x in xs, keyed as
     MOMENT_KEYS.  When every input is rational they are Fractions from
-    `_exact_moments`; else they are floats that equal `operator_profile` on
-    the moment polynomials bit for bit.  One node map and one set of
-    monomial terms T_0, T_1, T_2 serve the call; each x takes one weight row
-    and one dot product per moment polynomial.  Raises DomainError when a
-    float value is not finite.
+    `_exact_moments`; else they are floats, every x taken as a float, that
+    equal `operator_profile` on the moment polynomials bit for bit: one
+    node map and one set of monomial terms T_0, T_1, T_2 serve the call,
+    the weight rows come from the operator's own `_weight_blocks`, and each
+    x takes one dot product per moment polynomial.  Raises DomainError when
+    a float value is not finite.
     """
     if params.is_exact(pq) and all(isinstance(x, Rational) for x in xs):
         return _exact_moments(params, pq, xs)
-    weights = [basis_weights(params, pq, x).weights for x in xs]
+    blocks = _weight_blocks(params, pq, xs)
     a, b = _node_affine(params, pq)
     out = []
     with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
         terms = _monomial_terms(2, a, b, pq)
-        for x, w in zip(xs, weights):
-            x = float(x)
-            # T_u is the vector of t^u itself: a handle's 0 + 1.0 * T_u equals it, as T_u >= 0
-            central = [_poly_integrals(c, terms) for c in ((-x, 1), (x * x, -2 * x, 1))]
-            values = [float(np.dot(w, v)) for v in terms + central]
-            if not np.isfinite(values).all():
-                raise _not_finite("operator value is", params.degree, w)
-            out.append(dict(zip(MOMENT_KEYS, values)))
+        for block, w in blocks:
+            for x, row in zip(xs[block], w):
+                x = float(x)
+                # T_u is t^u's own vector: a handle's 0 + 1.0 * T_u equals it (T_u >= 0)
+                central = [_poly_integrals(c, terms) for c in ((-x, 1), (x * x, -2 * x, 1))]
+                values = [float(np.dot(row, v)) for v in terms + central]
+                if not np.isfinite(values).all():
+                    raise _not_finite("operator value is", params.degree, w)
+                out.append(dict(zip(MOMENT_KEYS, values)))
     return out
 
 

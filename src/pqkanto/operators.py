@@ -32,8 +32,9 @@ returning a non-finite value.
 Evaluation is a weight matrix times inner-integral vectors.
 `operator_profile` takes any number of handles and x-grid points: it
 builds the node map and each handle's inner integrals once, and the
-weights once per block of x-grid rows, shared by every handle.
-`apply_operator` is its one-point, one-handle case.
+weights once per block of x-grid rows, shared by every handle and by the
+float direct sums of `moments`.  `apply_operator` is its one-point,
+one-handle case.
 
 Inner integrals, one path per integrand and regime:
 
@@ -66,7 +67,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -75,10 +76,8 @@ from .functions import FunctionHandle, PiecewiseLinear
 from .pq_calculus import (
     PQPair,
     Scalar,
-    _as_vectorized,
     _brackets,
     _store_fractions,
-    bracket_table,
     pq_integral_monomial,
     predicted_terms,
     truncated_series,
@@ -143,20 +142,6 @@ def _scaled(values: Sequence[Fraction]) -> Scaled:
     return Scaled([v.numerator * (den // v.denominator) for v in values], den)
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Basis weights at one point; weights[k] multiplies node integral k."""
-
-    weights: Union[np.ndarray, List[Fraction]]
-    x_norm: Scalar
-    mode: str
-
-    def total(self) -> Scalar:
-        if isinstance(self.weights, np.ndarray):
-            return float(np.sum(self.weights))
-        return sum(self.weights)
-
-
 def _check_x(params: OperatorParams, x: Scalar) -> Scalar:
     if not (0 <= x <= params.b_n):
         raise DomainError(f"x={x} outside [0, b_n] with b_n={params.b_n}")
@@ -192,6 +177,23 @@ def _weights_float(degree: int, pq: PQPair, x_norm: np.ndarray, mode: str) -> np
     return w
 
 
+#: Weight entries per block of x-grid rows in `_weight_blocks` (64 KB of
+#: float64); larger blocks at high degree only add memory.
+WEIGHT_BLOCK = 8192
+
+
+def _weight_blocks(params: OperatorParams, pq: PQPair,
+                   xs: Sequence[Scalar]) -> Iterator[Tuple[slice, np.ndarray]]:
+    """Float basis weights at every x in xs as pairs (a slice of xs, its
+    rows), blocks of at most WEIGHT_BLOCK entries.  Every x is checked at
+    the call; a block is built only when the iteration reaches it."""
+    x_norm = np.array([float(_check_x(params, x)) for x in xs])
+    rows = max(1, WEIGHT_BLOCK // (params.degree + 1))
+    return ((slice(start, start + rows),
+             _weights_float(params.degree, pq, x_norm[start:start + rows], params.mode))
+            for start in range(0, len(x_norm), rows))
+
+
 def _not_finite(what: str, degree: int, weights: np.ndarray) -> DomainError:
     cause = ("the inner integrals are not finite" if np.isfinite(weights).all()
              else "the float basis weights overflow past degree ~1030")
@@ -219,25 +221,26 @@ def _weights_exact(degree: int, pq: PQPair, s: Fraction, mode: str) -> Scaled:
     return Scaled(nums, bottom ** degree * base ** (degree * (degree - 1) // 2))
 
 
-def basis_weights(params: OperatorParams, pq: PQPair, x: Scalar) -> WeightVector:
-    """Basis weights at x in [0, b_n], in the mode set on `params`.
+def basis_weights(params: OperatorParams, pq: PQPair,
+                  x: Scalar) -> Union[np.ndarray, List[Fraction]]:
+    """Basis weights at x in [0, b_n], in the mode set on `params`; entry k
+    multiplies node integral k.
 
-    Dispatches to exact rational arithmetic when every input is rational,
-    float otherwise.  Normalized weights are nonnegative and sum to 1;
-    literal weights are nonnegative only.  Raises DomainError when a float
-    weight is not finite (past degree ~1030 as q/p -> 1).
+    A list of Fractions from exact rational arithmetic when every input is
+    rational, else the float row the operator uses at x.  Normalized
+    weights are nonnegative and sum to 1; literal weights are nonnegative
+    only.  Raises DomainError when a float weight is not finite (past
+    degree ~1030 as q/p -> 1).
     """
-    x_norm = _check_x(params, x)
     if params.is_exact(pq) and isinstance(x, Rational):
-        exact = _weights_exact(params.degree, pq, x_norm, params.mode)
-        w = [Fraction(v, exact.den) for v in exact.nums]
-    else:
-        x_norm = float(x_norm)
-        with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
-            w = _weights_float(params.degree, pq, np.array([x_norm]), params.mode)[0]
-        if not np.isfinite(w).all():
-            raise _not_finite("basis weights are", params.degree, w)
-    return WeightVector(weights=w, x_norm=x_norm, mode=params.mode)
+        exact = _weights_exact(params.degree, pq, _check_x(params, x), params.mode)
+        return [Fraction(v, exact.den) for v in exact.nums]
+    blocks = _weight_blocks(params, pq, [x])
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
+        w = next(blocks)[1][0]
+    if not np.isfinite(w).all():
+        raise _not_finite("basis weights are", params.degree, w)
+    return w
 
 
 def node_hull_max(params: OperatorParams, pq: PQPair) -> float:
@@ -253,7 +256,8 @@ def _node_affine(params: OperatorParams, pq: PQPair) -> Tuple[np.ndarray, np.nda
     """(A, B) with node_k(t) = A[k] + B[k] t, as float arrays whatever
     scalars params and pq hold."""
     deg = params.degree
-    br = bracket_table(deg + 2, pq)
+    # Python floats: the same IEEE operations as numpy, less overhead
+    br = np.array(_brackets(deg + 2, float(pq.p), float(pq.q)))
     scale = float(params.b_n) / (br[params.n + 1] + float(params.beta))
     a = (br[: deg + 1] + float(params.alpha)) * scale
     b = (br[1: deg + 2] - br[: deg + 1]) * scale
@@ -358,7 +362,6 @@ def _euler_maclaurin(f: FunctionHandle, a: np.ndarray, b: np.ndarray,
     p = float(pq.p)
     one_minus_r = (p - float(pq.q)) / p
     h = -math.log1p(-one_minus_r)
-    call = _as_vectorized(f)
     total = np.zeros_like(a)
     err = np.zeros_like(a)
     kinked = {}
@@ -370,14 +373,13 @@ def _euler_maclaurin(f: FunctionHandle, a: np.ndarray, b: np.ndarray,
     smooth = np.ones(len(a), dtype=bool)
     smooth[list(kinked)] = False
     if np.any(smooth):
-        total[smooth], err[smooth] = _gregory_segment(f, call, a[smooth], b[smooth],
-                                                      p, h, 0, None)
+        total[smooth], err[smooth] = _gregory_segment(f, a[smooth], b[smooth], p, h, 0, None)
     for k, jstars in kinked.items():
-        total[k], err[k] = _kinked_node(f, call, a[k:k + 1], b[k:k + 1], p, h, jstars)
+        total[k], err[k] = _kinked_node(f, a[k:k + 1], b[k:k + 1], p, h, jstars)
     return one_minus_r * total, one_minus_r * err
 
 
-def _kinked_node(f: FunctionHandle, call, a: np.ndarray, b: np.ndarray, p: float,
+def _kinked_node(f: FunctionHandle, a: np.ndarray, b: np.ndarray, p: float,
                  h: float, jstars: List[float]) -> Tuple[float, float]:
     """sum_j G_j and its error estimate for one node (1-element a, b) with
     kinks at the real indices jstars: direct sums over the windows, Gregory
@@ -396,18 +398,18 @@ def _kinked_node(f: FunctionHandle, call, a: np.ndarray, b: np.ndarray, p: float
     total, err = 0.0, 0.0
     for lo, hi in windows:
         e = np.exp(-np.arange(lo, hi) * h)
-        total += float(e @ call(a[0] + b[0] / p * e))
+        total += float(e @ f(a[0] + b[0] / p * e))
     starts = [0] + [hi for _lo, hi in windows]
     stops = [lo - 1 for lo, _hi in windows] + [None]
     for s, stop in zip(starts, stops):
         if stop is None or stop >= s:
-            seg, seg_err = _gregory_segment(f, call, a, b, p, h, s, stop)
+            seg, seg_err = _gregory_segment(f, a, b, p, h, s, stop)
             total += float(seg[0])
             err += float(seg_err[0])
     return total, err
 
 
-def _gregory_segment(f: FunctionHandle, call, a: np.ndarray, b: np.ndarray,
+def _gregory_segment(f: FunctionHandle, a: np.ndarray, b: np.ndarray,
                      p: float, h: float, start: int,
                      stop: Optional[int]) -> Tuple[np.ndarray, np.ndarray]:
     """sum_{j=start}^{stop} G_j (stop None: to infinity) for every node,
@@ -421,9 +423,8 @@ def _gregory_segment(f: FunctionHandle, call, a: np.ndarray, b: np.ndarray,
         err = _EPS * (np.abs(upper) + np.abs(lower)) / b
     else:
         mid = 0.5 * (t_lo + t_hi)
-        whole = _gauss_legendre(call, a, b, t_lo, t_hi)
-        integral = (_gauss_legendre(call, a, b, t_lo, mid)
-                    + _gauss_legendre(call, a, b, mid, t_hi))
+        whole = _gauss_legendre(f, a, b, t_lo, t_hi)
+        integral = _gauss_legendre(f, a, b, t_lo, mid) + _gauss_legendre(f, a, b, mid, t_hi)
         err = np.abs(whole - integral)
     main = (p / h) * integral
     err = (p / h) * err
@@ -431,7 +432,7 @@ def _gregory_segment(f: FunctionHandle, call, a: np.ndarray, b: np.ndarray,
     steps = np.arange(len(GREGORY))
     for js in [start + steps] + ([] if stop is None else [stop - steps]):
         e = np.exp(-js * h)
-        diffs = e * call(a[:, None] + b[:, None] / p * e[None, :])
+        diffs = e * f(a[:, None] + b[:, None] / p * e[None, :])
         for g in GREGORY[:-1]:
             corr += g * diffs[:, 0]
             diffs = np.diff(diffs, axis=1)
@@ -445,17 +446,17 @@ _GL_T = 0.5 * (_GL_NODES + 1.0)
 _GL_W = 0.5 * _GL_WEIGHTS
 
 
-def _gauss_legendre(call, a: np.ndarray, b: np.ndarray, lo: float,
+def _gauss_legendre(f: FunctionHandle, a: np.ndarray, b: np.ndarray, lo: float,
                     hi: float) -> np.ndarray:
     """64-point Gauss-Legendre integrals of f(A_k + B_k t) over [lo, hi]."""
     t = lo + (hi - lo) * _GL_T
-    return call(a[:, None] + b[:, None] * t[None, :]) @ ((hi - lo) * _GL_W)
+    return f(a[:, None] + b[:, None] * t[None, :]) @ ((hi - lo) * _GL_W)
 
 
 def _gl_integrals(f: FunctionHandle, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Classical integrals over [0,1] by 64-point Gauss-Legendre; exact to
     machine precision for smooth f (the p = q = 1 path for general f)."""
-    return _gauss_legendre(_as_vectorized(f), a, b, 0.0, 1.0)
+    return _gauss_legendre(f, a, b, 0.0, 1.0)
 
 
 def _pl_edges(pl: PiecewiseLinear, a: np.ndarray, b: np.ndarray,
@@ -564,41 +565,35 @@ def apply_operator(f: FunctionHandle, x: Scalar, params: OperatorParams,
     return float(operator_profile(f, params, pq, [x], rel_tol)[0])
 
 
-#: Weight entries per block of x-grid rows in `operator_profile` (64 KB of
-#: float64); larger blocks at high degree only add memory.
-WEIGHT_BLOCK = 8192
-
-
 def operator_profile(fs: Union[FunctionHandle, Sequence[FunctionHandle]],
-                     params: OperatorParams, pq: PQPair, xs,
+                     params: OperatorParams, pq: PQPair, xs: Sequence[Scalar],
                      rel_tol: float = 1e-12) -> np.ndarray:
     """Operator values of one handle, or of each of a sequence of handles,
     at every x in xs (each within [0, b_n]).
 
     Returns a 1-D array for one handle, else one row per handle.  The node
-    map and each handle's inner integrals are built once.  The weights are
-    built once per block of at most WEIGHT_BLOCK entries of x-grid rows
-    and shared by every handle; each weight row is contracted with each
-    integral vector by `np.dot`, so a value does not depend on the grid,
-    the block or the other handles.
+    map and each handle's inner integrals are built once.  The weights come
+    from `_weight_blocks`, the float direct sums' source too, one block of
+    x-grid rows at a time after the integrals, shared by every handle;
+    each weight row is contracted with each integral vector by `np.dot`,
+    so a value does not depend on the grid, the block or the other
+    handles.
 
     Raises DomainError, not a numpy warning, when a value is not finite;
     it blames the weights (past degree ~1030 as q/p -> 1) only if they are.
     """
     single = isinstance(fs, FunctionHandle)
     handles = [fs] if single else list(fs)
-    x_norm = np.array([float(_check_x(params, x)) for x in xs])
+    blocks = _weight_blocks(params, pq, xs)
     a, b = _node_affine(params, pq)
-    out = np.empty((len(handles), len(x_norm)))
-    rows = max(1, WEIGHT_BLOCK // (params.degree + 1))
+    out = np.empty((len(handles), len(xs)))
     with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
         integrals = [_inner_integrals(f, a, b, pq, rel_tol) for f in handles]
-        for start in range(0, len(x_norm), rows):
-            w = _weights_float(params.degree, pq, x_norm[start:start + rows], params.mode)
-            for i, row in enumerate(w, start):
+        for block, w in blocks:
+            for i, row in enumerate(w, block.start):
                 for j, vec in enumerate(integrals):
                     out[j, i] = np.dot(row, vec)
-            if not np.isfinite(out[:, start:start + rows]).all():
+            if not np.isfinite(out[:, block]).all():
                 raise _not_finite("operator value is", params.degree, w)
     return out[0] if single else out
 

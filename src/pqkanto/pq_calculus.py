@@ -18,8 +18,10 @@ whole computation exact (the artifact's identity-verification mode).
 The bracket recurrence `_brackets` runs on any scalars, Python ints
 included: with p = P/D and q = Q/D it gives the integer numerators of
 [k] = N_k / D^{k-1} from P and Q, which the exact direct sums carry.
-`bracket_table` is its float-array form.  The series integral is
-float-only since it is an infinite sum.
+The series integral is float-only since it is an infinite sum; it calls
+its integrand once per chunk of nodes on a 2-D float array, so an
+integrand (a `FunctionHandle` or any callable) must map a float ndarray
+to a float array of the same shape, as it maps a float to a float.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -126,23 +128,6 @@ def pq_power(a: Scalar, b: Scalar, n: int, pq: PQPair) -> Scalar:
     return _pq_powers(a, b, n, pq)[n]
 
 
-def _as_vectorized(f) -> Callable[[np.ndarray], np.ndarray]:
-    """Adapt a FunctionHandle or plain callable to ndarray evaluation."""
-    evaluator = getattr(f, "evaluator", f)
-
-    def call(t: np.ndarray) -> np.ndarray:
-        try:
-            out = np.asarray(evaluator(t), dtype=float)
-            if out.shape != t.shape:
-                raise ValueError
-            return out
-        except (TypeError, ValueError):
-            return np.array([evaluator(float(v)) for v in t.ravel()],
-                            dtype=float).reshape(t.shape)
-
-    return call
-
-
 def predicted_terms(pq: PQPair, rel_tol: float) -> int:
     """Fewest series terms the truncation rule below can stop after:
     ceil(ln(rel_tol) / ln(q/p)).
@@ -165,10 +150,11 @@ def truncated_series(f, a: np.ndarray, b: np.ndarray, pq: PQPair,
 
         (p - q) * sum_{j>=0} t_j f(a_k + b_k t_j),   t_j = q^j / p^{j+1},
 
-    for every k at once.  Requires q < p strictly.  The nodes t_j start at
-    1/p (which exceeds 1 when p < 1), so f must be evaluable on
-    a_k + b_k [0, 1/p].  Truncation stops, checked every 256 terms, once
-    for every k the geometric tail bound
+    for every k at once.  Requires q < p strictly.  f is called on a 2-D
+    float array of nodes per chunk and must return a float array of the
+    same shape.  The nodes t_j start at 1/p (which exceeds 1 when p < 1),
+    so f must be evaluable on a_k + b_k [0, 1/p].  Truncation stops,
+    checked every 256 terms, once for every k the geometric tail bound
 
         M_k * (p-q)/p * (q/p)^J / (1 - q/p),   M_k = running max |f|,
 
@@ -188,7 +174,6 @@ def truncated_series(f, a: np.ndarray, b: np.ndarray, pq: PQPair,
             f"series integral needs at least {needed} terms to reach "
             f"rel_tol={rel_tol}, above the cap of {TERM_CAP} (q/p={r})"
         )
-    call = _as_vectorized(f)
     acc = np.zeros_like(a)
     max_abs = np.zeros_like(a)
     j0 = 0
@@ -196,7 +181,7 @@ def truncated_series(f, a: np.ndarray, b: np.ndarray, pq: PQPair,
     while j0 < TERM_CAP:
         js = np.arange(j0, min(j0 + chunk, TERM_CAP))
         t = (r ** js) / p
-        fv = call(a[:, None] + b[:, None] * t[None, :])
+        fv = f(a[:, None] + b[:, None] * t[None, :])
         acc += (p - q) * (fv @ t)
         max_abs = np.maximum(max_abs, np.max(np.abs(fv), axis=1))
         if not np.isfinite(max_abs).all():
@@ -221,11 +206,3 @@ def pq_integral_monomial(j: int, pq: PQPair) -> Scalar:
     if j < 0:
         raise DomainError(f"j must be nonnegative, got {j}")
     return 1 / pq_integer(j + 1, pq)
-
-
-def bracket_table(count: int, pq: PQPair) -> np.ndarray:
-    """[0], [1], ..., [count-1] as a float array via the Horner recurrence
-    [k+1] = p^k + q [k], the operations of `pq_integer` on float(p) and
-    float(q) in one pass."""
-    # Python floats: the same IEEE operations as numpy, less overhead
-    return np.array(_brackets(count, float(pq.p), float(pq.q)), dtype=float)

@@ -107,12 +107,12 @@ def test_criterion_3_partition_of_unity():
         b_n = float(rng.uniform(0.5, 8.0))
         x = float(rng.uniform(0.0, 1.0)) * b_n
         params = OperatorParams(n=n, m=m, b_n=b_n)
-        total = basis_weights(params, PQPair(p, max(q, 1e-9)), x).total()
+        total = np.sum(basis_weights(params, PQPair(p, max(q, 1e-9)), x))
         worst = max(worst, abs(total - 1.0))
         if abs(total - 1.0) > 1e-12:
             report("3", False, f"sum {total} at n+m={n + m}, p={p}, q={q}")
-    counter = basis_weights(OperatorParams(n=2, mode="literal"), PQPair(0.9, 0.8),
-                            0.5).total()
+    counter = np.sum(basis_weights(OperatorParams(n=2, mode="literal"), PQPair(0.9, 0.8),
+                                   0.5))
     if abs(counter - 0.925) > 1e-12:
         report("3", False, f"literal counterexample sum {counter} != 0.925")
     report("3", True,

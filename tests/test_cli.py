@@ -127,7 +127,8 @@ class TestEval:
         assert code == 0
         data = json.loads((tmp_path / "value.json").read_text())
         assert data["command"] == "eval"
-        manifest = RunManifest.load(tmp_path / "value.json.manifest.json")
+        path = tmp_path / "value.json.manifest.json"
+        manifest = RunManifest(**json.loads(path.read_text()))
         assert manifest.command == "eval"
         assert manifest.outputs == ["value.json"]
 
@@ -325,6 +326,27 @@ class TestReplay:
         assert (run_dir / "rep.json").read_bytes() == \
             (tmp_path / "redo" / "rep.json").read_bytes()
 
+    @pytest.mark.parametrize("edit", [
+        lambda m: m.update(command=["eval"]),
+        lambda m: m.pop("command"),
+        lambda m: m.update(command="eval", params={}),
+        lambda m: m["params"].update(n="abc"),
+    ], ids=["command-list", "no-command", "eval-without-params", "n-not-int"])
+    def test_malformed_manifest_exit_2(self, tmp_path, capsys, edit):
+        # a manifest is outside input: one error line, no traceback, no output
+        assert run_cli(["bounds", "--fn", "sin", "--n", "3", "--grid", "3",
+                        "--out", "b.csv"], tmp_path) == 0
+        path = tmp_path / "b.csv.manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli(["replay", str(path), "--outdir", str(tmp_path / "redo")],
+                       tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "redo").exists()
+
 
 class TestConfig:
     def test_config_mirrors_flags(self, tmp_path, capsys):
@@ -349,6 +371,16 @@ class TestConfig:
         assert code == 0
         header = (tmp_path / "s.csv").read_text().splitlines()[0]
         assert header == "n,p_n,q_n,b_n,err_e0,err_e1,err_e2,err_bump:2"
+
+    def test_abbreviated_flag_exit_2(self, tmp_path, capsys):
+        # flags are spelled in full: --ext is no --extra, so it cannot slip
+        # past the explicit-flag override and add to the config's entries
+        (tmp_path / "cfg.json").write_text(json.dumps({"extra": ["sin"]}))
+        code = run_cli(["converge", "--n-list", "10", "--grid", "9", "--ext", "bump:2",
+                        "--config", "cfg.json", "--out", "s.csv"], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err == "error: unrecognized arguments: --ext bump:2\n"
+        assert not (tmp_path / "s.csv").exists()
 
     def test_unknown_config_key_exit_2(self, tmp_path, capsys):
         (tmp_path / "cfg.json").write_text(json.dumps({"fn": "id", "nope": 1}))

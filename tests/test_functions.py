@@ -59,6 +59,21 @@ def test_piecewise_metadata_matches_evaluator():
         assert np.allclose(h.piecewise_linear(xs), h.evaluator(xs), atol=1e-12)
 
 
+@pytest.mark.parametrize("f", [
+    *(builtin(name) for name in ("const1", "id", "square", "sin", "absdev:0.7",
+                                 "lip:0.5:0.5", "bump:2")),
+    polynomial_handle("cubic", (1.0, -2.0, 0.5, 3.0)),
+    PiecewiseLinear(xs=(0.0, 1.0, 3.0), ys=(2.0, 0.0, 4.0), end_slope=-1.0),
+], ids=lambda f: getattr(f, "name", "PiecewiseLinear"))
+def test_evaluator_maps_a_float_array_to_its_shape(f):
+    # the operator calls an integrand once per chunk on a 2-D float array
+    # of nodes, with no per-element fallback
+    t = np.linspace(-0.5, 5.0, 24).reshape(4, 6)
+    out = f(t)
+    assert isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == t.shape
+    assert np.allclose(out, [[f(float(v)) for v in row] for row in t], rtol=1e-15, atol=0)
+
+
 def test_antiderivative_matches_evaluator():
     for a, gamma in ((0.8, 0.5), (1.0, 0.3), (0.0, 0.7)):
         h = builtin(f"lip:{a}:{gamma}")

@@ -176,17 +176,25 @@ def exact_instances(draw):
 class TestDirectMoments:
     @pytest.mark.parametrize("mode", ["normalized", "literal"])
     def test_float_equals_handles_bit_for_bit(self, mode):
-        cases = [(pq, OperatorParams(n=n, m=m, alpha=1.0, beta=2.0, b_n=3.0, mode=mode))
+        grid = [float(x) for x in np.linspace(0.0, 3.0, 7)]
+        cases = [(pq, OperatorParams(n=n, m=m, alpha=1.0, beta=2.0, b_n=3.0, mode=mode), grid)
                  for pq in (P11, PQPair(0.9, 0.9), PQ98, PQPair(0.95, 0.85))
                  for n, m in ((1, 0), (6, 1), (50, 2))]
-        # the default sequence at degree 900, q/p -> 1
+        # the default sequence at degree 900, q/p -> 1, on 33 points: four
+        # weight blocks of at most WEIGHT_BLOCK // 901 = 9 rows
         near_one = PQPair(1.0 - 1.0 / 901 ** 2, 1.0 - 2.0 / 901 ** 2)
-        cases.append((near_one, OperatorParams(n=900, b_n=900.0 ** (1 / 3), mode=mode)))
-        for pq, params in cases:
-            xs = [float(x) for x in np.linspace(0.0, float(params.b_n), 7)]
+        b_n = 900.0 ** (1 / 3)
+        cases.append((near_one, OperatorParams(n=900, b_n=b_n, mode=mode),
+                      [float(x) for x in np.linspace(0.0, b_n, 33)]))
+        # exact params and pq with a rational and a float point: a rational
+        # point takes the float weights too, whatever the other points are
+        cases.append((PQPair(F(9, 10), F(4, 5)),
+                      OperatorParams(n=5, m=1, alpha=F(1, 2), beta=F(1), b_n=F(2), mode=mode),
+                      [F(1, 2), 0.3]))
+        for pq, params, xs in cases:
             got = _direct_moments(params, pq, xs)
             for x, row in zip(xs, got):
-                want = moments_by_handles(params, pq, x)
+                want = moments_by_handles(params, pq, float(x))
                 assert list(row) == list(MOMENT_KEYS)
                 assert [v.hex() for v in row.values()] == [v.hex() for v in want.values()]
                 assert all(type(v) is float for v in row.values())
@@ -229,7 +237,7 @@ class TestDirectMoments:
         for x, row in zip(xs, got):
             assert list(row) == list(MOMENT_KEYS)
             assert all(type(v) is F for v in row.values())
-            weights = basis_weights(params, pq, x).weights
+            weights = basis_weights(params, pq, x)
             assert all(type(w) is F for w in weights)
             assert weights == weights_exact_fractions(params.degree, pq, x / params.b_n,
                                                       params.mode)
@@ -339,7 +347,7 @@ class TestVerifyMoments:
                                         mode=mode)
                 x = F(6, 7)
                 rep = verify_moments(params, pq, x, "exact")
-                w = basis_weights(params, pq, x).weights
+                w = basis_weights(params, pq, x)
                 ee = pq_integer(n + 1, pq) + params.beta
                 mono = [pq_integral_monomial(j, pq) for j in range(3)]
                 want = [F(0)] * 3

@@ -65,19 +65,19 @@ class TestParams:
 class TestBasisWeights:
     def test_normalized_example(self):
         w = basis_weights(OperatorParams(n=2), PQ98, 0.5)
-        assert np.allclose(w.weights, [5 / 18, 17 / 36, 0.25], atol=1e-12)
-        assert w.total() == pytest.approx(1.0, abs=1e-14)
+        assert np.allclose(w, [5 / 18, 17 / 36, 0.25], atol=1e-12)
+        assert np.sum(w) == pytest.approx(1.0, abs=1e-14)
 
     def test_literal_example_sum(self):
         w = basis_weights(OperatorParams(n=2, mode="literal"), PQ98, 0.5)
-        assert w.total() == pytest.approx(0.925, abs=1e-13)
-        assert np.allclose(w.weights, [0.25, 0.425, 0.25], atol=1e-13)
+        assert np.sum(w) == pytest.approx(0.925, abs=1e-13)
+        assert np.allclose(w, [0.25, 0.425, 0.25], atol=1e-13)
 
     def test_x_zero_concentrates(self):
         w = basis_weights(OperatorParams(n=5, m=2), PQ98, 0.0)
         want = np.zeros(8)
         want[0] = 1.0
-        assert np.allclose(w.weights, want, atol=0)
+        assert np.allclose(w, want, atol=0)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
@@ -94,12 +94,12 @@ class TestBasisWeights:
         pq = PQPair(p, max(p * ratio, 1e-6))
         params = OperatorParams(n=n, m=m, b_n=2.0)
         w = basis_weights(params, pq, x_norm * 2.0)
-        assert np.all(np.asarray(w.weights) >= 0.0)
-        assert abs(w.total() - 1.0) <= 1e-12
+        assert np.all(np.asarray(w) >= 0.0)
+        assert abs(np.sum(w) - 1.0) <= 1e-12
         lit = basis_weights(
             OperatorParams(n=n, m=m, b_n=2.0, mode="literal"), pq, x_norm * 2.0
         )
-        assert np.all(np.asarray(lit.weights) >= 0.0)
+        assert np.all(np.asarray(lit) >= 0.0)
 
     @pytest.mark.parametrize("ratio", [1 - 1e-5, 1 - 1e-6, 1 - 1e-7])
     def test_partition_of_unity_as_ratio_tends_to_one(self, ratio):
@@ -108,19 +108,19 @@ class TestBasisWeights:
             params = OperatorParams(n=degree, b_n=2.0)
             for x in np.linspace(0.0, 2.0, 21):
                 w = basis_weights(params, pq, x)
-                assert np.all(np.asarray(w.weights) >= 0.0)
-                assert abs(w.total() - 1.0) <= 1e-12
+                assert np.all(np.asarray(w) >= 0.0)
+                assert abs(np.sum(w) - 1.0) <= 1e-12
 
     def test_exact_path_matches_float_path(self):
         pq_e = PQPair(F(9, 10), F(4, 5))
         for mode in ("normalized", "literal"):
             params_e = OperatorParams(n=3, m=1, alpha=F(1), beta=F(2), b_n=F(2),
                                       mode=mode)
-            exact = basis_weights(params_e, pq_e, F(3, 4)).weights
+            exact = basis_weights(params_e, pq_e, F(3, 4))
             assert isinstance(exact[0], F)
             params_f = OperatorParams(n=3, m=1, alpha=1.0, beta=2.0, b_n=2.0,
                                       mode=mode)
-            floats = basis_weights(params_f, PQ98, 0.75).weights
+            floats = basis_weights(params_f, PQ98, 0.75)
             assert np.allclose(floats, [float(v) for v in exact], rtol=1e-13)
 
     def test_overflow_raises(self):
@@ -135,7 +135,7 @@ class TestBasisWeights:
         pq_e = PQPair(F(3, 4), F(1, 2))
         params = OperatorParams(n=4, m=2, alpha=F(0), beta=F(0), b_n=F(1))
         w = basis_weights(params, pq_e, F(2, 7))
-        assert w.total() == 1
+        assert sum(w) == 1
 
     @staticmethod
     def literal_reference(degree, pq, s, mode):
@@ -166,7 +166,7 @@ class TestBasisWeights:
     def test_exact_with_integer_pq_stays_exact(self):
         # p = q = 1 given as ints still gives the exact binomial weights
         params = OperatorParams(n=5, m=2, alpha=F(1), beta=F(2), b_n=F(3))
-        got = basis_weights(params, PQPair(1, 1), F(1)).weights
+        got = basis_weights(params, PQPair(1, 1), F(1))
         assert got == [math.comb(7, k) * F(1, 3) ** k * F(2, 3) ** (7 - k)
                        for k in range(8)]
 

@@ -15,7 +15,7 @@ from pqkanto import (
     pq_integral_monomial,
     pq_power,
 )
-from pqkanto.pq_calculus import TERM_CAP, _brackets, bracket_table, predicted_terms
+from pqkanto.pq_calculus import TERM_CAP, _brackets, predicted_terms
 
 from oracles import (pq_binomial, pq_binomial_expand, pq_factorial, pq_integer_quotient,
                      pq_integral_unit)
@@ -98,7 +98,7 @@ class TestPQInteger:
     def test_bracket_table_matches_scalar(self):
         # float parameters: the same operations as pq_integer, bit for bit
         for pq in (PQPair(0.97, 0.9), PQ98, PQPair(0.7, 0.7), PQPair(1.0, 1.0)):
-            table = bracket_table(41, pq)
+            table = np.array(_brackets(41, float(pq.p), float(pq.q)))
             assert isinstance(table, np.ndarray) and table.dtype == float
             assert table.tolist() == [pq_integer(n, pq) for n in range(41)]
 
@@ -271,15 +271,6 @@ class TestIntegralSeries:
             pq_integral_unit(counted, pq, rel_tol=1e-12)
             needed = predicted_terms(pq, 1e-12)
             assert needed <= sum(points) < needed + 256 + 256
-
-    def test_scalar_only_evaluator_falls_back(self):
-        def scalar_only(t):
-            if isinstance(t, np.ndarray):
-                raise TypeError("scalars only")
-            return t
-
-        got = pq_integral_unit(scalar_only, PQ98)
-        assert got == pytest.approx(1 / 1.7, rel=1e-11)
 
 
 class TestIntegralMonomial:
