@@ -12,7 +12,7 @@ Library layout:
     cli           reproducible command-line frontend (see `pqkanto -h`)
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .bounds import BoundReport, bound_reports, modulus, second_modulus
 from .convergence import (

@@ -12,7 +12,7 @@ central2 is always the direct-summation second central moment, taken at
 every point of the grid by one call.  The first two bounds are proven
 inequalities for a positive operator that reproduces constants, so with
 exact moduli they must hold at every point; `holds_*` flags assert
-exactly that and are set only when the modulus comes from exact
+exactly that and are set only when the first modulus comes from exact
 metadata, never from a grid estimate (grid estimates are lower bounds of
 the true modulus and could fake a violation).
 
@@ -20,10 +20,14 @@ Moduli are measured over the node hull [0, node_hull_max]: the operator
 never evaluates f outside it, and the bound proofs only need |t - x|
 with t in the hull.
 
-Where a handle carries no exact modulus, omega_r(f, delta) (r = 1, 2) is
-estimated on a grid.  f is sampled once on the DOMAIN_STEPS + 1 equally
-spaced base points x_i of the domain, spacing D = (hi - lo)/DOMAIN_STEPS,
-and the estimate is the largest |Delta^r_h f(x_i)| with x_i + r h in the
+omega_2 over the domain is exact for const1, id, square, sin, lip inside
+its window (`exact_second_modulus`) and for piecewise-linear handles
+(absdev, bump, lip:<a>:1; `_pl_second_modulus`).  Where a handle carries
+no exact modulus (omega_1 of square, omega_2 of lip past its window or of
+a handle without structure), omega_r(f, delta) (r = 1, 2) is estimated
+on a grid.  f is sampled once on the DOMAIN_STEPS + 1 equally spaced
+base points x_i of the domain, spacing D = (hi - lo)/DOMAIN_STEPS, and
+the estimate is the largest |Delta^r_h f(x_i)| with x_i + r h in the
 domain over two kinds of offset h:
 
   * the grid-aligned offsets h = j D <= delta, j <= k = floor(delta/D),
@@ -35,8 +39,8 @@ domain over two kinds of offset h:
     shifted base points.
 
 Every candidate is an admissible pair (x, h <= delta), so the estimate is
-a lower estimate of the true modulus.  A delta, a sample of f or an
-estimate that is not finite raises DomainError.
+a lower estimate of the true modulus.  A delta, a sample of f or a
+modulus that is not finite raises DomainError.
 """
 
 from __future__ import annotations
@@ -47,9 +51,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError
-from .functions import FunctionHandle
+from .functions import FunctionHandle, PiecewiseLinear
 from .moments import _direct_moments, peetre_bound_args
-from .operators import OperatorParams, node_hull_max, operator_profile
+from .operators import WEIGHT_BLOCK, OperatorParams, node_hull_max, operator_profile
 from .pq_calculus import PQPair
 
 #: Base points of the grid estimates: the domain in DOMAIN_STEPS equal
@@ -87,16 +91,40 @@ def _window_range(f: np.ndarray, width: int) -> float:
     return abs(float((hi - lo).max()))
 
 
+def _pl_second_modulus(pl: PiecewiseLinear, delta: float, lo: float,
+                       hi: float) -> Optional[float]:
+    """omega_2 over [lo, hi] of f = affine + sum c_k (x - k)_+ (kinks k
+    inside): Delta^2_h f(x) = sum c_k max(0, h - |x + h - k|) peaks at x =
+    k - c h (c = 0, 1, 2) or an end, piecewise linearly in h with breaks
+    (k' - k)/j, (k - lo)/j, (hi - k)/j (j = 1, 2); those and the cap are
+    tried.  None when that costs more than the grid table (~K^4, K kinks)."""
+    xs = np.asarray(pl.xs, dtype=float)
+    inside = (xs[1:] > lo) & (xs[1:] < hi)
+    k, c = xs[1:][inside], np.diff(pl.piece_at(xs)[1])[inside]
+    cap = min(delta, (hi - lo) / 2.0)
+    breaks = np.concatenate([(k[:, None] - k).ravel(), k - lo, hi - k])
+    h = np.concatenate([breaks, breaks / 2.0, [cap]])
+    h = h[(h > 0) & (h <= cap)][:, None]
+    if h.size * (3 * k.size + 2) * k.size > DOMAIN_STEPS * DOMAIN_STEPS // 2:
+        return None
+    x = np.hstack([k - j * h for j in (0.0, 1.0, 2.0)] + [np.full_like(h, lo), hi - 2.0 * h])
+    x = np.clip(x, lo, hi - 2.0 * h)
+    total = np.zeros_like(x)
+    for k_i, c_i in zip(k, c):
+        total += c_i * np.maximum(0.0, h - np.abs(x + h - k_i))
+    return float(np.abs(total).max())
+
+
 class _Moduli:
     """omega_1 and omega_2 of one f over one domain, at any number of deltas.
 
-    Exact metadata is returned as is.  Otherwise f is sampled at first
-    use.  Order 1 takes max - min over windows of k + 1 base samples: a
-    rounded difference is monotone in each argument and odd, so that is
-    the largest |f(x_{i+j}) - f(x_i)| over j <= k, bit for bit.  Order 2
-    loops over the offsets with one buffer and grows its table only as
-    far as the largest delta asked for.  An instance lives for one call
-    of the public functions below, never longer.
+    Exact moduli (module docstring) are returned as is.  Otherwise f is
+    sampled at first use.  Order 1 takes max - min over windows of k + 1
+    base samples: a rounded difference is monotone in each argument and
+    odd, so that is the largest |f(x_{i+j}) - f(x_i)| over j <= k, bit for
+    bit.  Order 2 loops over the offsets with one buffer and grows its
+    table only as far as the largest delta asked for.  An instance lives
+    for one call of the public functions below, never longer.
     """
 
     def __init__(self, f: FunctionHandle, domain: Tuple[float, float]):
@@ -109,13 +137,24 @@ class _Moduli:
     def __call__(self, order: int, delta: float) -> float:
         if not 0 <= delta < np.inf:
             raise DomainError(f"delta must be finite and nonnegative, got {delta}")
-        exact = self.f.exact_modulus if order == 1 else self.f.exact_second_modulus
-        if exact is not None:
-            return float(exact(delta))
+        if order == 1 and self.f.exact_modulus is not None:
+            return float(self.f.exact_modulus(delta))
         if self.hi <= self.lo:
             raise DomainError(f"empty domain [{self.lo}, {self.hi}]")
         if delta == 0:
             return 0.0
+        best = None
+        if order == 2 and self.f.exact_second_modulus is not None:
+            best = self.f.exact_second_modulus(delta, self.lo, self.hi)
+        if best is None and order == 2 and self.f.piecewise_linear is not None:
+            best = _pl_second_modulus(self.f.piecewise_linear, delta, self.lo, self.hi)
+        if best is None:
+            best = self._grid(order, delta)
+        if not np.isfinite(best):
+            raise DomainError(f"modulus of {self.f.name} overflows at delta {delta}")
+        return best
+
+    def _grid(self, order: int, delta: float) -> float:
         if self._base is None:
             self._base = np.linspace(self.lo, self.hi, DOMAIN_STEPS + 1)
             self._f_base = self._sample(self._base)
@@ -127,8 +166,6 @@ class _Moduli:
             values = [self._f_base[ok]] + [self._sample(x + j * delta)
                                            for j in range(1, order + 1)]
             best = max(best, float(np.abs(_difference(order, values)).max()))
-        if not np.isfinite(best):
-            raise DomainError(f"grid modulus of {self.f.name} overflows at delta {delta}")
         return best
 
     def _sample(self, x: np.ndarray) -> np.ndarray:
@@ -210,23 +247,28 @@ def bound_reports(f: FunctionHandle, xs, params: OperatorParams, pq: PQPair,
     [0, b_n]).
 
     Requires normalized mode: the bounds are proved for an operator that
-    reproduces constants.  The hull, the inner integrals, the direct sums
-    and the grid-moduli tables are built once for the whole call; the
-    values equal `apply_operator` and `second_central_moment` at each x.
+    reproduces constants.  The hull, the inner integrals, the direct sums,
+    the Peetre arguments (blocked as the weights) and the grid-moduli
+    tables are built once for the whole call; the values equal
+    `apply_operator`, `second_central_moment` and `peetre_bound_args`.
     The sqrt argument of the second modulus clamps the printed peetre_arg
     at zero (it is reported unclamped)."""
     if params.mode != "normalized":
         raise DomainError("bound reports require normalized mode")
     omega = _Moduli(f, (0.0, node_hull_max(params, pq)))
     values = operator_profile(f, params, pq, xs, rel_tol).tolist()
+    direct = _direct_moments(params, pq, xs)
+    xa, rows = np.asarray(xs), max(1, WEIGHT_BLOCK // (2 * params.degree + 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats do
+        blocks = [peetre_bound_args(params, pq, xa[i:i + rows]) for i in range(0, xa.size, rows)]
+    peetre = [[float(v) for block in blocks for v in block[j]] for j in (0, 1)]
     reports = []
-    for x, kf, moments in zip(xs, values, _direct_moments(params, pq, xs)):
+    for x, kf, moments, peetre_arg, bias in zip(xs, values, direct, *peetre):
         fx = float(f.evaluator(float(x)))
         observed = abs(kf - fx)
         central2 = max(float(moments["c2"]), 0.0)
         om = omega(1, float(np.sqrt(central2)))
         mod_bound = 2.0 * om
-        peetre_arg, bias = map(float, peetre_bound_args(params, pq, x))
         om2 = omega(2, float(np.sqrt(max(peetre_arg, 0.0))))
         om_bias = omega(1, abs(bias))
         lip_bound = None

@@ -78,8 +78,9 @@ class FunctionHandle:
     nodes.  Metadata, when present, must agree with the evaluator; the
     test suite spot-checks this.  `lip` is a pair (M, gamma) certifying
     |f(t) - f(x)| <= M |t - x|^gamma; `exact_modulus` maps delta to the
-    modulus of continuity over [0, inf); `support_bound` C certifies
-    f == 0 on [C, inf); `antiderivative` is a vectorised F with F' = f,
+    modulus of continuity over [0, inf), `exact_second_modulus` (delta,
+    lo, hi) to the second one over [lo, hi] or None; `support_bound` C
+    certifies f == 0 on [C, inf); `antiderivative` is a vectorised F with F' = f,
     used by the classical (p = q = 1) and Euler-Maclaurin inner integrals;
     `kinks` lists the points where f is not smooth (empty for f smooth on
     [0, inf), None when unknown, which keeps the series inner integrals on
@@ -90,7 +91,7 @@ class FunctionHandle:
     evaluator: Callable
     lip: Optional[Tuple[float, float]] = None
     exact_modulus: Optional[Callable[[float], float]] = None
-    exact_second_modulus: Optional[Callable[[float], float]] = None
+    exact_second_modulus: Optional[Callable[[float, float, float], Optional[float]]] = None
     support_bound: Optional[float] = None
     polynomial_coeffs: Optional[Tuple[float, ...]] = None
     piecewise_linear: Optional[PiecewiseLinear] = None
@@ -117,18 +118,40 @@ def polynomial_handle(name: str, coeffs: Sequence) -> FunctionHandle:
 
 def const1() -> FunctionHandle:
     return replace(polynomial_handle("const1", (1.0,)), lip=(0.0, 1.0),
-                   exact_modulus=lambda d: 0.0, exact_second_modulus=lambda d: 0.0)
+                   exact_modulus=lambda d: 0.0, exact_second_modulus=lambda d, lo, hi: 0.0)
 
 
 def identity() -> FunctionHandle:
     return replace(polynomial_handle("id", (0.0, 1.0)), lip=(1.0, 1.0),
-                   exact_modulus=lambda d: float(d), exact_second_modulus=lambda d: 0.0)
+                   exact_modulus=lambda d: float(d), exact_second_modulus=lambda d, lo, hi: 0.0)
 
 
 def square() -> FunctionHandle:
     # unbounded on [0, inf): no global modulus, no Lipschitz pair
     return replace(polynomial_handle("square", (0.0, 0.0, 1.0)),
-                   exact_second_modulus=lambda d: 2.0 * d * d)
+                   exact_second_modulus=lambda d, lo, hi: 2.0 * d * d)
+
+
+def _sin_second_modulus(delta: float, lo: float, hi: float) -> float:
+    """omega_2(sin) over [lo, hi]: the largest 4 sin^2(h/2) max|sin| on
+    [lo + h, hi - h] over h <= cap = min(delta, (hi - lo)/2).  The max is 1
+    while a peak lies inside (the value rises up to h = pi), else an end
+    value, stationary at h = 2(hi - j pi)/3 or 2(j pi - lo)/3.  A peak is
+    inside for h <= (hi - lo - pi)/2, at most pi/2 below the cap, and those
+    h lie 2 pi/3 apart: per end only the largest one <= cap counts (one j
+    more either way for rounding).  It, the cap and pi are tried."""
+    cap = min(delta, (hi - lo) / 2.0)
+
+    def value(h):
+        a, b = lo + h, hi - h
+        last_peak = math.pi / 2.0 + math.pi * math.floor((b - math.pi / 2.0) / math.pi)
+        m = 1.0 if last_peak >= a else max(abs(math.sin(a)), abs(math.sin(b)))
+        return 4.0 * math.sin(h / 2.0) ** 2 * m
+
+    j_hi, j_lo = math.ceil((hi - 1.5 * cap) / math.pi), math.floor((lo + 1.5 * cap) / math.pi)
+    hs = [cap, math.pi] + [h for i in (-1, 0, 1) for h in (2.0 * (hi - (j_hi + i) * math.pi) / 3.0,
+                                                          2.0 * ((j_lo + i) * math.pi - lo) / 3.0)]
+    return max(value(h) for h in hs if 0.0 < h <= cap)
 
 
 def sine() -> FunctionHandle:
@@ -138,7 +161,7 @@ def sine() -> FunctionHandle:
 
     return FunctionHandle(
         name="sin", evaluator=lambda x: np.sin(x), lip=(1.0, 1.0),
-        exact_modulus=mod, kinks=(),
+        exact_modulus=mod, exact_second_modulus=_sin_second_modulus, kinks=(),
     )
 
 
@@ -161,7 +184,8 @@ def lip_handle(a: float, gamma: float) -> FunctionHandle:
     """|x - a|^gamma for gamma in (0, 1]; member of Lip_1(gamma).
 
     |u^g - v^g| <= |u - v|^g for u, v >= 0 gives the Lipschitz certificate
-    and the exact modulus delta^gamma (attained at the kink).  The
+    and the exact modulus delta^gamma (attained at the kink); omega_2 over
+    [lo, hi] is 2 delta^gamma (x + h = a) while [a - delta, a + delta] fits.  The
     antiderivative sign(x - a) |x - a|^(gamma+1) / (gamma+1) integrates
     across the kink exactly.
     """
@@ -181,6 +205,8 @@ def lip_handle(a: float, gamma: float) -> FunctionHandle:
     return FunctionHandle(
         name=f"lip:{a:g}:{gamma:g}", evaluator=ev, lip=(1.0, float(gamma)),
         exact_modulus=lambda d, _g=float(gamma): float(d) ** _g,
+        exact_second_modulus=lambda d, lo, hi, _a=float(a), _g=float(gamma): (
+            2.0 * d ** _g if d <= min(_a - lo, hi - _a) else None),
         piecewise_linear=pl, antiderivative=antiderivative, kinks=(float(a),),
     )
 

@@ -37,9 +37,9 @@ from typing import Dict, List, NamedTuple, Tuple
 import numpy as np
 
 from .errors import DomainError, SizeCapError
-from .operators import (OperatorParams, _check_x, _monomial_terms, _node_affine,
-                        _node_numerators, _not_finite, _poly_integrals, _scaled,
-                        _weight_blocks, _weights_exact)
+from .operators import (OperatorParams, _check_x, _check_xs, _monomial_terms,
+                        _node_affine, _node_numerators, _not_finite, _poly_integrals,
+                        _scaled, _weight_blocks, _weights_exact)
 from .pq_calculus import PQPair, Scalar, _brackets, _pq_powers, pq_power
 
 MOMENT_KEYS = ("m0", "m1", "m2", "c1", "c2")
@@ -64,8 +64,9 @@ class _Terms(NamedTuple):
 
 def _closed_terms(params: OperatorParams, pq: PQPair, x: Scalar) -> _Terms:
     """Brackets, compound powers and curly coefficients of the closed forms
-    at x, each computed once; arithmetic follows the input types."""
-    x_norm = _check_x(params, x)
+    at x, each computed once; arithmetic follows the input types, and an
+    array x takes each point's operations elementwise."""
+    x_norm = _check_xs(params, x) if isinstance(x, np.ndarray) else _check_x(params, x)
     p, q = pq.p, pq.q
     deg = params.degree
     br = _brackets(max(deg + 2, 4), p, q)  # entry k equals pq_integer(k, pq)
@@ -206,7 +207,9 @@ def peetre_bound_args(params: OperatorParams, pq: PQPair,
     (the bound's constant is unspecified), evaluated exactly as printed;
     note the printed peetre_arg is not algebraically identical to
     central2 + bias^2 (it merges [n+m-1] into [n+m] and squares the
-    compound power by doubling its order).
+    compound power by doubling its order).  An array x gives arrays whose
+    entries equal the one-point values bit for bit: every step that
+    depends on x is +, -, * or /.
     """
     t = _closed_terms(params, pq, x)
     alpha, b_n = params.alpha, params.b_n

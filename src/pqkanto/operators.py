@@ -148,6 +148,15 @@ def _check_x(params: OperatorParams, x: Scalar) -> Scalar:
     return x / params.b_n
 
 
+def _check_xs(params: OperatorParams, xs: Sequence[Scalar]) -> np.ndarray:
+    """`_check_x` on a sequence by one comparison; x / b_n in its types."""
+    xa = np.asarray(xs)
+    inside = np.asarray((0 <= xa) & (xa <= params.b_n), dtype=bool)
+    if not inside.all():
+        raise DomainError(f"x={xs[int(inside.argmin())]} outside [0, b_n] with b_n={params.b_n}")
+    return xa / params.b_n
+
+
 def _weights_float(degree: int, pq: PQPair, x_norm: np.ndarray, mode: str) -> np.ndarray:
     """Float basis weights at every normalized point of x_norm, one row per
     point; each row takes the same float operations as a single point."""
@@ -187,7 +196,7 @@ def _weight_blocks(params: OperatorParams, pq: PQPair,
     """Float basis weights at every x in xs as pairs (a slice of xs, its
     rows), blocks of at most WEIGHT_BLOCK entries.  Every x is checked at
     the call; a block is built only when the iteration reaches it."""
-    x_norm = np.array([float(_check_x(params, x)) for x in xs])
+    x_norm = np.asarray(_check_xs(params, xs), dtype=float)
     rows = max(1, WEIGHT_BLOCK // (params.degree + 1))
     return ((slice(start, start + rows),
              _weights_float(params.degree, pq, x_norm[start:start + rows], params.mode))

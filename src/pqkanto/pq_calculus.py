@@ -110,10 +110,15 @@ def pq_integer(n: int, pq: PQPair) -> Scalar:
 
 def _pq_powers(a: Scalar, b: Scalar, n: int, pq: PQPair) -> list:
     """The product powers of orders 0..n; entry k takes the same operations
-    as `pq_power` of order k."""
+    as `pq_power` of order k.  1-D arrays a and b give a table, one row per
+    order, by cumulative products in the loop's order."""
     p, q = pq.p, pq.q
     out = [p * 0 + 1]
     pw_p = pw_q = out[0]
+    if isinstance(a, np.ndarray):
+        pw_p, pw_q = (np.cumprod([out[0]] + [r] * n)[:n] for r in (p, q))
+        factors = np.outer(pw_p, a) + np.outer(pw_q, b)
+        return np.cumprod(np.vstack([np.full((1,) + a.shape, out[0]), factors]), axis=0)
     for _ in range(n):
         out.append(out[-1] * (pw_p * a + pw_q * b))
         pw_p = pw_p * p

@@ -1,6 +1,11 @@
+import importlib.util
+import sys
+from pathlib import Path
+
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pqkanto import (
@@ -14,8 +19,12 @@ from pqkanto import (
     polynomial_handle,
     second_modulus,
 )
+from pqkanto import bounds
 from pqkanto.bounds import BOUND_CSV_FIELDS, DOMAIN_STEPS, _Moduli
-from pqkanto.functions import FunctionHandle
+from pqkanto.cli import main as cli_main
+from pqkanto.functions import FunctionHandle, PiecewiseLinear
+from pqkanto.moments import peetre_bound_args
+from pqkanto.operators import WEIGHT_BLOCK
 
 P11 = PQPair(1, 1)
 
@@ -70,6 +79,8 @@ class TestSecondModulus:
     def test_linear_vanishes(self):
         lin = polynomial_handle("lin", (2.0, -3.0))
         assert second_modulus(lin, 0.3, (0.0, 2.0)) == pytest.approx(0.0, abs=1e-12)
+        # bump:2 is affine on [0, 1.9]: its kink at 2 lies outside
+        assert second_modulus(builtin("bump:2"), 0.9, (0.0, 1.9)) == 0.0
 
     def test_square_exact(self):
         assert second_modulus(builtin("square"), 0.1, (0.0, 1.0)) == \
@@ -254,7 +265,7 @@ class TestGridEstimator:
 
     @pytest.mark.parametrize("points", [2, 33])
     def test_reports_take_one_profile_and_one_moment_node_map(self, monkeypatch, points):
-        from pqkanto import bounds, moments, operators
+        from pqkanto import moments, operators
 
         calls = []
 
@@ -273,6 +284,162 @@ class TestGridEstimator:
         bound_reports(builtin("sin"), xs, params, PQPair(0.9, 0.8))
         assert calls.count("operator_profile") == 1
         assert calls.count("_node_affine") <= 2
+
+    def test_peetre_args_in_blocks(self, monkeypatch):
+        # a large grid at moderate degree: each call sees at most
+        # WEIGHT_BLOCK // (2 degree + 1) points, and the values are the
+        # one-point ones bit for bit
+        params = OperatorParams(n=200, m=2, alpha=1.0, beta=2.0, b_n=3.0)
+        pq = PQPair(0.9, 0.8)
+        xs = [float(x) for x in np.linspace(0.0, 3.0, 1001)]
+        sizes = []
+        monkeypatch.setattr(bounds, "peetre_bound_args",
+                            lambda p, q, x: sizes.append(len(x)) or peetre_bound_args(p, q, x))
+        reports = bound_reports(builtin("sin"), xs, params, pq)
+        assert max(sizes) == WEIGHT_BLOCK // (2 * params.degree + 1) and sum(sizes) == len(xs)
+        for x, report in zip(xs[::50], reports[::50]):
+            peetre_arg, bias = peetre_bound_args(params, pq, x)
+            assert (report.peetre_arg, report.bias) == (float(peetre_arg), float(bias))
+
+
+def count_grid_tables(monkeypatch):
+    """The orders of every `_Moduli._grid_aligned` call from now on."""
+    orders = []
+    original = _Moduli._grid_aligned
+    monkeypatch.setattr(_Moduli, "_grid_aligned",
+                        lambda self, order, k: orders.append(order) or original(self, order, k))
+    return orders
+
+
+def pl_brute_force(pl, delta, lo, hi, steps=150):
+    """Largest |Delta^2_h f(x)| from samples of f over a dense (x, h) grid
+    that also holds the kink-aligned points: h at the breaks (k' - k)/j,
+    (k - lo)/j, (hi - k)/j (j = 1, 2) and at the cap, x at k - c h."""
+    cap = min(delta, (hi - lo) / 2.0)
+    kinks = [k for k in pl.xs[1:] if lo < k < hi]
+    hs = np.linspace(0.0, cap, steps + 1)[1:].tolist()
+    for k in kinks:
+        for j in (1.0, 2.0):
+            hs += [(k - lo) / j, (hi - k) / j] + [(k2 - k) / j for k2 in kinks]
+    best = 0.0
+    for h in (h for h in hs if 0.0 < h <= cap):
+        xs = np.linspace(lo, hi - 2.0 * h, steps + 1).tolist()
+        xs += [min(max(k - c * h, lo), hi - 2.0 * h) for k in kinks for c in (0, 1, 2)]
+        x = np.array(xs)
+        best = max(best, float(np.abs(pl(x + 2.0 * h) - 2.0 * pl(x + h) + pl(x)).max()))
+    return best
+
+
+def mp_sin_second_modulus(delta, lo, hi, steps=400):
+    """30-digit largest 4 sin^2(h/2) max|sin| on [lo + h, hi - h] over
+    0 < h <= min(delta, (hi - lo)/2): a dense h grid, then golden-section
+    search around each grid maximum."""
+    with mp.workdps(30):
+        lo, hi = mp.mpf(lo), mp.mpf(hi)
+        cap = min(mp.mpf(delta), (hi - lo) / 2)
+
+        def g(h):
+            a, b = lo + h, hi - h
+            first_peak = mp.pi / 2 + mp.pi * mp.ceil((a - mp.pi / 2) / mp.pi)
+            m = 1 if first_peak <= b else max(abs(mp.sin(a)), abs(mp.sin(b)))
+            return 4 * mp.sin(h / 2) ** 2 * m
+
+        hs = [cap * i / steps for i in range(steps + 1)]
+        vals = [g(h) for h in hs]
+        best = max(vals)
+        golden = (mp.sqrt(5) - 1) / 2
+        for i in range(1, steps + 1):
+            if vals[i] < max(vals[i - 1], vals[min(i + 1, steps)]):
+                continue
+            a, b = hs[i - 1], hs[min(i + 1, steps)]
+            for _ in range(130):
+                c, d = b - golden * (b - a), a + golden * (b - a)
+                if g(c) >= g(d):
+                    b = d
+                else:
+                    a = c
+            best = max(best, g((a + b) / 2))
+        return best
+
+
+class TestSecondModulusOverHull:
+    """omega_2 from the handle's structure: exact over the domain, never
+    below the grid estimate, and the grid table is not built."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    # each example reads below the grid if the enumeration drops one kind of
+    # candidate: the breaks (k' - k)/j or the halved breaks; x = k - 2h;
+    # x = k; x = k - h
+    @example([72, 91, 111, 120], [1.7, -0.1, 3.0, 2.6, -0.6], 1.8, 1.61, 5.65, 1.66)
+    @example([41, 72, 84, 90], [-2.7, 4.5, 3.4, 0.7, -3.5], -0.5, 0.9, 3.61, 1.47)
+    @example([18, 22, 97, 110], [3.3, 2.0, -1.6, -1.2, 3.1], 2.9, 0.67, 4.84, 2.17)
+    @example([3, 95, 97], [-2.1, -4.5, -1.2, -0.9, -4.5], -2.7, 3.0, 3.93, 0.95)
+    @given(st.lists(st.integers(1, 120), min_size=0, max_size=4, unique=True),
+           st.lists(st.floats(-5.0, 5.0), min_size=5, max_size=5),
+           st.floats(-3.0, 3.0), st.floats(0.0, 3.0), st.floats(0.05, 6.0),
+           st.floats(1e-3, 4.0))
+    def test_piecewise_linear_between_grid_and_brute_force(self, steps, ys, end_slope,
+                                                           lo, length, delta):
+        xs = (0.0,) + tuple(0.05 * k for k in sorted(steps))
+        pl = PiecewiseLinear(xs=xs, ys=tuple(ys[:len(xs)]), end_slope=end_slope)
+        domain = (lo, lo + length)
+        exact = second_modulus(FunctionHandle(name="pl", evaluator=pl, piecewise_linear=pl),
+                               delta, domain)
+        grid = second_modulus(FunctionHandle(name="pl", evaluator=pl), delta, domain)
+        assert grid <= exact + 1e-12
+        assert exact <= pl_brute_force(pl, delta, *domain) + 1e-12
+
+    @pytest.mark.parametrize("domain", [(0.2, 1.1), (0.5, 2.9), (0.3, 5.0), (1.28, 5.98),
+                                        (1.0, 5.2), (0.5, 8.0), (0.3, 10.3)])
+    @pytest.mark.parametrize("delta", [0.05, 0.4, 1.0, 2.5, 4.0])
+    def test_sin_against_mpmath(self, domain, delta):
+        # a short hull; one that holds pi/2; one of 1.5 pi and its mirror
+        # about 2 pi (largest at a stationary point of the lo and of the hi
+        # end); one whose middle at h = 1 lies between two peaks; one whose
+        # middle holds a peak at h = pi; one longer than 3 pi
+        want = mp_sin_second_modulus(delta, *domain)
+        got = second_modulus(builtin("sin"), delta, domain)
+        assert abs(got - want) <= 1e-13 * want
+        assert second_modulus(stripped(builtin("sin")), delta, domain) <= got + 1e-12
+
+    @pytest.mark.parametrize("a, domain", [(0.5, (0.0, 1.5)), (1.2, (0.0, 1.5))])
+    def test_lip_window_edge_and_past_it(self, monkeypatch, a, domain):
+        h = builtin(f"lip:{a}:0.5")
+        edge = min(a - domain[0], domain[1] - a)
+        orders = count_grid_tables(monkeypatch)
+        assert second_modulus(h, edge, domain) == 2.0 * edge ** 0.5
+        assert orders == []
+        past = float(np.nextafter(edge, 2.0))
+        got = second_modulus(h, past, domain)
+        assert orders == [2]
+        assert got == second_modulus(stripped(h), past, domain)
+        assert got <= 2.0 * past ** 0.5
+
+    def test_bound_reports_build_no_grid_table(self, monkeypatch):
+        # the first operator setting of perfbench's bounds-grid: sqrt
+        # peetre_arg reaches 2.09 on the hull [0, 1.527]
+        params = OperatorParams(n=50, m=2, alpha=1.0, beta=2.0, b_n=3.0)
+        xs = [float(x) for x in np.linspace(0.0, 3.0, 9)]
+        orders = count_grid_tables(monkeypatch)
+        for name in ("sin", "absdev:0.5", "bump:2", "lip:0.5:1"):
+            bound_reports(builtin(name), xs, params, PQPair(0.9, 0.8))
+            assert orders == [], name
+        bound_reports(builtin("lip:0.5:0.5"), xs, params, PQPair(0.9, 0.8))
+        assert 2 in orders
+
+    @pytest.mark.parametrize("kinks, enumerated", [(30, True), (100, False)])
+    def test_many_kinks_stay_bounded(self, monkeypatch, kinks, enumerated):
+        # the enumeration costs about K^4 for K kinks inside the hull: at 30
+        # it still runs, at 100 the grid answers instead
+        xs = tuple(np.linspace(0.0, 3.0, kinks + 1))
+        pl = PiecewiseLinear(xs=xs, ys=tuple(np.cos(7.0 * np.array(xs))), end_slope=0.5)
+        orders = count_grid_tables(monkeypatch)
+        got = second_modulus(FunctionHandle(name="pl", evaluator=pl, piecewise_linear=pl),
+                             2.0, (0.0, 3.5))
+        assert (orders == []) == enumerated
+        grid = second_modulus(FunctionHandle(name="pl", evaluator=pl), 2.0, (0.0, 3.5))
+        assert grid <= got + 1e-12
+        assert enumerated or got == grid
 
 
 def offset_maxima(f_base, order):
@@ -433,3 +600,26 @@ class TestNonFinite:
         # the same handle without the hole reports
         assert len(bound_reports(self.handle(np.square, polynomial_coeffs=sq.polynomial_coeffs),
                                  xs, params, PQPair(0.9, 0.8))) == len(xs)
+
+
+def load_by_path(name, monkeypatch):
+    """A perfbench module, loaded from its file without touching sys.path;
+    registered in sys.modules for the test only (its dataclasses look it
+    up there)."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bounds_grid_passes_the_benchmark_check(tmp_path, monkeypatch):
+    # checks.py sets a 30-digit mpmath context when imported; keep it local
+    with mp.workdps(30):
+        checks, workloads = (load_by_path(name, monkeypatch) for name in ("checks", "workloads"))
+        monkeypatch.chdir(tmp_path)
+        for op in workloads.build("bounds-grid", 3):
+            assert cli_main(list(op.argv)) == 0, op.id
+            if op.kind == "bounds":
+                assert checks.check_bounds(op, tmp_path) is None, op.id

@@ -168,22 +168,22 @@ class TestVerify:
     GOLDEN_DIGESTS = {
         ("normalized", "degree-12"): (
             "c9f4adbe774a43d9ec8fbc2cec04916dab13afb059252b000d6cd765d8876939",
-            "da7c90ff0de92adca958cdcc7ec9c706a32850ecb2ebf021b242c2fe1742fef8"),
+            "67008b873cf3f768bf5f4e2f1ad84e748e609ffd5613e604880d80f96d88a837"),
         ("normalized", "classical-degree-7"): (
             "b656e98b05ea6db100097dec4f0a670bf7cf928e228d8311c2d1335b05954ac1",
-            "115a4d02e67f3ceb911602c7cd842112e8a36486ccff06f4329a16327cf4277b"),
+            "e3ca78ff41d71e2a85e9b832811af60dd8b45a5395e23498a9c92ca7c58302c5"),
         ("normalized", "defect-n-2"): (
             "0a33b70b3dcec0d930f23e0ed8a86590c73858d06bf644e836fa68e450bbea90",
-            "8701a423b6c41fa609bad231ecd01c51f2631addef6abbd6cd368197c6573397"),
+            "be0c0de75da483d8203881744ca74ded778f53e949a484c0552622ed5a82df0c"),
         ("literal", "degree-12"): (
             "6428ebdab5a8ddfc586bbaa948b00df26d136bfdb9adf8cdaf94c4ff676b5470",
-            "748259bc5c22ad2c550bf019818b614ecd292548709cb40d8096446a9ab3a454"),
+            "25000b2c4d0ad6b426d0ff47ad706fdad73145c1c54689a263e7747443f14c0c"),
         ("literal", "classical-degree-7"): (
             "75323a44bc005efec11acc474eea60ab4aaac4f993808cb0332bc916815167fa",
-            "d9de507286b126532f910278bc5618d36a2946ed030a222b4eb2a07d0e57ba59"),
+            "7bb6c133ec75eb645f7994a5a28cd7301a34f1eddcc28b61002094e8159056fb"),
         ("literal", "defect-n-2"): (
             "3a07ce6f734f940b493649f7d983786efca8c98a01de74f5bf46a060330d0b27",
-            "0d0331df6c54d6c7a8272711770346d2ac9fd71c89a4fb8063e6a83c13681dbc"),
+            "e14ba838f49d52d2d2df601fca0c4f00362c16d9c2706fd0466e4bda74896b3d"),
     }
 
     @pytest.mark.parametrize("case", list(GOLDEN_CASES))

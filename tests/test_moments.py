@@ -265,6 +265,23 @@ class TestPeetreArgs:
             _arg, bias = peetre_bound_args(params, pq, x)
             assert bias == moment_closed("central1", params, pq, x)
 
+    @pytest.mark.parametrize("params, pq, xs", [
+        (OperatorParams(n=50, m=2, alpha=1.0, beta=2.0, b_n=3.0), PQ98,
+         np.linspace(0.0, 3.0, 9).tolist()),
+        (OperatorParams(n=20, m=1, alpha=F(1, 2), beta=F(1), b_n=F(2)), PQPair(F(19, 20), F(17, 20)),
+         [0.0, 0.3, 1.7, 2.0]),
+        (OperatorParams(n=6, m=1, alpha=F(1, 2), beta=F(1), b_n=F(2)), PQPair(F(9, 10), F(4, 5)),
+         [F(0), F(4, 7), 0.3, F(2)]),
+    ])
+    def test_array_equals_points_bit_for_bit(self, params, pq, xs):
+        # float, rational-parameter and mixed-rational points: an array x
+        # takes each point's own operations
+        arrays = peetre_bound_args(params, pq, np.asarray(xs))
+        for i, x in enumerate(xs):
+            want = peetre_bound_args(params, pq, x)
+            for got, value in zip(arrays, want):
+                assert float(got[i]).hex() == float(value).hex()
+
     def test_classical_collapse(self):
         # at p = q = 1 the curly brackets collapse to 1 and 2, leaving
         # 2((n+m)/E - 1)^2 x^2 + [(3+4a)(n+m)/E^2 - 2/E - 4a/E] b x + ...

@@ -1,5 +1,6 @@
 import decimal
 import math
+import re
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -345,6 +346,17 @@ class TestApplyOperator:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             apply_operator(builtin("id"), 1.5, OperatorParams(n=2), PQ98)
+
+    @pytest.mark.parametrize("xs, b_n, named", [
+        ([0.5, 3.0, -1.0], 2.0, "x=3.0 outside [0, b_n] with b_n=2.0"),
+        (np.array([0.5, np.nan, 3.0]), 2.0, "x=nan outside"),
+        ([F(1, 2), 0.25, F(7, 2)], F(2), "x=7/2 outside [0, b_n] with b_n=2"),
+    ])
+    def test_profile_names_the_first_x_outside(self, xs, b_n, named):
+        # one array check over the grid, its message as the per-point check's
+        params = OperatorParams(n=3, b_n=b_n)
+        with pytest.raises(DomainError, match=re.escape(named)):
+            operator_profile(builtin("id"), params, PQ98, xs)
 
     def test_p_equals_q_below_one_needs_polynomial(self):
         pq = PQPair(0.9, 0.9)

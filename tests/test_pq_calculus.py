@@ -15,7 +15,7 @@ from pqkanto import (
     pq_integral_monomial,
     pq_power,
 )
-from pqkanto.pq_calculus import TERM_CAP, _brackets, predicted_terms
+from pqkanto.pq_calculus import TERM_CAP, _brackets, _pq_powers, predicted_terms
 
 from oracles import (pq_binomial, pq_binomial_expand, pq_factorial, pq_integer_quotient,
                      pq_integral_unit)
@@ -190,6 +190,18 @@ class TestPQPower:
 
     def test_empty(self):
         assert pq_power(3.0, 4.0, 0, PQ98) == 1
+
+    @pytest.mark.parametrize("pq", [PQ98, PQPair(F(19, 20), F(17, 20))])
+    @pytest.mark.parametrize("n", [0, 1, 7, 104])
+    def test_array_rows_equal_points_bit_for_bit(self, pq, n):
+        # the cumulative-product table takes each point's loop operations
+        s = np.linspace(0.0, 1.0, 9)
+        a, b = 0.9 * s, 1.0 - s
+        table = _pq_powers(a, b, n, pq)
+        for k in range(n + 1):
+            for i in range(s.size):
+                want = _pq_powers(float(a[i]), float(b[i]), n, pq)[k]
+                assert float(table[k][i]).hex() == float(want).hex()
 
 
 class TestBinomialExpand:
