@@ -6,34 +6,23 @@ Library layout:
                   integral: truncated series and closed monomial form
     functions     named test functions with structure metadata
     operators     basis weights, node maps and operator evaluation
-    moments       closed-form moments vs direct summation, residually
+    moments       closed-form moments vs direct summation, residually;
+                  one routine takes the direct sums of `verify_moments`
+                  and `bound_reports`
     bounds        moduli of smoothness and rate-bound reports
-    convergence   weighted-error sweeps over parameter sequences
+    convergence   sequence specs, their hypothesis check, and `sweep_rows`,
+                  the one sweep: sup errors of any handles per n
     cli           reproducible command-line frontend (see `pqkanto -h`)
 """
 
 __version__ = "0.2.0"
 
 from .bounds import BoundReport, bound_reports, modulus, second_modulus
-from .convergence import (
-    SequenceSpec,
-    SweepRecord,
-    default_spec,
-    hypothesis_check,
-    korovkin_sweep,
-    vanishing_sweep,
-    weighted_sup_error,
-)
+from .convergence import SequenceSpec, default_spec, hypothesis_check, sweep_rows
 from .errors import ConvergenceError, DomainError, RegimeError, SizeCapError
 from .functions import FunctionHandle, PiecewiseLinear, builtin, polynomial_handle
 from .manifest import RunManifest
-from .moments import (
-    MomentReport,
-    moment_closed,
-    peetre_bound_args,
-    second_central_moment,
-    verify_moments,
-)
+from .moments import MomentReport, moment_closed, peetre_bound_args, verify_moments
 from .operators import (
     OperatorParams,
     apply_extended,
@@ -46,13 +35,11 @@ from .pq_calculus import PQPair, pq_integer, pq_integral_monomial, pq_power
 __all__ = [
     "__version__",
     "BoundReport", "bound_reports", "modulus", "second_modulus",
-    "SequenceSpec", "SweepRecord", "default_spec", "hypothesis_check",
-    "korovkin_sweep", "vanishing_sweep", "weighted_sup_error",
+    "SequenceSpec", "default_spec", "hypothesis_check", "sweep_rows",
     "ConvergenceError", "DomainError", "RegimeError", "SizeCapError",
     "FunctionHandle", "PiecewiseLinear", "builtin", "polynomial_handle",
     "RunManifest",
-    "MomentReport", "moment_closed", "peetre_bound_args",
-    "second_central_moment", "verify_moments",
+    "MomentReport", "moment_closed", "peetre_bound_args", "verify_moments",
     "OperatorParams", "apply_extended", "apply_operator", "basis_weights",
     "node_hull_max",
     "PQPair", "pq_integer", "pq_integral_monomial", "pq_power",

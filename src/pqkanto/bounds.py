@@ -159,7 +159,10 @@ class _Moduli:
             self._base = np.linspace(self.lo, self.hi, DOMAIN_STEPS + 1)
             self._f_base = self._sample(self._base)
         step = (self.hi - self.lo) / DOMAIN_STEPS
-        best = self._grid_aligned(order, min(int(delta / step), DOMAIN_STEPS // order))
+        if step == 0:
+            raise DomainError(f"domain [{self.lo}, {self.hi}] is too narrow for a grid")
+        # past a subnormal step, delta / step may be inf
+        best = self._grid_aligned(order, int(min(delta / step, DOMAIN_STEPS // order)))
         ok = self._base + order * delta <= self.hi
         if np.any(ok):
             x = self._base[ok]
@@ -250,7 +253,8 @@ def bound_reports(f: FunctionHandle, xs, params: OperatorParams, pq: PQPair,
     reproduces constants.  The hull, the inner integrals, the direct sums,
     the Peetre arguments (blocked as the weights) and the grid-moduli
     tables are built once for the whole call; the values equal
-    `apply_operator`, `second_central_moment` and `peetre_bound_args`.
+    `apply_operator`, `peetre_bound_args` and the direct-summation c2 of
+    `verify_moments` at each x.
     The sqrt argument of the second modulus clamps the printed peetre_arg
     at zero (it is reported unclamped)."""
     if params.mode != "normalized":

@@ -15,6 +15,10 @@ sequences
 satisfy every condition: q_n < p_n < 1, p_n^n and q_n^n -> 1, and
 [n] ~ n so both b_n/[n] ~ n^{-2/3} and b_n^2/[n] ~ n^{-1/3} vanish.
 
+`sweep_rows` is the one sweep: per n, the sup errors of any handles
+from one operator profile.  The Korovkin sweep passes the test set
+{1, t, t^2} (plus extras) weighted by 1 + x^2, the vanishing sweep one
+handle with a support bound unweighted; `pqkanto converge` builds both.
 Errors are measured on a uniform grid of [0, b_n] (257 points by
 default); beyond b_n the extension makes the error identically zero, so
 the grid restriction is exact.  All sweeps are deterministic: identical
@@ -23,13 +27,13 @@ inputs give bit-identical CSV output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError
-from .functions import FunctionHandle, const1, identity, square
+from .functions import FunctionHandle
 from .operators import OperatorParams, operator_profile
 from .pq_calculus import PQPair, pq_integer
 
@@ -96,12 +100,15 @@ def hypothesis_check(spec: SequenceSpec) -> dict:
     Report-only: rows carry p_n^n, q_n^n, b_n/[n] and b_n^2/[n]; the
     trend verdicts call a ratio sequence vanishing when its last value
     drops below half its first.  Sweeps refuse to run on invalid rows.
+    A valid row whose float [n] underflows to 0 raises DomainError.
     """
     rows = []
     for n in spec.n_list:
         p_n, q_n, b_n = spec.realize(n)
         valid = 0.0 < q_n < p_n <= 1.0 and b_n > 0.0
         bracket = float(pq_integer(n, PQPair(p_n, q_n))) if valid else None
+        if bracket == 0:
+            raise DomainError(f"[n] underflows to 0 at n={n}: p_n={p_n}, q_n={q_n}")
         rows.append({
             "n": n, "p_n": p_n, "q_n": q_n, "b_n": b_n, "valid": valid,
             "p_pow_n": p_n ** n if valid else None,
@@ -154,52 +161,15 @@ def _require_valid(spec: SequenceSpec) -> dict:
     return report
 
 
-def _sup_errors(fs: Sequence[FunctionHandle], params: OperatorParams, pq: PQPair,
-                grid_points: int, rel_tol: float, weighted: bool) -> List[float]:
-    """max over a uniform [0, b_n] grid of |Kf(x) - f(x)|, divided by
-    1 + x^2 when weighted, for each f in fs from one operator profile."""
-    if params.mode != "normalized":
-        raise DomainError("weighted sup error requires normalized mode")
-    if grid_points < 2:
-        raise DomainError("grid_points must be at least 2")
-    xs = np.linspace(0.0, float(params.b_n), grid_points)
-    scale = 1.0 + xs * xs if weighted else 1.0
-    values = operator_profile(fs, params, pq, xs, rel_tol)
-    return [float(np.max(np.abs(kf - np.asarray(f.evaluator(xs), dtype=float)) / scale))
-            for f, kf in zip(fs, values)]
-
-
-def weighted_sup_error(f: FunctionHandle, params: OperatorParams, pq: PQPair,
-                       grid_points: int = DEFAULT_GRID_POINTS,
-                       rel_tol: float = 1e-12) -> float:
-    """max over a uniform [0, b_n] grid of |Kf(x) - f(x)| / (1 + x^2).
-
-    Requires normalized mode (constants must be reproduced for the
-    weighted error to be meaningful)."""
-    return _sup_errors([f], params, pq, grid_points, rel_tol, weighted=True)[0]
-
-
-@dataclass
-class SweepRecord:
-    """One row of a convergence experiment."""
-
-    n: int
-    p_n: float
-    q_n: float
-    b_n: float
-    err_e0: float
-    err_e1: float
-    err_e2: float
-    err_extra: Dict[str, float] = field(default_factory=dict)
-
-
 def sweep_rows(spec: SequenceSpec, fs: Sequence[FunctionHandle], m: int = 0,
                alpha: float = 0.0, beta: float = 0.0,
                grid_points: int = DEFAULT_GRID_POINTS, rel_tol: float = 1e-12,
                weighted: bool = True) -> List[list]:
-    """One row [n, p_n, q_n, b_n, err per f] per n of a valid spec: the sup
-    errors of every f in fs from one operator profile, divided by 1 + x^2
-    when weighted.  Unweighted errors need handles with a support bound."""
+    """One row [n, p_n, q_n, b_n, err per f] per n of a valid spec: the max
+    over a uniform [0, b_n] grid of |Kf(x) - f(x)|, divided by 1 + x^2 when
+    weighted, for every f in fs from one operator profile.  Unweighted
+    errors need handles with a support bound.  An error that is not finite
+    raises DomainError."""
     if not weighted and any(f.support_bound is None for f in fs):
         raise DomainError("vanishing sweep requires a handle with support_bound")
     _require_valid(spec)
@@ -207,26 +177,16 @@ def sweep_rows(spec: SequenceSpec, fs: Sequence[FunctionHandle], m: int = 0,
     for n in spec.n_list:
         p_n, q_n, b_n = spec.realize(n)
         params = OperatorParams(n=n, m=m, alpha=alpha, beta=beta, b_n=b_n)
-        rows.append([n, p_n, q_n, b_n, *_sup_errors(fs, params, PQPair(p_n, q_n),
-                                                    grid_points, rel_tol, weighted)])
+        if grid_points < 2:
+            raise DomainError("grid_points must be at least 2")
+        xs = np.linspace(0.0, b_n, grid_points)
+        values = operator_profile(fs, params, PQPair(p_n, q_n), xs, rel_tol)
+        with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
+            scale = 1.0 + xs * xs if weighted else 1.0
+            errs = [float(np.max(np.abs(kf - np.asarray(f.evaluator(xs), dtype=float)) / scale))
+                    for f, kf in zip(fs, values)]
+        if not np.isfinite(errs).all():
+            raise DomainError(f"sup error is not finite at n={n}: f(x) is past the float "
+                              f"range on [0, b_n], b_n={b_n}")
+        rows.append([n, p_n, q_n, b_n, *errs])
     return rows
-
-
-def korovkin_sweep(spec: SequenceSpec, extra: Sequence[FunctionHandle] = (),
-                   m: int = 0, alpha: float = 0.0, beta: float = 0.0,
-                   grid_points: int = DEFAULT_GRID_POINTS,
-                   rel_tol: float = 1e-12) -> List[SweepRecord]:
-    """Weighted sup errors of the test set {1, t, t^2} (plus extras) per n."""
-    return [SweepRecord(*row[:7], err_extra={h.name: err for h, err in zip(extra, row[7:])})
-            for row in sweep_rows(spec, [const1(), identity(), square(), *extra], m, alpha,
-                                  beta, grid_points, rel_tol)]
-
-
-def vanishing_sweep(spec: SequenceSpec, f: FunctionHandle,
-                    m: int = 0, alpha: float = 0.0, beta: float = 0.0,
-                    grid_points: int = DEFAULT_GRID_POINTS,
-                    rel_tol: float = 1e-12) -> List[Tuple[int, float]]:
-    """Unweighted sup |Kf - f| over [0, b_n] per n, for f vanishing on
-    [C, inf) (the handle must carry a support bound)."""
-    return [(row[0], row[4]) for row in
-            sweep_rows(spec, [f], m, alpha, beta, grid_points, rel_tol, weighted=False)]

@@ -28,6 +28,8 @@ never from the closed forms.
 from __future__ import annotations
 
 import math
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from numbers import Rational
@@ -46,6 +48,19 @@ MOMENT_KEYS = ("m0", "m1", "m2", "c1", "c2")
 EXACT_DEGREE_CAP = 12
 
 
+@contextmanager
+def _nonzero_divisors():
+    """Raise DomainError for a float division by a bracket product that
+    underflows to 0 in the closed forms (say, ([n+1] + beta)^2 at p^n
+    below 1e-162); exact brackets are never 0.  A decorator of each
+    function that divides by them."""
+    try:
+        yield
+    except ZeroDivisionError:
+        raise DomainError("a bracket product the closed forms divide by underflows to 0 "
+                          "in float arithmetic") from None
+
+
 class _Terms(NamedTuple):
     """What the closed forms share at one point (see `_closed_terms`)."""
     lin: Scalar  # p + 2q - 1
@@ -62,6 +77,7 @@ class _Terms(NamedTuple):
     curly_last: Scalar  # 1 + 2(q - 1)/[2] + (q - 1)^2/[3], as printed
 
 
+@_nonzero_divisors()
 def _closed_terms(params: OperatorParams, pq: PQPair, x: Scalar) -> _Terms:
     """Brackets, compound powers and curly coefficients of the closed forms
     at x, each computed once; arithmetic follows the input types, and an
@@ -85,6 +101,7 @@ def _closed_terms(params: OperatorParams, pq: PQPair, x: Scalar) -> _Terms:
     )
 
 
+@_nonzero_divisors()
 def _closed_moments(params: OperatorParams, x: Scalar, t: _Terms) -> Dict[str, Scalar]:
     """The five closed forms at x, keyed as MOMENT_KEYS, from the shared
     terms t; each is transcribed as printed (see module docstring)."""
@@ -170,9 +187,9 @@ def _direct_moments(params: OperatorParams, pq: PQPair, xs) -> List[Dict[str, Sc
     if params.is_exact(pq) and all(isinstance(x, Rational) for x in xs):
         return _exact_moments(params, pq, xs)
     blocks = _weight_blocks(params, pq, xs)
-    a, b = _node_affine(params, pq)
     out = []
-    with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # raised below instead
+        a, b = _node_affine(params, pq)
         terms = _monomial_terms(2, a, b, pq)
         for block, w in blocks:
             for x, row in zip(xs[block], w):
@@ -186,16 +203,7 @@ def _direct_moments(params: OperatorParams, pq: PQPair, xs) -> List[Dict[str, Sc
     return out
 
 
-def second_central_moment(params: OperatorParams, pq: PQPair, x: Scalar) -> float:
-    """Direct-summation value of the operator applied to (t - x)^2 at x.
-
-    This is the quantity every rate bound here actually uses; it goes
-    through the exact monomial rule, so it is insulated from any
-    transcription issue in the closed second-central-moment display.
-    """
-    return float(_direct_moments(params, pq, [x])[0]["c2"])
-
-
+@_nonzero_divisors()
 def peetre_bound_args(params: OperatorParams, pq: PQPair,
                       x: Scalar) -> Tuple[Scalar, Scalar]:
     """The two arguments of the two-term smoothness bound, as printed.
@@ -259,8 +267,17 @@ class MomentReport:
         return {k: v == 0 for k, v in self.residuals.items()}
 
     def to_json_dict(self) -> dict:
+        """The report as JSON values.  Raises SizeCapError when an exact
+        value has more digits than `str` writes, and DomainError when an
+        exact residual has no float for `residuals_float`."""
         def enc(v):
-            return str(v) if isinstance(v, Fraction) else float(v)
+            if not isinstance(v, Fraction):
+                return float(v)
+            try:
+                return str(v)
+            except ValueError:  # an int past sys.get_int_max_str_digits()
+                raise SizeCapError(f"an exact value of the report has more than "
+                                   f"{sys.get_int_max_str_digits()} digits") from None
 
         out = {
             "arithmetic": self.arithmetic,
@@ -277,8 +294,12 @@ class MomentReport:
             "closed": {k: enc(v) for k, v in self.closed.items()},
             "brute": {k: enc(v) for k, v in self.brute.items()},
             "residuals": {k: enc(v) for k, v in self.residuals.items()},
-            "residuals_float": {k: float(v) for k, v in self.residuals.items()},
         }
+        try:
+            out["residuals_float"] = {k: float(v) for k, v in self.residuals.items()}
+        except OverflowError:  # a Fraction past the float range
+            raise DomainError("an exact residual is past the float range of "
+                              "residuals_float") from None
         if self.arithmetic == "exact":
             out["residual_is_zero"] = self.residual_is_zero()
         return out
@@ -290,7 +311,9 @@ def verify_moments(params: OperatorParams, pq: PQPair, x: Scalar,
 
     arithmetic="exact" requires rational p, q, x, alpha, beta, b_n and
     n+m <= 12 (rational size blows up beyond; twelve is ample to decide
-    identities).  Residuals are reported, never asserted.
+    identities).  Residuals are reported, never asserted.  A float
+    residual that is not finite, as where a closed form overflows before
+    its division, raises DomainError.
     """
     if arithmetic not in ("float", "exact"):
         raise DomainError(f"arithmetic must be 'float' or 'exact', got {arithmetic!r}")
@@ -311,6 +334,9 @@ def verify_moments(params: OperatorParams, pq: PQPair, x: Scalar,
     brute = _direct_moments(params, pq, [x])[0]
     closed = _closed_moments(params, x, _closed_terms(params, pq, x))
     residuals = {k: closed[k] - brute[k] for k in MOMENT_KEYS}
+    if not exact and not all(map(math.isfinite, residuals.values())):
+        raise DomainError("a closed-form moment or its residual is past the float range "
+                          "(the direct sums are finite)")
     return MomentReport(
         params=params, pq=pq, x=x, mode=params.mode, arithmetic=arithmetic,
         closed=closed, brute=brute, residuals=residuals,

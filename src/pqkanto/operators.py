@@ -169,8 +169,10 @@ def _weights_float(degree: int, pq: PQPair, x_norm: np.ndarray, mode: str) -> np
     else:
         # [k]_r = (r^k - 1)/(r - 1) via expm1/log1p: r - 1 is exact for r in
         # [0.5, 1], while 1 - r**k cancels as r -> 1 (weights off by ~1e-12).
+        # Below r ~ 2^-54, r - 1 rounds to -1, where log1p has no value.
         d = r - 1.0
-        brackets = np.expm1(np.arange(1, degree + 1) * math.log1p(d)) / d
+        log_r = math.log1p(d) if d > -1.0 else math.log(r)
+        brackets = np.expm1(np.arange(1, degree + 1) * log_r) / d
     if degree == 0:
         w = np.ones((len(s), 1))
     else:
@@ -255,10 +257,14 @@ def basis_weights(params: OperatorParams, pq: PQPair,
 def node_hull_max(params: OperatorParams, pq: PQPair) -> float:
     """Upper end of the interval containing every argument f sees inside
     the operator: ([n+m+1]/p + alpha) b_n / ([n+1] + beta).  (The series
-    integral samples t up to 1/p.)"""
+    integral samples t up to 1/p.)  Raises DomainError when a float
+    [n+1] + beta underflows to 0."""
     br = _brackets(params.degree + 2, pq.p, pq.q)
     top = br[params.degree + 1] / pq.p + params.alpha
-    return float(top * params.b_n / (br[params.n + 1] + params.beta))
+    den = br[params.n + 1] + params.beta
+    if den == 0:
+        raise DomainError(f"[n+1] + beta underflows to 0 at p={pq.p}, q={pq.q}")
+    return float(top * params.b_n / den)
 
 
 def _node_affine(params: OperatorParams, pq: PQPair) -> Tuple[np.ndarray, np.ndarray]:
@@ -594,9 +600,9 @@ def operator_profile(fs: Union[FunctionHandle, Sequence[FunctionHandle]],
     single = isinstance(fs, FunctionHandle)
     handles = [fs] if single else list(fs)
     blocks = _weight_blocks(params, pq, xs)
-    a, b = _node_affine(params, pq)
     out = np.empty((len(handles), len(xs)))
-    with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # raised below instead
+        a, b = _node_affine(params, pq)
         integrals = [_inner_integrals(f, a, b, pq, rel_tol) for f in handles]
         for block, w in blocks:
             for i, row in enumerate(w, block.start):

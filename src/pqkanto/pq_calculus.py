@@ -146,7 +146,10 @@ def predicted_terms(pq: PQPair, rel_tol: float) -> int:
     if not 0 < rel_tol < math.inf:
         raise DomainError(f"rel_tol must be a positive finite number, got {rel_tol}")
     p = float(pq.p)
-    return max(0, math.ceil(math.log(rel_tol) / math.log1p(-(p - float(pq.q)) / p)))
+    one_minus_r = (p - float(pq.q)) / p
+    # below q/p ~ 2^-54, 1 - q/p rounds to 1 and log1p(-1) has no value
+    log_r = math.log1p(-one_minus_r) if one_minus_r < 1.0 else math.log(float(pq.q) / p)
+    return max(0, math.ceil(math.log(rel_tol) / log_r))
 
 
 def truncated_series(f, a: np.ndarray, b: np.ndarray, pq: PQPair,
@@ -206,8 +209,13 @@ def pq_integral_monomial(j: int, pq: PQPair) -> Scalar:
 
     Follows from summing the geometric series (p-q) sum_k (q^k/p^{k+1})^{j+1}
     = (p-q)/(p^{j+1} - q^{j+1}).  Valid at p = q as well, where the series
-    definition itself degenerates.
+    definition itself degenerates.  Raises DomainError when a float [j+1]
+    underflows to 0.
     """
     if j < 0:
         raise DomainError(f"j must be nonnegative, got {j}")
-    return 1 / pq_integer(j + 1, pq)
+    bracket = pq_integer(j + 1, pq)
+    if bracket == 0:
+        raise DomainError(f"[{j + 1}] underflows to 0 at p={pq.p}, q={pq.q}, "
+                          f"so 1/[{j + 1}] is past the float range")
+    return 1 / bracket

@@ -20,16 +20,16 @@ from pqkanto import (
     basis_weights,
     builtin,
     default_spec,
-    korovkin_sweep,
     pq_integer,
     pq_integral_monomial,
     pq_power,
     polynomial_handle,
-    second_central_moment,
-    vanishing_sweep,
+    sweep_rows,
     verify_moments,
 )
 from pqkanto.cli import main as cli_main
+from pqkanto.functions import const1, identity, square
+from pqkanto.moments import _direct_moments
 from pqkanto.operators import operator_profile
 
 from oracles import (apply_classical_reference, pq_binomial_expand, pq_integer_quotient,
@@ -213,9 +213,10 @@ def test_criterion_6_bound_validity():
             xs = np.linspace(0.0, b_n, 21)
             values = operator_profile(h, params, pq, xs)
             fx = np.asarray(h.evaluator(xs), dtype=float)
-            for x, kf, f_at_x in zip(xs, values, fx):
+            direct = _direct_moments(params, pq, xs)
+            for x, kf, f_at_x, moments in zip(xs, values, fx, direct):
                 observed = abs(kf - f_at_x)
-                mu = max(second_central_moment(params, pq, float(x)), 0.0)
+                mu = max(moments["c2"], 0.0)
                 bound_lip = m_const * mu ** (gamma / 2.0)
                 bound_mod = 2.0 * h.exact_modulus(float(np.sqrt(mu)))
                 points += 1
@@ -233,24 +234,27 @@ def test_criterion_6_bound_validity():
 
 
 def test_criterion_7_korovkin_decay():
-    records = korovkin_sweep(default_spec())
-    by_n = {r.n: r for r in records}
-    e0_max = max(r.err_e0 for r in records)
+    # rows [n, p_n, q_n, b_n, err_e0, err_e1, err_e2] of the test set {1, t, t^2}
+    rows = sweep_rows(default_spec(), [const1(), identity(), square()])
+    e0 = {r[0]: r[4] for r in rows}
+    e1 = {r[0]: r[5] for r in rows}
+    e2 = {r[0]: r[6] for r in rows}
+    e0_max = max(e0.values())
     ok = e0_max <= 1e-10
-    ok = ok and by_n[800].err_e1 < 0.5 * by_n[10].err_e1
-    ok = ok and by_n[800].err_e2 < by_n[10].err_e2
+    ok = ok and e1[800] < 0.5 * e1[10]
+    ok = ok and e2[800] < e2[10]
     report("7", ok,
-           f"err_e0 max {e0_max:.2e}; err_e1: {by_n[10].err_e1:.4f} -> "
-           f"{by_n[800].err_e1:.4f} (ratio {by_n[800].err_e1 / by_n[10].err_e1:.3f}); "
-           f"err_e2: {by_n[10].err_e2:.4f} -> {by_n[800].err_e2:.4f}")
+           f"err_e0 max {e0_max:.2e}; err_e1: {e1[10]:.4f} -> "
+           f"{e1[800]:.4f} (ratio {e1[800] / e1[10]:.3f}); "
+           f"err_e2: {e2[10]:.4f} -> {e2[800]:.4f}")
 
 
 def test_criterion_8_vanishing_decay():
-    results = vanishing_sweep(default_spec(), builtin("bump:2"))
-    first, last = results[0][1], results[-1][1]
+    rows = sweep_rows(default_spec(), [builtin("bump:2")], weighted=False)
+    first, last = rows[0][4], rows[-1][4]
     report("8", last < first,
-           f"bump:2 sup error {first:.4f} at n={results[0][0]} -> "
-           f"{last:.4f} at n={results[-1][0]}")
+           f"bump:2 sup error {first:.4f} at n={rows[0][0]} -> "
+           f"{last:.4f} at n={rows[-1][0]}")
 
 
 def test_criterion_9_reproducibility(tmp_path, capsys):

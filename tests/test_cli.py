@@ -517,6 +517,65 @@ def test_huge_beta_one_error_line(tmp_path, argv):
     assert "beta" in lines[0]
 
 
+@pytest.mark.parametrize("argv, code, line", [
+    # q/p below 2^-54, where 1 - q/p rounds to 1: the value at --q 1e-16
+    pytest.param(["eval", "--fn", "sin", "--n", "3", "--x", "0.5", "--p", "1", "--q", "1e-17"],
+                 0, "0.8414709848078965", id="series_terms_at_tiny_q_over_p"),
+    pytest.param(["eval", "--fn", "id", "--n", "3", "--x", "0.5", "--p", "1", "--q", "1e-17"],
+                 0, "1", id="weights_at_tiny_q_over_p"),
+    pytest.param(["eval", "--fn", "square", "--n", "3", "--x", "0.5", "--p", "1e-300",
+                  "--q", "1e-301"],
+                 2, "error: [3] underflows to 0", id="bracket_underflows"),
+    pytest.param(["bounds", "--fn", "sin", "--n", "3", "--p", "1e-300", "--q", "1e-301",
+                  "--grid", "3"],
+                 2, "error: [n+1] + beta underflows to 0", id="hull_bracket_underflows"),
+    pytest.param(["verify", "--exact", "--n", "2", "--bn", "1e300", "--p", "1", "--q", "1e-300",
+                  "--x", "5e+299"],
+                 2, "error: an exact residual is past the float range",
+                 id="exact_residual_no_float"),
+    pytest.param(["verify", "--exact", "--n", "3", "--m", "7", "--alpha", "1", "--beta", "1",
+                  "--bn", "1e10", "--p", "1", "--q", "1e-300", "--x", "0"],
+                 2, "error: an exact value of the report has more than",
+                 id="exact_value_past_str_digits"),
+    pytest.param(["verify", "--x", "0", "--n", "14", "--m", "4", "--p", "0.022", "--q", "0.01",
+                  "--bn", "1.4e+87", "--alpha", "6.07e+117", "--beta", "6.07e+117"],
+                 2, "error: a closed-form moment or its residual is past the float range",
+                 id="float_closed_form_overflows"),
+    pytest.param(["verify", "--x", "0", "--n", "600", "--p", "0.5", "--q", "0.25",
+                  "--bn", "1e-200"],
+                 2, "error: a bracket product the closed forms divide by underflows to 0",
+                 id="closed_form_divisor_underflows"),
+    pytest.param(["bounds", "--fn", "sin", "--n", "600", "--p", "0.5", "--q", "0.25",
+                  "--bn", "1e-200", "--grid", "3"],
+                 2, "error: a bracket product the closed forms divide by underflows to 0",
+                 id="peetre_divisor_underflows"),
+    # a hull of 3.6e-313: delta / step is past the float range; then a
+    # hull of 3.5e-323, too narrow for a step
+    pytest.param(["bounds", "--fn", "square", "--n", "11", "--m", "8", "--p", "1e-17",
+                  "--q", "1e-25", "--beta", "2.77e+06", "--grid", "5"],
+                 0, "wrote bounds.csv", id="grid_step_subnormal"),
+    pytest.param(["bounds", "--fn", "square", "--n", "11", "--m", "8", "--p", "1e-17",
+                  "--q", "1e-25", "--beta", "2.77e+06", "--bn", "1e-10", "--grid", "5"],
+                 2, "error: domain [0.0, 3.5e-323] is too narrow for a grid",
+                 id="grid_step_underflows"),
+    pytest.param(["eval", "--fn", "id", "--n", "1031", "--bn", "1e-300", "--p", "0.01",
+                  "--q", "0.001", "--x", "5e-301"],
+                 2, "error: operator value is not finite", id="node_scale_divides_by_zero"),
+    pytest.param(["bounds", "--fn", "lip:0.5:0.5", "--n", "2", "--m", "7", "--beta", "1e200",
+                  "--bn", "1e-300", "--p", "1", "--q", "0.99999999999", "--grid", "5"],
+                 3, "convergence error: series integral needs", id="gregory_divides_by_zero_b"),
+])
+def test_domain_edge_ends_in_a_value_or_one_line(tmp_path, capsys, argv, code, line):
+    # numpy warnings raise in this suite, so a pass also means none was printed
+    assert run_cli(argv, tmp_path) == code
+    out, err = capsys.readouterr()
+    lines = (err if code else out).splitlines()
+    assert len(lines) == 1 and lines[0].startswith(line), lines
+    assert (out if code else err) == ""
+    written = [path.read_text().lower() for path in tmp_path.iterdir()]
+    assert not written if code else not any("nan" in t or "inf" in t for t in written)
+
+
 def test_cli_import_leaves_out_scipy(tmp_path):
     # scipy serves only the test oracles; the CLI's cold start must not pay
     # for importing it

@@ -11,16 +11,24 @@ from pqkanto import (
     builtin,
     default_spec,
     hypothesis_check,
-    korovkin_sweep,
-    vanishing_sweep,
-    weighted_sup_error,
+    sweep_rows,
 )
 from pqkanto import operators
 from pqkanto.cli import main
-from pqkanto.convergence import sweep_rows
 from pqkanto.functions import FunctionHandle, const1, identity, square
+from pqkanto.operators import operator_profile
 
 P11 = PQPair(1, 1)
+
+
+def korovkin_set(*extra):
+    """The test set {1, t, t^2} of the weighted sweep, then any extras."""
+    return [const1(), identity(), square(), *extra]
+
+
+def one_n(n, p, q, b):
+    """A spec of one index from explicit tables."""
+    return SequenceSpec(n_list=(n,), p_table=(p,), q_table=(q,), b_table=(b,))
 
 
 class TestSequenceSpec:
@@ -74,75 +82,70 @@ class TestHypothesisCheck:
         assert report["all_valid"]
         assert report["trends"]["bn_over_bracket"]["verdict"] == "non-vanishing"
 
+    def test_bracket_underflow_raises(self):
+        # [900] = (0.3^900 - 0.2^900) / 0.1 underflows to 0 in floats
+        spec = SequenceSpec(n_list=(400, 900), p_table=(0.3, 0.3), q_table=(0.2, 0.2),
+                            b_table=(1.0, 1.0))
+        with pytest.raises(DomainError, match=r"\[n\] underflows to 0 at n=900"):
+            hypothesis_check(spec)
+
 
 class TestWeightedSupError:
     def test_constant_vanishes(self):
-        got = weighted_sup_error(builtin("const1"), OperatorParams(n=7, b_n=2.0),
-                                 PQPair(0.9, 0.8))
-        assert got <= 1e-12
+        [row] = sweep_rows(one_n(7, 0.9, 0.8, 2.0), [builtin("const1")])
+        assert row[4] <= 1e-12
 
     def test_identity_classical_example(self):
-        got = weighted_sup_error(builtin("id"), OperatorParams(n=1), P11)
+        # p = q = 1 is outside any sequence spec, so the grid error is taken
+        # from the operator profile the sweeps contract
+        xs = np.linspace(0.0, 1.0, 257)
+        values = operator_profile(builtin("id"), OperatorParams(n=1), P11, xs)
+        got = float(np.max(np.abs(values - xs) / (1.0 + xs * xs)))
         assert got == pytest.approx(0.25, abs=1e-12)
 
     def test_square_finite(self):
-        got = weighted_sup_error(builtin("square"), OperatorParams(n=5, b_n=3.0),
-                                 PQPair(0.95, 0.9))
-        assert np.isfinite(got) and got >= 0.0
-
-    def test_requires_normalized(self):
-        with pytest.raises(DomainError):
-            weighted_sup_error(builtin("id"),
-                               OperatorParams(n=2, mode="literal"), PQPair(0.9, 0.8))
+        [row] = sweep_rows(one_n(5, 0.95, 0.9, 3.0), [builtin("square")])
+        assert np.isfinite(row[4]) and row[4] >= 0.0
 
 
 class TestKorovkinSweep:
     def test_errors_decay(self):
-        records = korovkin_sweep(default_spec((10, 100)))
-        assert all(r.err_e0 <= 1e-10 for r in records)
-        assert records[-1].err_e1 < records[0].err_e1
-        assert records[-1].err_e2 < records[0].err_e2
+        rows = sweep_rows(default_spec((10, 100)), korovkin_set())
+        assert all(r[4] <= 1e-10 for r in rows)
+        assert rows[-1][5] < rows[0][5]
+        assert rows[-1][6] < rows[0][6]
 
     def test_single_n_matches_direct_call(self):
+        # a handle's column does not depend on the other handles of the sweep
         spec = default_spec((25,))
-        [record] = korovkin_sweep(spec)
-        p, q, b = spec.realize(25)
-        params = OperatorParams(n=25, b_n=b)
-        direct = weighted_sup_error(builtin("id"), params, PQPair(p, q))
-        assert record.err_e1 == direct
+        [row] = sweep_rows(spec, korovkin_set())
+        [direct] = sweep_rows(spec, [builtin("id")])
+        assert row[5] == direct[4]
 
     def test_extras_and_csv_layout(self, tmp_path, monkeypatch):
         spec = default_spec((10, 50))
         extra = [builtin("bump:2")]
-        records = korovkin_sweep(spec, extra=extra)
-        assert "bump:2" in records[0].err_extra
         monkeypatch.chdir(tmp_path)
         assert main(["converge", "--n-list", "10", "--grid", "5", "--extra", "bump:2",
                      "--out", "s.csv"]) == 0
         header = (tmp_path / "s.csv").read_text().splitlines()[0].split(",")
         assert header == ["n", "p_n", "q_n", "b_n", "err_e0", "err_e1", "err_e2",
                           "err_bump:2"]
-        rows = sweep_rows(spec, [const1(), identity(), square(), *extra])
+        rows = sweep_rows(spec, korovkin_set(*extra))
         assert len(rows) == 2 and len(rows[0]) == len(header)
 
     @pytest.mark.parametrize("vanishing", [False, True])
     def test_sweeps_and_csv_equal_sweep_rows(self, tmp_path, monkeypatch, vanishing):
-        # both sweeps and the converge CSV are the rows of one loop, bit for bit
+        # the converge CSV holds the rows of the one sweep loop, bit for bit
         spec = default_spec((10, 50))
         kw = {"m": 1, "alpha": 0.5, "beta": 1.0, "grid_points": 33}
         argv = ["converge", "--n-list", "10,50", "--m", "1", "--alpha", "1/2",
                 "--beta", "1", "--grid", "33", "--out", "s.csv"]
         if vanishing:
-            f = builtin("bump:2")
-            rows = sweep_rows(spec, [f], weighted=False, **kw)
-            assert vanishing_sweep(spec, f, **kw) == [(r[0], r[4]) for r in rows]
+            rows = sweep_rows(spec, [builtin("bump:2")], weighted=False, **kw)
             argv += ["--vanishing", "bump:2"]
         else:
-            extra = [builtin("absdev:1"), builtin("sin")]
-            rows = sweep_rows(spec, [const1(), identity(), square(), *extra], **kw)
-            got = [[r.n, r.p_n, r.q_n, r.b_n, r.err_e0, r.err_e1, r.err_e2,
-                    *r.err_extra.values()] for r in korovkin_sweep(spec, extra, **kw)]
-            assert got == rows
+            rows = sweep_rows(spec, korovkin_set(builtin("absdev:1"), builtin("sin")), **kw)
             argv += ["--extra", "absdev:1", "--extra", "sin"]
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 0
@@ -154,7 +157,30 @@ class TestKorovkinSweep:
         spec = SequenceSpec(n_list=(2, 3), p_table=(0.9, 0.9),
                             q_table=(0.95, 0.8), b_table=(1.0, 1.0))
         with pytest.raises(DomainError, match="n=2"):
-            korovkin_sweep(spec)
+            sweep_rows(spec, korovkin_set())
+
+    def test_one_point_grid_rejected(self, tmp_path, monkeypatch, capsys):
+        # --grid 1 reaches the sweep's own check
+        with pytest.raises(DomainError, match="grid_points must be at least 2"):
+            sweep_rows(default_spec((10,)), korovkin_set(), grid_points=1)
+        monkeypatch.chdir(tmp_path)
+        assert main(["converge", "--n-list", "10", "--grid", "1"]) == 2
+        assert capsys.readouterr().err == "error: grid_points must be at least 2\n"
+
+    def test_sup_error_past_float_range_raises(self, tmp_path, monkeypatch, capsys):
+        # nodes stay near 1 at beta = 1e200, but t^2 overflows on [0, 1e200]:
+        # an error line and no CSV, where the sweep wrote nan
+        with pytest.raises(DomainError, match="sup error is not finite at n=10"):
+            sweep_rows(one_n(10, 0.9, 0.8, 1e200), korovkin_set(), alpha=1.0, beta=1e200,
+                       grid_points=9)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "seq.json").write_text(
+            '{"n_list": [10], "p": [0.9], "q": [0.8], "b": [1e200]}')
+        argv = ["converge", "--seq-file", "seq.json", "--alpha", "1", "--beta", "1e200",
+                "--grid", "9"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: sup error is not finite at n=10")
+        assert [path.name for path in tmp_path.iterdir()] == ["seq.json"]
 
     def test_weights_built_once_per_block(self, monkeypatch):
         # each weight block serves all five handles; at degree 200 a block
@@ -167,7 +193,7 @@ class TestKorovkinSweep:
             return weights(degree, pq, x_norm, mode)
 
         monkeypatch.setattr(operators, "_weights_float", counted)
-        korovkin_sweep(default_spec((200,)), extra=[builtin("absdev:1"), builtin("bump:2")])
+        sweep_rows(default_spec((200,)), korovkin_set(builtin("absdev:1"), builtin("bump:2")))
         rows = operators.WEIGHT_BLOCK // 201
         assert sum(calls) == 257
         assert len(calls) <= math.ceil(257 / rows)
@@ -175,13 +201,11 @@ class TestKorovkinSweep:
     def test_overflow_degree_raises(self):
         # the float weights overflow past degree ~1030 on the default sequence
         with pytest.raises(DomainError, match="degree n\\+m = 1100"):
-            korovkin_sweep(default_spec((1100,)))
+            sweep_rows(default_spec((1100,)), korovkin_set())
 
     def test_deterministic(self):
         spec = default_spec((10, 50))
-        a = korovkin_sweep(spec)
-        b = korovkin_sweep(spec)
-        assert [r.__dict__ for r in a] == [r.__dict__ for r in b]
+        assert sweep_rows(spec, korovkin_set()) == sweep_rows(spec, korovkin_set())
 
 
 class TestVanishingSweep:
@@ -190,17 +214,17 @@ class TestVanishingSweep:
             name="zero", evaluator=lambda x: np.zeros_like(np.asarray(x, float)),
             polynomial_coeffs=(0.0,), support_bound=1.0,
         )
-        results = vanishing_sweep(default_spec((10, 50)), zero)
-        assert all(err == 0.0 for _n, err in results)
+        rows = sweep_rows(default_spec((10, 50)), [zero], weighted=False)
+        assert all(row[4] == 0.0 for row in rows)
 
     def test_bump_decays(self):
-        results = vanishing_sweep(default_spec((10, 400)), builtin("bump:2"))
-        assert results[-1][1] < results[0][1]
+        rows = sweep_rows(default_spec((10, 400)), [builtin("bump:2")], weighted=False)
+        assert rows[-1][4] < rows[0][4]
 
     def test_support_beyond_domain_reduces_to_plain_sup(self):
         spec = default_spec((10,))
         h = builtin("bump:50")  # support far beyond b_10 ~ 2.15
-        [(_, err)] = vanishing_sweep(spec, h)
+        [row] = sweep_rows(spec, [h], weighted=False)
         p, q, b = spec.realize(10)
         params = OperatorParams(n=10, b_n=b)
         pq = PQPair(p, q)
@@ -211,8 +235,8 @@ class TestVanishingSweep:
             abs(apply_operator(h, float(x), params, pq) - float(h.evaluator(float(x))))
             for x in xs
         )
-        assert err == pytest.approx(direct, rel=1e-12)
+        assert row[4] == pytest.approx(direct, rel=1e-12)
 
     def test_requires_support_bound(self):
         with pytest.raises(DomainError):
-            vanishing_sweep(default_spec((10,)), builtin("sin"))
+            sweep_rows(default_spec((10,)), [builtin("sin")], weighted=False)

@@ -17,7 +17,6 @@ from pqkanto import (
     moment_closed,
     peetre_bound_args,
     polynomial_handle,
-    second_central_moment,
     verify_moments,
 )
 from pqkanto import moments
@@ -109,7 +108,7 @@ class TestMomentClosed:
 
 class TestBruteMoments:
     def test_second_central_at_origin_classical(self):
-        assert second_central_moment(OperatorParams(n=1), P11, 0.0) == \
+        assert _direct_moments(OperatorParams(n=1), P11, [0.0])[0]["c2"] == \
             pytest.approx(1 / 12, rel=1e-13)
 
     def test_nonnegative(self):
@@ -120,7 +119,7 @@ class TestBruteMoments:
             params = OperatorParams(n=int(rng.integers(1, 12)),
                                     m=int(rng.integers(0, 3)), b_n=2.0)
             x = rng.uniform(0, 2.0)
-            assert second_central_moment(params, pq, x) >= -1e-15
+            assert _direct_moments(params, pq, [x])[0]["c2"] >= -1e-15
 
     def test_matches_moment_combination(self):
         params = OperatorParams(n=6, m=1, alpha=1.0, beta=1.0, b_n=2.0)
@@ -129,7 +128,7 @@ class TestBruteMoments:
         from pqkanto import apply_operator
 
         for x in (0.0, 0.9, 2.0):
-            mu = second_central_moment(params, pq, x)
+            mu = _direct_moments(params, pq, [x])[0]["c2"]
             combo = (
                 apply_operator(sq, x, params, pq)
                 - 2 * x * apply_operator(ident, x, params, pq)
@@ -200,12 +199,13 @@ class TestDirectMoments:
                 assert all(type(v) is float for v in row.values())
 
     def test_helpers_equal_handles_bit_for_bit(self):
+        # one-point calls, as verify_moments makes them
         params = OperatorParams(n=20, m=1, alpha=0.5, beta=1.0, b_n=2.0)
         for pq in (P11, PQPair(0.9, 0.9), PQPair(0.95, 0.85)):
             for x in (0.0, 0.3, 1.7, 2.0):
                 want = moments_by_handles(params, pq, x)
-                c2 = second_central_moment(params, pq, x)
-                c1 = _direct_moments(params, pq, [x])[0]["c1"]
+                row = _direct_moments(params, pq, [x])[0]
+                c1, c2 = row["c1"], row["c2"]
                 assert (c1.hex(), c2.hex()) == (want["c1"].hex(), want["c2"].hex())
                 assert type(c1) is float and type(c2) is float
 
@@ -247,7 +247,7 @@ class TestDirectMoments:
         # warning (the suite turns those into errors) and no word of ~1030
         params = OperatorParams(n=2, b_n=1e200)
         with pytest.raises(DomainError, match="inner integrals are not finite"):
-            second_central_moment(params, PQ98, 1e200)
+            _direct_moments(params, PQ98, [1e200])
         with pytest.raises(DomainError, match="inner integrals are not finite"):
             verify_moments(params, PQ98, 0.5)
 
