@@ -18,7 +18,7 @@ the true modulus and could fake a violation).
 
 Moduli are measured over the node hull [0, node_hull_max]: the operator
 never evaluates f outside it, and the bound proofs only need |t - x|
-with t in the hull.
+with t in the hull.  `_Moduli` is the one routine for both orders.
 
 omega_2 over the domain is exact for const1, id, square, sin, lip inside
 its window (`exact_second_modulus`) and for piecewise-linear handles
@@ -45,7 +45,7 @@ modulus that is not finite raises DomainError.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -123,8 +123,8 @@ class _Moduli:
     base samples: a rounded difference is monotone in each argument and
     odd, so that is the largest |f(x_{i+j}) - f(x_i)| over j <= k, bit for
     bit.  Order 2 loops over the offsets with one buffer and grows its
-    table only as far as the largest delta asked for.  An instance lives
-    for one call of the public functions below, never longer.
+    table only as far as the largest delta asked for.  `bound_reports`
+    shares one instance across its x-grid, for one call, never longer.
     """
 
     def __init__(self, f: FunctionHandle, domain: Tuple[float, float]):
@@ -196,21 +196,6 @@ class _Moduli:
         return table[k]
 
 
-def modulus(f: FunctionHandle, delta: float, domain: Tuple[float, float]) -> float:
-    """Modulus of continuity sup_{|t-x| <= delta} |f(t) - f(x)|.
-
-    Returns exact metadata when the handle carries it; otherwise a grid
-    estimate over `domain`, which is a lower estimate of the true value.
-    """
-    return _Moduli(f, domain)(1, delta)
-
-
-def second_modulus(f: FunctionHandle, delta: float, domain: Tuple[float, float]) -> float:
-    """Second modulus sup_{0 < h <= delta} |f(x+2h) - 2 f(x+h) + f(x)|
-    over x with x + 2h in `domain`; exact metadata honored."""
-    return _Moduli(f, domain)(2, delta)
-
-
 @dataclass(kw_only=True)
 class BoundReport:
     """Observed error and every bound quantity at a single point, its
@@ -232,9 +217,6 @@ class BoundReport:
     modulus_at_abs_bias: float
     holds_lipschitz: Optional[bool] = None
     holds_modulus: Optional[bool] = None
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 BOUND_CSV_FIELDS = tuple(f.name for f in fields(BoundReport))
@@ -263,7 +245,7 @@ def bound_reports(f: FunctionHandle, xs, params: OperatorParams, pq: PQPair,
     values = operator_profile(f, params, pq, xs, rel_tol).tolist()
     direct = _direct_moments(params, pq, xs)
     xa, rows = np.asarray(xs), max(1, WEIGHT_BLOCK // (2 * params.degree + 1))
-    with np.errstate(over="ignore", invalid="ignore"):  # as Python floats do
+    with np.errstate(divide="raise", over="ignore", invalid="ignore"):  # as Python floats do
         blocks = [peetre_bound_args(params, pq, xa[i:i + rows]) for i in range(0, xa.size, rows)]
     peetre = [[float(v) for block in blocks for v in block[j]] for j in (0, 1)]
     reports = []

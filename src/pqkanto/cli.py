@@ -44,19 +44,9 @@ from .convergence import (
 )
 from .errors import ConvergenceError, DomainError
 from .functions import builtin, const1, identity, square
-from .manifest import (
-    RunManifest,
-    fmt_float,
-    manifest_path_for,
-    write_csv,
-    write_json,
-)
+from .manifest import RunManifest, fmt_float, manifest_path_for, write_csv, write_json
 from .moments import verify_moments
-from .operators import (
-    OperatorParams,
-    apply_extended,
-    apply_operator,
-)
+from .operators import OperatorParams, apply_extended, apply_operator
 from .pq_calculus import PQPair
 
 

@@ -27,6 +27,7 @@ inputs give bit-identical CSV output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -114,7 +115,9 @@ def hypothesis_check(spec: SequenceSpec) -> dict:
             "p_pow_n": p_n ** n if valid else None,
             "q_pow_n": q_n ** n if valid else None,
             "bn_over_bracket": b_n / bracket if valid else None,
-            "bn2_over_bracket": b_n * b_n / bracket if valid else None,
+            # b_n * (b_n / [n]) only where b_n^2 is past the float range
+            "bn2_over_bracket": (b_n * b_n / bracket if b_n * b_n < math.inf
+                                 else b_n * (b_n / bracket)) if valid else None,
         })
 
     def trend(key: str) -> dict:

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Sequence
 
+from .errors import DomainError
+
 MANIFEST_SUFFIX = ".manifest.json"
 
 
@@ -45,7 +47,11 @@ def write_text(path, text: str) -> None:
 
 
 def dumps_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True,
+                          allow_nan=False) + "\n"
+    except ValueError:  # JSON has no inf or nan
+        raise DomainError("a value of the output is past the float range") from None
 
 
 def write_json(obj, path) -> None:

@@ -12,15 +12,16 @@ p = q = 1 while staying inside the product definition.
 
 `verify_moments` evaluates closed form and direct summation side by side
 (floats for experiments, exact rationals for certification at n+m <= 12)
-and reports residuals.  The five closed forms share one set of terms per
-call (the brackets [2], [3], [n+1] + beta, [n+m], [n+m-1] and the three
-compound powers), and one routine takes every direct sum, exact or float,
-at any number of points; its exact sums run on integer numerators over
-one denominator per vector, with three dot products per point and the
-central moments from those.  Residuals are data, not assertions: at
-p = q = 1 all five closed forms agree with direct summation, while for p < 1 the
-first and second moment displays disagree with direct summation in both
-basis modes (already at n+m = 2), so the report is the honest output.
+and reports residuals, each moment under its one key of MOMENT_KEYS.  The
+five closed forms share one set of terms per call (the brackets [2], [3],
+[n+1] + beta, [n+m], [n+m-1] and the three compound powers), and one
+routine takes every direct sum, exact or float, at any number of points;
+its exact sums run on integer numerators over one denominator per vector,
+with three dot products per point and the central moments from those.
+Residuals are data, not assertions: at p = q = 1 all five closed forms
+agree with direct summation, while for p < 1 the first and second moment
+displays disagree with direct summation in both basis modes (already at
+n+m = 2), so the report is the honest output.
 The quantities feeding error bounds therefore come from direct summation,
 never from the closed forms.
 """
@@ -53,10 +54,11 @@ def _nonzero_divisors():
     """Raise DomainError for a float division by a bracket product that
     underflows to 0 in the closed forms (say, ([n+1] + beta)^2 at p^n
     below 1e-162); exact brackets are never 0.  A decorator of each
-    function that divides by them."""
+    function that divides by them; an array x divides under the caller's
+    np.errstate(divide="raise")."""
     try:
         yield
-    except ZeroDivisionError:
+    except (ZeroDivisionError, FloatingPointError):
         raise DomainError("a bracket product the closed forms divide by underflows to 0 "
                           "in float arithmetic") from None
 
@@ -132,24 +134,6 @@ def _closed_moments(params: OperatorParams, x: Scalar, t: _Terms) -> Dict[str, S
             + 1
         ) * x * x,
     }
-
-
-#: moment_closed's kinds and the MOMENT_KEYS they select.
-_KINDS = ((0, "m0"), (1, "m1"), (2, "m2"), ("central1", "c1"), ("central2", "c2"))
-
-
-def moment_closed(kind, params: OperatorParams, pq: PQPair, x: Scalar) -> Scalar:
-    """Closed-form moment of the scaled operator at x in [0, b_n].
-
-    kind: 0, 1, 2 for test powers 1, t, t^2; "central1" for t - x;
-    "central2" for (t - x)^2.  Evaluated exactly as printed (see module
-    docstring); arithmetic follows the input types.  One kind of the five
-    that `verify_moments` takes from one set of shared terms.
-    """
-    key = next((key for k, key in _KINDS if k == kind), None)
-    if key is None:
-        raise DomainError(f"kind must be 0, 1, 2, 'central1' or 'central2', got {kind!r}")
-    return _closed_moments(params, x, _closed_terms(params, pq, x))[key]
 
 
 def _exact_moments(params: OperatorParams, pq: PQPair, xs) -> List[Dict[str, Fraction]]:
@@ -257,7 +241,6 @@ class MomentReport:
     params: OperatorParams
     pq: PQPair
     x: Scalar
-    mode: str
     arithmetic: str
     closed: Dict[str, Scalar] = field(default_factory=dict)
     brute: Dict[str, Scalar] = field(default_factory=dict)
@@ -281,7 +264,7 @@ class MomentReport:
 
         out = {
             "arithmetic": self.arithmetic,
-            "mode": self.mode,
+            "mode": self.params.mode,
             "params": {
                 "n": self.params.n,
                 "m": self.params.m,
@@ -338,6 +321,6 @@ def verify_moments(params: OperatorParams, pq: PQPair, x: Scalar,
         raise DomainError("a closed-form moment or its residual is past the float range "
                           "(the direct sums are finite)")
     return MomentReport(
-        params=params, pq=pq, x=x, mode=params.mode, arithmetic=arithmetic,
+        params=params, pq=pq, x=x, arithmetic=arithmetic,
         closed=closed, brute=brute, residuals=residuals,
     )

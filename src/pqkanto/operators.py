@@ -26,8 +26,8 @@ one-parameter basis at ratio r = q/p,
 whose factors are all in [0, 1]; the float path evaluates this form, so
 weights stay overflow-free up to n+m ~ 1000 (the (p,q)-binomial itself
 tops out near C(1000, 500) ~ 1e299).  Past that, as q/p -> 1, the
-r-binomials overflow and the operator raises DomainError instead of
-returning a non-finite value.
+r-binomials overflow and the operator raises DomainError, before any
+inner integral, instead of returning a non-finite value.
 
 Evaluation is a weight matrix times inner-integral vectors.
 `operator_profile` takes any number of handles and x-grid points: it
@@ -62,6 +62,7 @@ reaches TERM_CAP without meeting its stop rule.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -173,14 +174,11 @@ def _weights_float(degree: int, pq: PQPair, x_norm: np.ndarray, mode: str) -> np
         d = r - 1.0
         log_r = math.log1p(d) if d > -1.0 else math.log(r)
         brackets = np.expm1(np.arange(1, degree + 1) * log_r) / d
-    if degree == 0:
-        w = np.ones((len(s), 1))
-    else:
-        binoms = np.ones(degree + 1)
-        np.cumprod(brackets[::-1] / brackets, out=binoms[1:])  # [N-i]_r / [i+1]_r
-        prefix = np.ones((len(s), degree + 1))
-        np.cumprod(1.0 - (r ** np.arange(degree)) * s, axis=1, out=prefix[:, 1:])
-        w = binoms * (s ** ks) * prefix[:, ::-1]
+    binoms = np.ones(degree + 1)
+    np.cumprod(brackets[::-1] / brackets, out=binoms[1:])  # [N-i]_r / [i+1]_r
+    prefix = np.ones((len(s), degree + 1))
+    np.cumprod(1.0 - (r ** np.arange(degree)) * s, axis=1, out=prefix[:, 1:])
+    w = binoms * (s ** ks) * prefix[:, ::-1]
     if mode == "literal":
         # literal = normalized * p^{(N(N-1) - k(k-1))/2}, a factor <= 1
         exponents = (degree * (degree - 1) - ks * (ks - 1)) / 2.0
@@ -335,6 +333,11 @@ KINK_WINDOW = 256
 _EPS = sys.float_info.epsilon
 
 
+def _log_product(p: float, tau: float) -> float:
+    """ln(p tau) for p, tau > 0, as ln p + ln tau only where p tau underflows to 0."""
+    return math.log(p * tau) if p * tau != 0.0 else math.log(p) + math.log(tau)
+
+
 def _series_integrals(f: FunctionHandle, a: np.ndarray, b: np.ndarray,
                       pq: PQPair, rel_tol: float) -> np.ndarray:
     """Series integrals of f(A_k + B_k t) for every k, q < p.
@@ -384,7 +387,7 @@ def _euler_maclaurin(f: FunctionHandle, a: np.ndarray, b: np.ndarray,
         tau = (np.asarray(f.kinks, dtype=float)[:, None] - a[None, :]) / b[None, :]
         near = (tau > 0) & (tau <= np.exp(KINK_WINDOW * h) / p)
         for i, k in zip(*np.nonzero(near)):
-            kinked.setdefault(int(k), []).append(-math.log(p * tau[i, k]) / h)
+            kinked.setdefault(int(k), []).append(-_log_product(p, tau[i, k]) / h)
     smooth = np.ones(len(a), dtype=bool)
     smooth[list(kinked)] = False
     if np.any(smooth):
@@ -537,7 +540,7 @@ def _pl_integrals_strict(pl: PiecewiseLinear, a: np.ndarray, b: np.ndarray,
     top = edges == t_max
     s0, s1 = np.where(top, 1.0, 0.0), np.where(top, 1.0 / (p + q), 0.0)
     cuts = (edges > 0.0) & ~top
-    counts = [max(0, math.ceil(math.log(p * tau) / log_r)) for tau in edges[cuts].tolist()]
+    counts = [max(0, math.ceil(_log_product(p, tau) / log_r)) for tau in edges[cuts].tolist()]
     s0[cuts] = [r ** j for j in counts]
     s1[cuts] = [r ** (2 * j) / (p + q) for j in counts]
     icpt, slope = pl.piece_at(a[:, None] + b[:, None] * 0.5 * (edges[:, :-1] + edges[:, 1:]))
@@ -589,22 +592,28 @@ def operator_profile(fs: Union[FunctionHandle, Sequence[FunctionHandle]],
     Returns a 1-D array for one handle, else one row per handle.  The node
     map and each handle's inner integrals are built once.  The weights come
     from `_weight_blocks`, the float direct sums' source too, one block of
-    x-grid rows at a time after the integrals, shared by every handle;
+    x-grid rows at a time (the first before the integrals, the rest after),
+    shared by every handle;
     each weight row is contracted with each integral vector by `np.dot`,
     so a value does not depend on the grid, the block or the other
     handles.
 
     Raises DomainError, not a numpy warning, when a value is not finite;
-    it blames the weights (past degree ~1030 as q/p -> 1) only if they are.
+    it blames the weights (past degree ~1030 as q/p -> 1) only if they are,
+    and then before any inner integral is computed.
     """
     single = isinstance(fs, FunctionHandle)
     handles = [fs] if single else list(fs)
     blocks = _weight_blocks(params, pq, xs)
     out = np.empty((len(handles), len(xs)))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # raised below instead
+        # the binomials that overflow do not depend on x: the first block decides
+        first = list(itertools.islice(blocks, 1))
+        if first and not np.isfinite(first[0][1]).all():
+            raise _not_finite("operator value is", params.degree, first[0][1])
         a, b = _node_affine(params, pq)
         integrals = [_inner_integrals(f, a, b, pq, rel_tol) for f in handles]
-        for block, w in blocks:
+        for block, w in itertools.chain(first, blocks):
             for i, row in enumerate(w, block.start):
                 for j, vec in enumerate(integrals):
                     out[j, i] = np.dot(row, vec)
@@ -617,10 +626,15 @@ def apply_extended(f: FunctionHandle, x: Scalar, params: OperatorParams,
                    pq: PQPair, rel_tol: float = 1e-12) -> float:
     """Extension to [0, inf): operator value on [0, b_n], f(x) beyond.
 
-    x = b_n takes the operator branch (boundary convention).
+    x = b_n takes the operator branch (boundary convention).  Raises
+    DomainError where f(x) is past the float range.
     """
     if x < 0:
         raise DomainError(f"x must be nonnegative, got {x}")
     if x > params.b_n:
-        return float(f.evaluator(float(x)))
+        with np.errstate(over="ignore", invalid="ignore"):  # raised below instead
+            value = float(f.evaluator(float(x)))
+        if not math.isfinite(value):
+            raise DomainError(f"{f.name}(x) is past the float range at x={x}")
+        return value
     return apply_operator(f, x, params, pq, rel_tol)

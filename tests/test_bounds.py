@@ -1,5 +1,6 @@
 import importlib.util
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import mpmath as mp
@@ -14,10 +15,8 @@ from pqkanto import (
     PQPair,
     bound_reports,
     builtin,
-    modulus,
     node_hull_max,
     polynomial_handle,
-    second_modulus,
 )
 from pqkanto import bounds
 from pqkanto.bounds import BOUND_CSV_FIELDS, DOMAIN_STEPS, _Moduli
@@ -34,66 +33,71 @@ def stripped(handle):
     return FunctionHandle(name="plain", evaluator=handle.evaluator)
 
 
+def omega(order, f, delta, domain):
+    """omega_order(f, delta) over domain, from a modulus routine of its own."""
+    return _Moduli(f, domain)(order, delta)
+
+
 class TestModulus:
     def test_linear_slope(self):
         lin = polynomial_handle("3x", (0.0, 3.0))
-        assert modulus(lin, 0.2, (0.0, 2.0)) == pytest.approx(0.6, abs=1e-12)
+        assert omega(1, lin, 0.2, (0.0, 2.0)) == pytest.approx(0.6, abs=1e-12)
 
     def test_constant_is_zero(self):
         c = stripped(builtin("const1"))
-        assert modulus(c, 0.5, (0.0, 1.0)) == 0.0
+        assert omega(1, c, 0.5, (0.0, 1.0)) == 0.0
 
     def test_square_example(self):
         # true modulus on [0,1] with delta=0.1 is 2*0.9*0.1 + 0.01 = 0.19
-        got = modulus(builtin("square"), 0.1, (0.0, 1.0))
+        got = omega(1, builtin("square"), 0.1, (0.0, 1.0))
         assert got <= 0.19 + 1e-12
         assert got == pytest.approx(0.19, abs=2e-3)
 
     def test_exact_metadata_shortcut(self):
         h = builtin("absdev:5")
-        assert modulus(h, 0.37, (0.0, 100.0)) == 0.37
+        assert omega(1, h, 0.37, (0.0, 100.0)) == 0.37
 
     def test_grid_estimate_below_exact(self):
         h = builtin("absdev:1")
         for delta in (0.1, 0.5, 1.3):
-            est = modulus(stripped(h), delta, (0.0, 4.0))
+            est = omega(1, stripped(h), delta, (0.0, 4.0))
             assert est <= h.exact_modulus(delta) + 1e-12
 
     def test_nondecreasing_and_zero_at_zero(self):
         h = stripped(builtin("sin"))
         deltas = [0.0, 0.1, 0.5, 1.0, 2.0]
-        vals = [modulus(h, d, (0.0, 8.0)) for d in deltas]
+        vals = [omega(1, h, d, (0.0, 8.0)) for d in deltas]
         assert vals[0] == 0.0
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_rejects_negative_delta(self):
         with pytest.raises(DomainError):
-            modulus(builtin("id"), -0.1, (0.0, 1.0))
+            omega(1, builtin("id"), -0.1, (0.0, 1.0))
 
     def test_rejects_empty_domain(self):
         with pytest.raises(DomainError):
-            modulus(stripped(builtin("id")), 0.1, (1.0, 1.0))
+            omega(1, stripped(builtin("id")), 0.1, (1.0, 1.0))
 
 
 class TestSecondModulus:
     def test_linear_vanishes(self):
         lin = polynomial_handle("lin", (2.0, -3.0))
-        assert second_modulus(lin, 0.3, (0.0, 2.0)) == pytest.approx(0.0, abs=1e-12)
+        assert omega(2, lin, 0.3, (0.0, 2.0)) == pytest.approx(0.0, abs=1e-12)
         # bump:2 is affine on [0, 1.9]: its kink at 2 lies outside
-        assert second_modulus(builtin("bump:2"), 0.9, (0.0, 1.9)) == 0.0
+        assert omega(2, builtin("bump:2"), 0.9, (0.0, 1.9)) == 0.0
 
     def test_square_exact(self):
-        assert second_modulus(builtin("square"), 0.1, (0.0, 1.0)) == \
+        assert omega(2, builtin("square"), 0.1, (0.0, 1.0)) == \
             pytest.approx(0.02, rel=1e-12)
 
     def test_square_grid_matches_exact(self):
         h = stripped(builtin("square"))
-        got = second_modulus(h, 0.1, (0.0, 1.0))
+        got = omega(2, h, 0.1, (0.0, 1.0))
         assert got == pytest.approx(0.02, abs=1e-4)
         assert got <= 0.02 + 1e-12
 
     def test_constant_vanishes(self):
-        assert second_modulus(builtin("const1"), 1.0, (0.0, 2.0)) == 0.0
+        assert omega(2, builtin("const1"), 1.0, (0.0, 2.0)) == 0.0
 
 
 class TestBoundReport:
@@ -157,14 +161,14 @@ class TestBoundReport:
         hull_hi = node_hull_max(params, pq)
         assert hull_hi > 1.0
         rep = bound_reports(builtin("square"), [0.5], params, pq)[0]
-        direct = modulus(builtin("square"), np.sqrt(rep.second_central_moment),
-                         (0.0, hull_hi))
+        direct = omega(1, builtin("square"), np.sqrt(rep.second_central_moment),
+                       (0.0, hull_hi))
         assert rep.modulus_at_sqrt_moment == pytest.approx(direct, rel=1e-12)
 
     def test_csv_fields_cover_report(self):
         rep = bound_reports(builtin("absdev:1"), [0.5], OperatorParams(n=3),
                             PQPair(0.9, 0.8))[0]
-        payload = rep.to_json_dict()
+        payload = asdict(rep)
         for field in BOUND_CSV_FIELDS:
             assert field in payload
 
@@ -190,8 +194,8 @@ class TestGridEstimator:
         h = stripped(builtin(name))
         om1, om2_upper = self.closed_forms(name, self.DOMAIN[1])
         for delta in (0.37 * self.STEP, 3.5 * self.STEP, 0.1, 1.3, 5.0):
-            assert modulus(h, delta, self.DOMAIN) <= om1(delta) + 1e-12
-            assert second_modulus(h, delta, self.DOMAIN) <= om2_upper(delta) + 1e-12
+            assert omega(1, h, delta, self.DOMAIN) <= om1(delta) + 1e-12
+            assert omega(2, h, delta, self.DOMAIN) <= om2_upper(delta) + 1e-12
 
     def test_reports_match_pointwise_in_any_order(self):
         params = OperatorParams(n=50, m=2, alpha=1.0, beta=2.0, b_n=3.0)
@@ -383,9 +387,9 @@ class TestSecondModulusOverHull:
         xs = (0.0,) + tuple(0.05 * k for k in sorted(steps))
         pl = PiecewiseLinear(xs=xs, ys=tuple(ys[:len(xs)]), end_slope=end_slope)
         domain = (lo, lo + length)
-        exact = second_modulus(FunctionHandle(name="pl", evaluator=pl, piecewise_linear=pl),
-                               delta, domain)
-        grid = second_modulus(FunctionHandle(name="pl", evaluator=pl), delta, domain)
+        exact = omega(2, FunctionHandle(name="pl", evaluator=pl, piecewise_linear=pl),
+                      delta, domain)
+        grid = omega(2, FunctionHandle(name="pl", evaluator=pl), delta, domain)
         assert grid <= exact + 1e-12
         assert exact <= pl_brute_force(pl, delta, *domain) + 1e-12
 
@@ -398,21 +402,21 @@ class TestSecondModulusOverHull:
         # end); one whose middle at h = 1 lies between two peaks; one whose
         # middle holds a peak at h = pi; one longer than 3 pi
         want = mp_sin_second_modulus(delta, *domain)
-        got = second_modulus(builtin("sin"), delta, domain)
+        got = omega(2, builtin("sin"), delta, domain)
         assert abs(got - want) <= 1e-13 * want
-        assert second_modulus(stripped(builtin("sin")), delta, domain) <= got + 1e-12
+        assert omega(2, stripped(builtin("sin")), delta, domain) <= got + 1e-12
 
     @pytest.mark.parametrize("a, domain", [(0.5, (0.0, 1.5)), (1.2, (0.0, 1.5))])
     def test_lip_window_edge_and_past_it(self, monkeypatch, a, domain):
         h = builtin(f"lip:{a}:0.5")
         edge = min(a - domain[0], domain[1] - a)
         orders = count_grid_tables(monkeypatch)
-        assert second_modulus(h, edge, domain) == 2.0 * edge ** 0.5
+        assert omega(2, h, edge, domain) == 2.0 * edge ** 0.5
         assert orders == []
         past = float(np.nextafter(edge, 2.0))
-        got = second_modulus(h, past, domain)
+        got = omega(2, h, past, domain)
         assert orders == [2]
-        assert got == second_modulus(stripped(h), past, domain)
+        assert got == omega(2, stripped(h), past, domain)
         assert got <= 2.0 * past ** 0.5
 
     def test_bound_reports_build_no_grid_table(self, monkeypatch):
@@ -434,10 +438,10 @@ class TestSecondModulusOverHull:
         xs = tuple(np.linspace(0.0, 3.0, kinks + 1))
         pl = PiecewiseLinear(xs=xs, ys=tuple(np.cos(7.0 * np.array(xs))), end_slope=0.5)
         orders = count_grid_tables(monkeypatch)
-        got = second_modulus(FunctionHandle(name="pl", evaluator=pl, piecewise_linear=pl),
-                             2.0, (0.0, 3.5))
+        got = omega(2, FunctionHandle(name="pl", evaluator=pl, piecewise_linear=pl),
+                    2.0, (0.0, 3.5))
         assert (orders == []) == enumerated
-        grid = second_modulus(FunctionHandle(name="pl", evaluator=pl), 2.0, (0.0, 3.5))
+        grid = omega(2, FunctionHandle(name="pl", evaluator=pl), 2.0, (0.0, 3.5))
         assert grid <= got + 1e-12
         assert enumerated or got == grid
 
@@ -547,19 +551,22 @@ class TestGridKernels:
 
 
 class TestNonFinite:
+    # test ids name the order: omega is "modulus", omega_2 "second_modulus"
+    ORDER_IDS = ["modulus", "second_modulus"]
+
     @staticmethod
     def handle(evaluator, **metadata):
         return FunctionHandle(name="holey", evaluator=evaluator, **metadata)
 
-    @pytest.mark.parametrize("estimate", [modulus, second_modulus])
-    def test_nan_base_samples(self, estimate):
+    @pytest.mark.parametrize("order", [1, 2], ids=ORDER_IDS)
+    def test_nan_base_samples(self, order):
         # a stripped square that is nan on (0.5, 1]
         h = self.handle(lambda x: np.where(np.asarray(x) > 0.5, np.nan, np.square(x)))
         with pytest.raises(DomainError, match="holey"):
-            estimate(h, 0.3, (0.0, 1.0))
+            omega(order, h, 0.3, (0.0, 1.0))
 
-    @pytest.mark.parametrize("estimate", [modulus, second_modulus])
-    def test_nan_shifted_samples(self, estimate):
+    @pytest.mark.parametrize("order", [1, 2], ids=ORDER_IDS)
+    def test_nan_shifted_samples(self, order):
         # finite at the base points k / DOMAIN_STEPS, nan between them
         def between(x):
             x = np.asarray(x, dtype=float)
@@ -568,20 +575,20 @@ class TestNonFinite:
 
         h = self.handle(between)
         with pytest.raises(DomainError, match="holey"):
-            estimate(h, 0.3, (0.0, 1.0))
+            omega(order, h, 0.3, (0.0, 1.0))
 
-    @pytest.mark.parametrize("estimate", [modulus, second_modulus])
-    def test_overflowing_differences(self, estimate):
+    @pytest.mark.parametrize("order", [1, 2], ids=ORDER_IDS)
+    def test_overflowing_differences(self, order):
         h = self.handle(lambda x: np.where(np.asarray(x) < 0.5, 1.5e308, -1.5e308))
         with np.errstate(over="ignore"), pytest.raises(DomainError, match="holey"):
-            estimate(h, 0.3, (0.0, 1.0))
+            omega(order, h, 0.3, (0.0, 1.0))
 
     @pytest.mark.parametrize("delta", [np.nan, np.inf])
-    @pytest.mark.parametrize("estimate", [modulus, second_modulus])
-    def test_non_finite_delta(self, estimate, delta):
+    @pytest.mark.parametrize("order", [1, 2], ids=ORDER_IDS)
+    def test_non_finite_delta(self, order, delta):
         for h in (stripped(builtin("sin")), builtin("absdev:0.5"), builtin("square")):
             with pytest.raises(DomainError, match="delta"):
-                estimate(h, delta, (0.0, 1.0))
+                omega(order, h, delta, (0.0, 1.0))
 
     def test_bound_reports(self):
         # the polynomial coefficients keep the operator off the evaluator,

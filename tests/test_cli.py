@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import mpmath as mp
@@ -564,6 +565,31 @@ def test_huge_beta_one_error_line(tmp_path, argv):
     pytest.param(["bounds", "--fn", "lip:0.5:0.5", "--n", "2", "--m", "7", "--beta", "1e200",
                   "--bn", "1e-300", "--p", "1", "--q", "0.99999999999", "--grid", "5"],
                  3, "convergence error: series integral needs", id="gregory_divides_by_zero_b"),
+    # p tau below the float range in the node count above a kink: ln p + ln tau
+    pytest.param(["eval", "--fn", "bump:2", "--n", "1", "--x", "0.5", "--p", "1e-200",
+                  "--q", "1e-201"],
+                 2, "error: operator value is not finite at degree n+m = 1: the inner",
+                 id="pl_kink_log_underflows"),
+    pytest.param(["bounds", "--fn", "lip:1:1", "--grid", "2", "--n", "200", "--beta", "1e-300",
+                  "--bn", "0.22943242713595324", "--p", "2.077448193692951e-175",
+                  "--q", "1.862823227115954e-175"],
+                 2, "error: operator value is not finite at degree n+m = 200: the inner",
+                 id="pl_kink_log_underflows_in_bounds"),
+    pytest.param(["eval", "--fn", "lip:0.5:0.5", "--n", "1", "--x", "0.5", "--p", "1e-300",
+                  "--q", "9.999e-301"],
+                 2, "error: the integrand is not finite on the series nodes",
+                 id="gregory_kink_log_underflows"),
+    # the Peetre arguments of a whole x-grid divide by a bracket product
+    # that underflows to 0: the same line as at one point
+    pytest.param(["bounds", "--fn", "bump:1.1478215524434411e-184", "--grid", "9", "--n", "1",
+                  "--bn", "5.7391077622172054e-185", "--p", "1.8217830736956749e-106",
+                  "--q", "2.533186197491089e-108"],
+                 2, "error: a bracket product the closed forms divide by underflows to 0",
+                 id="peetre_grid_divisor_underflows"),
+    pytest.param(["eval", "--fn", "square", "--x", "2e+300", "--op", "extended", "--n", "4",
+                  "--bn", "1e+300"],
+                 2, "error: square(x) is past the float range at x=2e+300",
+                 id="extended_value_past_float_range"),
 ])
 def test_domain_edge_ends_in_a_value_or_one_line(tmp_path, capsys, argv, code, line):
     # numpy warnings raise in this suite, so a pass also means none was printed
@@ -574,6 +600,30 @@ def test_domain_edge_ends_in_a_value_or_one_line(tmp_path, capsys, argv, code, l
     assert (out if code else err) == ""
     written = [path.read_text().lower() for path in tmp_path.iterdir()]
     assert not written if code else not any("nan" in t or "inf" in t for t in written)
+
+
+def test_check_only_ratio_past_float_range_exit_2(tmp_path, capsys):
+    # b_n^2 / [1] = 1e600 has no float: one line and no file, not Infinity
+    (tmp_path / "seq.json").write_text(json.dumps(
+        {"n_list": [1, 5], "p": [1.0, 0.9], "q": [0.5, 0.8], "b": [1e300, 1e300]}))
+    argv = ["converge", "--seq-file", "seq.json", "--check-only", "--out", "report.json"]
+    assert run_cli(argv, tmp_path) == 2
+    assert capsys.readouterr().err == "error: a value of the output is past the float range\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["seq.json"]
+
+
+def test_weight_overflow_fails_fast(tmp_path, capsys):
+    # the weights overflow at degree 2007; the slow series of lip is never summed
+    argv = ["eval", "--fn", "lip:0.5:0.5", "--x", "1.608285690623881", "--op", "extended",
+            "--n", "2000", "--m", "7", "--alpha", "16/12", "--beta", "36/15",
+            "--bn", "4.292915229838249", "--p", "5.848372909184979e-43",
+            "--q", "5.847974275191292e-43", "--mode", "literal"]
+    start = time.process_time()
+    assert run_cli(argv, tmp_path) == 2
+    assert time.process_time() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: operator value is not finite at degree n+m = 2007: "
+                                 "the float basis weights overflow past degree ~1030\n")
 
 
 def test_cli_import_leaves_out_scipy(tmp_path):

@@ -11,6 +11,7 @@ from pqkanto import (
     builtin,
     default_spec,
     hypothesis_check,
+    pq_integer,
     sweep_rows,
 )
 from pqkanto import operators
@@ -88,6 +89,14 @@ class TestHypothesisCheck:
                             b_table=(1.0, 1.0))
         with pytest.raises(DomainError, match=r"\[n\] underflows to 0 at n=900"):
             hypothesis_check(spec)
+
+    def test_bn2_ratio_where_bn_squared_overflows(self):
+        # b_n^2 is past the float range, b_n^2 / [n] ~ 7.5e304 is not
+        spec = SequenceSpec(n_list=(3000,), p_table=(1.0,), q_table=(0.999999,),
+                            b_table=(1.5e154,))
+        [row] = hypothesis_check(spec)["rows"]
+        bracket = float(pq_integer(3000, PQPair(1.0, 0.999999)))
+        assert row["bn2_over_bracket"] == 1.5e154 * (1.5e154 / bracket) < math.inf
 
 
 class TestWeightedSupError:

@@ -14,13 +14,12 @@ from pqkanto import (
     SizeCapError,
     basis_weights,
     builtin,
-    moment_closed,
     peetre_bound_args,
     polynomial_handle,
     verify_moments,
 )
 from pqkanto import moments
-from pqkanto.moments import MOMENT_KEYS, _direct_moments
+from pqkanto.moments import MOMENT_KEYS, _closed_moments, _closed_terms, _direct_moments
 from pqkanto.operators import operator_profile
 from pqkanto.pq_calculus import _pq_powers, pq_integer, pq_integral_monomial, pq_power
 
@@ -28,48 +27,42 @@ from oracles import apply_classical_reference, direct_moments_fractions, weights
 
 PQ98 = PQPair(0.9, 0.8)
 P11 = PQPair(1, 1)
-KINDS = (0, 1, 2, "central1", "central2")
+
+
+def closed_forms(params, pq, x):
+    """The five closed forms at x, keyed as MOMENT_KEYS."""
+    return _closed_moments(params, x, _closed_terms(params, pq, x))
 
 
 class TestUnitMomentClosed:
     # the unit operator: alpha = beta = 0, b_n = 1
     def test_mass_is_one(self):
-        assert moment_closed(0, OperatorParams(n=4, m=2), PQ98, 0.3) == 1
+        assert closed_forms(OperatorParams(n=4, m=2), PQ98, 0.3)["m0"] == 1
 
     def test_first_moment_classical(self):
         for n in (1, 3, 9):
             for x in (0.0, 0.4, 1.0):
-                got = moment_closed(1, OperatorParams(n=n), P11, x)
+                got = closed_forms(OperatorParams(n=n), P11, x)["m1"]
                 want = 1 / (2 * (n + 1)) + n * x / (n + 1)
                 assert got == pytest.approx(want, rel=1e-14)
 
     def test_first_moment_at_origin(self):
-        assert moment_closed(1, OperatorParams(n=5), P11, 0.0) == pytest.approx(1 / 12)
+        assert closed_forms(OperatorParams(n=5), P11, 0.0)["m1"] == pytest.approx(1 / 12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            moment_closed(1, OperatorParams(n=3), PQ98, 1.2)
-        with pytest.raises(DomainError):
-            moment_closed(3, OperatorParams(n=3), PQ98, 0.5)
-
-    def test_kind_checked_before_any_power(self, monkeypatch):
-        calls = []
-        for name in ("pq_power", "_pq_powers"):
-            monkeypatch.setattr(moments, name, lambda *a: calls.append(a))
-        with pytest.raises(DomainError, match="kind"):
-            moment_closed(3, OperatorParams(n=3), PQ98, 0.5)
-        assert calls == []
+            closed_forms(OperatorParams(n=3), PQ98, 1.2)
 
 
 class TestMomentClosed:
     def test_mass_is_one(self):
         params = OperatorParams(n=5, m=1, alpha=1.0, beta=2.0, b_n=3.0)
-        assert moment_closed(0, params, PQ98, 2.0) == 1
+        assert closed_forms(params, PQ98, 2.0)["m0"] == 1
 
     def test_first_moment_classical_limit(self):
         params = OperatorParams(n=4, m=2, alpha=1.0, beta=2.0, b_n=5.0)
         for x in (0.0, 2.5, 5.0):
-            got = moment_closed(1, params, P11, x)
+            got = closed_forms(params, P11, x)["m1"]
             want = (1.0 * 5.0 + 5.0 / 2 + 6 * x) / (4 + 1 + 2.0)
             assert got == pytest.approx(want, rel=1e-14)
 
@@ -77,33 +70,29 @@ class TestMomentClosed:
         params = OperatorParams(n=3, m=1, alpha=0.5, beta=1.5, b_n=2.0)
         pq = PQPair(0.93, 0.81)
         for x in (0.0, 0.7, 2.0):
-            lhs = moment_closed("central1", params, pq, x)
-            rhs = moment_closed(1, params, pq, x) - x
+            lhs = closed_forms(params, pq, x)["c1"]
+            rhs = closed_forms(params, pq, x)["m1"] - x
             assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-15)
 
     def test_central1_identity_exact(self):
         params = OperatorParams(n=2, m=1, alpha=F(1), beta=F(2), b_n=F(3))
         pq = PQPair(F(9, 10), F(4, 5))
         x = F(5, 4)
-        assert moment_closed("central1", params, pq, x) == \
-            moment_closed(1, params, pq, x) - x
+        assert closed_forms(params, pq, x)["c1"] == \
+            closed_forms(params, pq, x)["m1"] - x
 
     def test_central2_combination_identity_exact(self):
         # the printed second central moment is algebraically (iii) - 2x(ii) + x^2(i)
         params = OperatorParams(n=3, m=0, alpha=F(1, 2), beta=F(1), b_n=F(2))
         pq = PQPair(F(4, 5), F(2, 3))
         x = F(3, 2)
-        direct = moment_closed("central2", params, pq, x)
+        direct = closed_forms(params, pq, x)["c2"]
         combo = (
-            moment_closed(2, params, pq, x)
-            - 2 * x * moment_closed(1, params, pq, x)
-            + x * x * moment_closed(0, params, pq, x)
+            closed_forms(params, pq, x)["m2"]
+            - 2 * x * closed_forms(params, pq, x)["m1"]
+            + x * x * closed_forms(params, pq, x)["m0"]
         )
         assert direct == combo
-
-    def test_bad_kind(self):
-        with pytest.raises(DomainError):
-            moment_closed(3, OperatorParams(n=2), PQ98, 0.1)
 
 
 class TestBruteMoments:
@@ -263,7 +252,7 @@ class TestPeetreArgs:
         pq = PQPair(0.95, 0.9)
         for x in (0.0, 1.3, 2.0):
             _arg, bias = peetre_bound_args(params, pq, x)
-            assert bias == moment_closed("central1", params, pq, x)
+            assert bias == closed_forms(params, pq, x)["c1"]
 
     @pytest.mark.parametrize("params, pq, xs", [
         (OperatorParams(n=50, m=2, alpha=1.0, beta=2.0, b_n=3.0), PQ98,
@@ -351,9 +340,7 @@ class TestVerifyMoments:
         params = OperatorParams(n=10, m=2, alpha=F(1, 2), beta=F(1), b_n=F(2))
         rep = verify_moments(params, PQPair(F(9, 10), F(4, 5)), F(4, 7), "exact")
         assert len(calls) <= 3
-        assert rep.closed == {k: moment_closed(kind, params, PQPair(F(9, 10), F(4, 5)),
-                                               F(4, 7))
-                              for k, kind in zip(MOMENT_KEYS, KINDS)}
+        assert rep.closed == closed_forms(params, PQPair(F(9, 10), F(4, 5)), F(4, 7))
 
     def test_exact_brute_equals_hand_summation(self):
         # the direct sums written out term by term: an independent check of
@@ -386,7 +373,7 @@ class TestVerifyMoments:
 
     def test_closed_with_integer_pq_stays_exact(self):
         params = OperatorParams(n=3, m=1, alpha=F(1), beta=F(2), b_n=F(3))
-        got = moment_closed(2, params, PQPair(1, 1), F(1))
+        got = closed_forms(params, PQPair(1, 1), F(1))["m2"]
         assert type(got) is F and got == F(9, 4)
 
     def test_size_cap(self):
@@ -422,6 +409,6 @@ class TestClosedVsClassicalOracle:
         for n, m, alpha, beta, b_n in ((2, 0, 0.0, 0.0, 1.0), (5, 2, 1.0, 2.0, 5.0)):
             params = OperatorParams(n=n, m=m, alpha=alpha, beta=beta, b_n=b_n)
             for x in (0.0, 0.5 * b_n, b_n):
-                closed = moment_closed(1, params, P11, x)
+                closed = closed_forms(params, P11, x)["m1"]
                 oracle = apply_classical_reference(ident, x, params)
                 assert closed == pytest.approx(oracle, rel=1e-12, abs=1e-14)

@@ -432,6 +432,17 @@ class TestOperatorProfile:
         with pytest.raises(DomainError, match="overflow"):
             apply_operator(builtin("square"), 0.5, params, pq)
 
+    @pytest.mark.parametrize("pq", [PQPair(0.99, 0.99),  # p = q < 1: a RegimeError for sin
+                                    # a series of ~3e7 terms: a predicted ConvergenceError
+                                    PQPair(1 - 1 / 1101 ** 2, 1 - 2 / 1101 ** 2)])
+    def test_weights_overflow_checked_before_the_integrals(self, monkeypatch, pq):
+        # the first weight block decides, before any node map or integral
+        for name in ("_node_affine", "_inner_integrals"):
+            monkeypatch.setattr(operators, name, lambda *a, name=name: pytest.fail(name))
+        params = OperatorParams(n=1100, b_n=1.0)
+        with pytest.raises(DomainError, match="basis weights overflow"):
+            operator_profile(builtin("sin"), params, pq, [0.0, 0.5, 1.0])
+
 
 class TestApplyExtended:
     def test_branches(self):
