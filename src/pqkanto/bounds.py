@@ -20,15 +20,16 @@ Moduli are measured over the node hull [0, node_hull_max]: the operator
 never evaluates f outside it, and the bound proofs only need |t - x|
 with t in the hull.  `_Moduli` is the one routine for both orders.
 
-omega_2 over the domain is exact for const1, id, square, sin, lip inside
-its window (`exact_second_modulus`) and for piecewise-linear handles
-(absdev, bump, lip:<a>:1; `_pl_second_modulus`).  Where a handle carries
-no exact modulus (omega_1 of square, omega_2 of lip past its window or of
-a handle without structure), omega_r(f, delta) (r = 1, 2) is estimated
-on a grid.  f is sampled once on the DOMAIN_STEPS + 1 equally spaced
-base points x_i of the domain, spacing D = (hi - lo)/DOMAIN_STEPS, and
-the estimate is the largest |Delta^r_h f(x_i)| with x_i + r h in the
-domain over two kinds of offset h:
+omega_2 over the domain is exact for const1, id, square, sin, lip with
+its kink in the domain (`exact_second_modulus`; `lip_handle` has the
+proof) and for piecewise-linear handles (absdev, bump;
+`_pl_second_modulus`).  Where a handle carries no exact modulus (omega_1
+of square, omega_2 of lip with its kink outside the domain or of a handle
+without structure), omega_r(f, delta) (r = 1, 2) is estimated on a grid.
+f is sampled once on the DOMAIN_STEPS + 1 equally spaced base points x_i
+of the domain, spacing D = (hi - lo)/DOMAIN_STEPS, and the estimate is
+the largest |Delta^r_h f(x_i)| with x_i + r h in the domain over two
+kinds of offset h:
 
   * the grid-aligned offsets h = j D <= delta, j <= k = floor(delta/D),
     read off the base samples alone: for r = 1 the largest max - min over
@@ -118,13 +119,15 @@ def _pl_second_modulus(pl: PiecewiseLinear, delta: float, lo: float,
 class _Moduli:
     """omega_1 and omega_2 of one f over one domain, at any number of deltas.
 
-    Exact moduli (module docstring) are returned as is.  Otherwise f is
-    sampled at first use.  Order 1 takes max - min over windows of k + 1
-    base samples: a rounded difference is monotone in each argument and
-    odd, so that is the largest |f(x_{i+j}) - f(x_i)| over j <= k, bit for
-    bit.  Order 2 loops over the offsets with one buffer and grows its
-    table only as far as the largest delta asked for.  `bound_reports`
-    shares one instance across its x-grid, for one call, never longer.
+    Exact moduli (module docstring) are returned as is: of the builtins,
+    only lip with its kink outside the domain builds the order-2 table.
+    Otherwise f is sampled at first use.  Order 1 takes max - min over
+    windows of k + 1 base samples: a rounded difference is monotone in
+    each argument and odd, so that is the largest |f(x_{i+j}) - f(x_i)|
+    over j <= k, bit for bit.  Order 2 loops over the offsets with one
+    buffer and grows its table only as far as the largest delta asked
+    for.  `bound_reports` shares one instance across its x-grid, for one
+    call, never longer.
     """
 
     def __init__(self, f: FunctionHandle, domain: Tuple[float, float]):

@@ -184,9 +184,16 @@ def lip_handle(a: float, gamma: float) -> FunctionHandle:
     """|x - a|^gamma for gamma in (0, 1]; member of Lip_1(gamma).
 
     |u^g - v^g| <= |u - v|^g for u, v >= 0 gives the Lipschitz certificate
-    and the exact modulus delta^gamma (attained at the kink); omega_2 over
-    [lo, hi] is 2 delta^gamma (x + h = a) while [a - delta, a + delta] fits.  The
-    antiderivative sign(x - a) |x - a|^(gamma+1) / (gamma+1) integrates
+    and the exact modulus delta^gamma (attained at the kink).  omega_2 over
+    [lo, hi] with lo <= a <= hi is, for w_L = a - lo and w_R = hi - a,
+    max(2 min(delta, w_L, w_R)^g, (2 - 2^g) min(delta, w_L/2 or w_R/2)^g).
+    Put the middle point at a + u.  Across the kink (|u| < h), Delta^2_h =
+    (h + u)^g + (h - u)^g - 2|u|^g rises with h and falls with |u|, and
+    where negative it is no larger in size than on one side.  On one side,
+    |Delta^2_h| = 2 v^g - (v + h)^g - (v - h)^g (v = |u| >= h) falls with v
+    and rises with h.  Inside the window delta <= min(w_L, w_R) that is
+    2 delta^g; with the kink outside [lo, hi], None (the grid answers).
+    The antiderivative sign(x - a) |x - a|^(gamma+1) / (gamma+1) integrates
     across the kink exactly.
     """
     if not 0 <= a < math.inf:
@@ -206,7 +213,10 @@ def lip_handle(a: float, gamma: float) -> FunctionHandle:
         name=f"lip:{a:g}:{gamma:g}", evaluator=ev, lip=(1.0, float(gamma)),
         exact_modulus=lambda d, _g=float(gamma): float(d) ** _g,
         exact_second_modulus=lambda d, lo, hi, _a=float(a), _g=float(gamma): (
-            2.0 * d ** _g if d <= min(_a - lo, hi - _a) else None),
+            max(2.0 * min(d, _a - lo, hi - _a) ** _g,
+                (2.0 - 2.0 ** _g) * min(d, (_a - lo) / 2.0) ** _g,
+                (2.0 - 2.0 ** _g) * min(d, (hi - _a) / 2.0) ** _g)
+            if lo <= _a <= hi else None),
         piecewise_linear=pl, antiderivative=antiderivative, kinks=(float(a),),
     )
 

@@ -62,6 +62,7 @@ reaches TERM_CAP without meeting its stop rule.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -459,16 +460,20 @@ def _gregory_segment(f: FunctionHandle, a: np.ndarray, b: np.ndarray,
     return total, err + _EPS * (np.abs(main) + np.abs(corr))
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-_GL_T = 0.5 * (_GL_NODES + 1.0)
-_GL_W = 0.5 * _GL_WEIGHTS
+@functools.cache
+def _gl_rule() -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 64-point Gauss-Legendre rule on [0, 1], built
+    at first use, so that importing the package loads no numpy.polynomial."""
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
 def _gauss_legendre(f: FunctionHandle, a: np.ndarray, b: np.ndarray, lo: float,
                     hi: float) -> np.ndarray:
     """64-point Gauss-Legendre integrals of f(A_k + B_k t) over [lo, hi]."""
-    t = lo + (hi - lo) * _GL_T
-    return f(a[:, None] + b[:, None] * t[None, :]) @ ((hi - lo) * _GL_W)
+    t_unit, w_unit = _gl_rule()
+    t = lo + (hi - lo) * t_unit
+    return f(a[:, None] + b[:, None] * t[None, :]) @ ((hi - lo) * w_unit)
 
 
 def _gl_integrals(f: FunctionHandle, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from pqkanto import (
     polynomial_handle,
 )
 from pqkanto import bounds
-from pqkanto.bounds import BOUND_CSV_FIELDS, DOMAIN_STEPS, _Moduli
+from pqkanto.bounds import BOUND_CSV_FIELDS, DOMAIN_STEPS, _Moduli, _pl_second_modulus
 from pqkanto.cli import main as cli_main
 from pqkanto.functions import FunctionHandle, PiecewiseLinear
 from pqkanto.moments import peetre_bound_args
@@ -366,6 +366,59 @@ def mp_sin_second_modulus(delta, lo, hi, steps=400):
         return best
 
 
+def lip_second_modulus(a, g, delta, lo, hi):
+    """omega_2 of |x - a|^g over [lo, hi] with lo <= a <= hi, the closed
+    form that `lip_handle` proves."""
+    k = 2.0 - 2.0 ** g
+    return max(2.0 * min(delta, a - lo, hi - a) ** g,
+               k * min(delta, (a - lo) / 2.0) ** g, k * min(delta, (hi - a) / 2.0) ** g)
+
+
+def mp_lip_second_modulus(a, g, delta, lo, hi, steps=40):
+    """30-digit largest |Delta^2_h f(x)| of f = |x - a|^g over 0 < h <= cap =
+    min(delta, (hi - lo)/2) and lo <= x <= hi - 2h, found without the
+    closed form.  Off the lines where a point x + jh meets a or an end of
+    [lo, hi], the gradient of Delta^2 vanishes only where Delta^2 = 0: its
+    h-part 2 (f'(x + 2h) - f'(x + h)) is nonzero for g < 1 (f' falls on
+    each side of a and changes sign across it), and for g = 1 its x-part
+    is +-2 across the kink.  So the max lies on one of those lines (x = lo,
+    x = hi - 2h, x + jh = a) or on h = cap; each is searched by a dense
+    grid, then golden section around each grid maximum."""
+    with mp.workdps(30):
+        a, g, lo, hi = mp.mpf(a), mp.mpf(g), mp.mpf(lo), mp.mpf(hi)
+        cap = min(mp.mpf(delta), (hi - lo) / 2)
+
+        def diff(x, h):
+            return abs(abs(x + 2 * h - a) ** g - 2 * abs(x + h - a) ** g + abs(x - a) ** g)
+
+        def search(value, top):
+            ss = [top * i / steps for i in range(steps + 1)]
+            vals = [value(s) for s in ss]
+            best = max(vals)
+            golden = (mp.sqrt(5) - 1) / 2
+            for i in range(steps + 1):
+                if vals[i] < max(vals[max(i - 1, 0)], vals[min(i + 1, steps)]):
+                    continue
+                u, v = ss[max(i - 1, 0)], ss[min(i + 1, steps)]
+                for _ in range(80):
+                    c, d = v - golden * (v - u), u + golden * (v - u)
+                    if value(c) >= value(d):
+                        v = d
+                    else:
+                        u = c
+                best = max(best, value((u + v) / 2))
+            return best
+
+        best = search(lambda x: diff(lo + x, cap), hi - 2 * cap - lo)
+        # the line x = c0 + c1 h keeps lo <= x and x + 2h <= hi up to h = top
+        for c0, c1 in ((lo, 0), (hi, -2), (a, 0), (a, -1), (a, -2)):
+            top = min([cap] + ([(c0 - lo) / -c1] if c1 else [])
+                      + ([(hi - c0) / (c1 + 2)] if c1 + 2 else []))
+            if top > 0:
+                best = max(best, search(lambda h: diff(c0 + c1 * h, h), top))
+        return best
+
+
 class TestSecondModulusOverHull:
     """omega_2 from the handle's structure: exact over the domain, never
     below the grid estimate, and the grid table is not built."""
@@ -408,28 +461,58 @@ class TestSecondModulusOverHull:
 
     @pytest.mark.parametrize("a, domain", [(0.5, (0.0, 1.5)), (1.2, (0.0, 1.5))])
     def test_lip_window_edge_and_past_it(self, monkeypatch, a, domain):
+        # past the window the closed form answers too: no table is built
         h = builtin(f"lip:{a}:0.5")
         edge = min(a - domain[0], domain[1] - a)
         orders = count_grid_tables(monkeypatch)
         assert omega(2, h, edge, domain) == 2.0 * edge ** 0.5
+        past = {delta: omega(2, h, delta, domain)
+                for delta in (float(np.nextafter(edge, 2.0)), 0.6, 2.0)}
         assert orders == []
-        past = float(np.nextafter(edge, 2.0))
-        got = omega(2, h, past, domain)
-        assert orders == [2]
-        assert got == omega(2, stripped(h), past, domain)
-        assert got <= 2.0 * past ** 0.5
+        for delta, got in past.items():
+            assert got == lip_second_modulus(a, 0.5, delta, *domain)
+            assert omega(2, stripped(h), delta, domain) <= got + 1e-12
 
-    def test_bound_reports_build_no_grid_table(self, monkeypatch):
-        # the first operator setting of perfbench's bounds-grid: sqrt
-        # peetre_arg reaches 2.09 on the hull [0, 1.527]
-        params = OperatorParams(n=50, m=2, alpha=1.0, beta=2.0, b_n=3.0)
-        xs = [float(x) for x in np.linspace(0.0, 3.0, 9)]
+    def test_lip_kink_outside_the_hull_takes_the_grid(self, monkeypatch):
+        h = builtin("lip:2:0.5")
         orders = count_grid_tables(monkeypatch)
-        for name in ("sin", "absdev:0.5", "bump:2", "lip:0.5:1"):
-            bound_reports(builtin(name), xs, params, PQPair(0.9, 0.8))
-            assert orders == [], name
-        bound_reports(builtin("lip:0.5:0.5"), xs, params, PQPair(0.9, 0.8))
-        assert 2 in orders
+        got = omega(2, h, 0.4, (0.0, 1.5))
+        assert orders == [2]
+        assert got == omega(2, stripped(h), 0.4, (0.0, 1.5))
+
+    @pytest.mark.parametrize("a", [0.2, 0.5, 1.7])
+    @pytest.mark.parametrize("gamma", [1e-3, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("delta", [0.2, 0.45, 1.0])
+    def test_lip_against_mpmath(self, a, gamma, delta):
+        # hull [0.2, 1.7]: the kink at lo, inside (window 0.3, w_R/2 = 0.6)
+        # and at hi; delta inside the window, between it and w_R/2, and
+        # past half the hull
+        lo, hi = 0.2, 1.7
+        h = builtin(f"lip:{a}:{gamma}")
+        got = omega(2, h, delta, (lo, hi))
+        want = mp_lip_second_modulus(a, gamma, delta, lo, hi)
+        # 1e-25: the 30-digit rounding where the true value is 0 (g = 1, a
+        # at an end)
+        assert abs(got - want) <= 1e-13 * want + 1e-25
+        assert omega(2, stripped(h), delta, (lo, hi)) <= got + 1e-12
+        if gamma == 1.0:
+            pl = _pl_second_modulus(h.piecewise_linear, delta, lo, hi)
+            assert abs(got - pl) <= 1e-15 * pl
+        if delta <= min(a - lo, hi - a):
+            assert got == 2.0 * delta ** gamma
+
+    def test_bound_reports_build_no_grid_table(self, tmp_path, monkeypatch):
+        # both operator settings of perfbench's bounds-grid over its five
+        # builtins: sqrt peetre_arg reaches 2.09 on the hull [0, 1.527] in
+        # the first; only square's first modulus takes the grid
+        workloads = load_by_path("workloads", monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        orders = count_grid_tables(monkeypatch)
+        for op in workloads.build("bounds-grid", 3):
+            del orders[:]
+            assert cli_main(list(op.argv)) == 0, op.id
+            want = {1} if op.meta.get("fn") == "square" else set()
+            assert set(orders) == want, op.id
 
     @pytest.mark.parametrize("kinks, enumerated", [(30, True), (100, False)])
     def test_many_kinks_stay_bounded(self, monkeypatch, kinks, enumerated):

@@ -627,11 +627,13 @@ def test_weight_overflow_fails_fast(tmp_path, capsys):
 
 
 def test_cli_import_leaves_out_scipy(tmp_path):
-    # scipy serves only the test oracles; the CLI's cold start must not pay
-    # for importing it
+    # scipy serves only the test oracles, and numpy.polynomial only the
+    # Gauss-Legendre rule, built at its first use: the CLI's cold start must
+    # not pay for importing either
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, pqkanto.cli; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+         " or m.startswith('numpy.polynomial')))"],
         capture_output=True, text=True, cwd=tmp_path, env=subprocess_env(),
     )
     assert proc.returncode == 0, proc.stderr
