@@ -22,7 +22,6 @@ byte-identically.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -128,7 +127,7 @@ def run_bounds(params: dict, base: Path) -> List[str]:
     if grid < 2:
         raise DomainError("--grid must be at least 2")
     xs = [float(x) for x in np.linspace(0.0, float(op.b_n), grid)]
-    rows = [dataclasses.astuple(rep) for rep in bound_reports(f, xs, op, pq, tol)]
+    rows = [[getattr(r, k) for k in BOUND_CSV_FIELDS] for r in bound_reports(f, xs, op, pq, tol)]
     out = params["out"]
     write_csv(BOUND_CSV_FIELDS, rows, base / out)
     _write_manifest("bounds", params, [out], base)

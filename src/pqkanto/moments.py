@@ -15,9 +15,9 @@ p = q = 1 while staying inside the product definition.
 and reports residuals, each moment under its one key of MOMENT_KEYS.  The
 five closed forms share one set of terms per call (the brackets [2], [3],
 [n+1] + beta, [n+m], [n+m-1] and the three compound powers), and one
-routine takes every direct sum, exact or float, at any number of points;
-its exact sums run on integer numerators over one denominator per vector,
-with three dot products per point and the central moments from those.
+routine takes every direct sum, exact or float, at any number of points:
+exact, on integer numerators over one denominator per vector (three dot
+products per point, central moments from those), or float, by `_contract`.
 Residuals are data, not assertions: at p = q = 1 all five closed forms
 agree with direct summation, while for p < 1 the first and second moment
 displays disagree with direct summation in both basis modes (already at
@@ -40,7 +40,7 @@ from typing import Dict, List, NamedTuple, Tuple
 import numpy as np
 
 from .errors import DomainError, SizeCapError
-from .operators import (OperatorParams, _check_x, _check_xs, _monomial_terms,
+from .operators import (OperatorParams, _check_x, _check_xs, _contract, _monomial_terms,
                         _node_affine, _node_numerators, _not_finite, _poly_integrals,
                         _scaled, _weight_blocks, _weights_exact)
 from .pq_calculus import PQPair, Scalar, _brackets, _pq_powers, pq_power
@@ -164,9 +164,8 @@ def _direct_moments(params: OperatorParams, pq: PQPair, xs) -> List[Dict[str, Sc
     `_exact_moments`; else they are floats, every x taken as a float, that
     equal `operator_profile` on the moment polynomials bit for bit: one
     node map and one set of monomial terms T_0, T_1, T_2 serve the call,
-    the weight rows come from the operator's own `_weight_blocks`, and each
-    x takes one dot product per moment polynomial.  Raises DomainError when
-    a float value is not finite.
+    and one `_contract` call per operator weight block takes its points'
+    five vectors.  Raises DomainError when a float value is not finite.
     """
     if params.is_exact(pq) and all(isinstance(x, Rational) for x in xs):
         return _exact_moments(params, pq, xs)
@@ -176,14 +175,13 @@ def _direct_moments(params: OperatorParams, pq: PQPair, xs) -> List[Dict[str, Sc
         a, b = _node_affine(params, pq)
         terms = _monomial_terms(2, a, b, pq)
         for block, w in blocks:
-            for x, row in zip(xs[block], w):
-                x = float(x)
-                # T_u is t^u's own vector: a handle's 0 + 1.0 * T_u equals it (T_u >= 0)
-                central = [_poly_integrals(c, terms) for c in ((-x, 1), (x * x, -2 * x, 1))]
-                values = [float(np.dot(row, v)) for v in terms + central]
-                if not np.isfinite(values).all():
-                    raise _not_finite("operator value is", params.degree, w)
-                out.append(dict(zip(MOMENT_KEYS, values)))
+            # T_u is t^u's own vector: a handle's 0 + 1.0 * T_u equals it (T_u >= 0)
+            vectors = [terms + [_poly_integrals(c, terms) for c in ((-x, 1), (x * x, -2 * x, 1))]
+                       for x in map(float, xs[block])]
+            values = _contract(w, np.array(vectors))
+            if not np.isfinite(values).all():
+                raise _not_finite("operator value is", params.degree, w)
+            out.extend(dict(zip(MOMENT_KEYS, row)) for row in values.tolist())
     return out
 
 

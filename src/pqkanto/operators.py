@@ -33,8 +33,8 @@ Evaluation is a weight matrix times inner-integral vectors.
 `operator_profile` takes any number of handles and x-grid points: it
 builds the node map and each handle's inner integrals once, and the
 weights once per block of x-grid rows, shared by every handle and by the
-float direct sums of `moments`.  `apply_operator` is its one-point,
-one-handle case.
+float direct sums of `moments`, each block taken by one `_contract` call.
+`apply_operator` is its one-point, one-handle case.
 
 Inner integrals, one path per integrand and regime:
 
@@ -202,6 +202,12 @@ def _weight_blocks(params: OperatorParams, pq: PQPair,
     return ((slice(start, start + rows),
              _weights_float(params.degree, pq, x_norm[start:start + rows], params.mode))
             for start in range(0, len(x_norm), rows))
+
+
+def _contract(w: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Rows of w (R, K) dotted with shared (H, K) or per-row (R, H, K) vectors
+    as (R, H), with `np.dot`'s bits: matmul runs its 1-D loop (tests pin it)."""
+    return np.matmul(w[:, None, None, :], vectors[..., None])[..., 0, 0]
 
 
 def _not_finite(what: str, degree: int, weights: np.ndarray) -> DomainError:
@@ -595,13 +601,11 @@ def operator_profile(fs: Union[FunctionHandle, Sequence[FunctionHandle]],
     at every x in xs (each within [0, b_n]).
 
     Returns a 1-D array for one handle, else one row per handle.  The node
-    map and each handle's inner integrals are built once.  The weights come
-    from `_weight_blocks`, the float direct sums' source too, one block of
-    x-grid rows at a time (the first before the integrals, the rest after),
-    shared by every handle;
-    each weight row is contracted with each integral vector by `np.dot`,
-    so a value does not depend on the grid, the block or the other
-    handles.
+    map and each handle's inner integrals are built once; the weights come
+    from `_weight_blocks` (as for the float direct sums), one block of
+    x-grid rows at a time (the first before the integrals), and one
+    `_contract` call per block meets every handle, so a value does not
+    depend on the grid, the block or the other handles.
 
     Raises DomainError, not a numpy warning, when a value is not finite;
     it blames the weights (past degree ~1030 as q/p -> 1) only if they are,
@@ -617,11 +621,10 @@ def operator_profile(fs: Union[FunctionHandle, Sequence[FunctionHandle]],
         if first and not np.isfinite(first[0][1]).all():
             raise _not_finite("operator value is", params.degree, first[0][1])
         a, b = _node_affine(params, pq)
-        integrals = [_inner_integrals(f, a, b, pq, rel_tol) for f in handles]
+        integrals = np.reshape([_inner_integrals(f, a, b, pq, rel_tol) for f in handles],
+                               (len(handles), len(a)))
         for block, w in itertools.chain(first, blocks):
-            for i, row in enumerate(w, block.start):
-                for j, vec in enumerate(integrals):
-                    out[j, i] = np.dot(row, vec)
+            out[:, block] = _contract(w, integrals).T
             if not np.isfinite(out[:, block]).all():
                 raise _not_finite("operator value is", params.degree, w)
     return out[0] if single else out

@@ -187,6 +187,12 @@ class TestDirectMoments:
                 assert [v.hex() for v in row.values()] == [v.hex() for v in want.values()]
                 assert all(type(v) is float for v in row.values())
 
+    def test_no_points(self):
+        float_params = OperatorParams(n=4, b_n=2.0)
+        exact_params = OperatorParams(n=4, b_n=F(2))
+        assert _direct_moments(float_params, PQ98, []) == []
+        assert _direct_moments(exact_params, PQPair(F(9, 10), F(4, 5)), []) == []
+
     def test_helpers_equal_handles_bit_for_bit(self):
         # one-point calls, as verify_moments makes them
         params = OperatorParams(n=20, m=1, alpha=0.5, beta=1.0, b_n=2.0)

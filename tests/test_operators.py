@@ -23,6 +23,7 @@ from pqkanto import (
 )
 from pqkanto import operators
 from pqkanto.functions import FunctionHandle, PiecewiseLinear
+from pqkanto.moments import _direct_moments
 from pqkanto.operators import (
     _euler_maclaurin,
     _inner_integrals,
@@ -442,6 +443,60 @@ class TestOperatorProfile:
         params = OperatorParams(n=1100, b_n=1.0)
         with pytest.raises(DomainError, match="basis weights overflow"):
             operator_profile(builtin("sin"), params, pq, [0.0, 0.5, 1.0])
+
+    def test_no_handles_or_no_points(self):
+        params = OperatorParams(n=5, b_n=2.0)
+        handles = [builtin("const1"), builtin("sin")]
+        assert operator_profile([], params, PQ98, [0.0, 1.0, 2.0]).shape == (0, 3)
+        assert operator_profile(handles, params, PQ98, []).shape == (2, 0)
+        assert operator_profile([], params, PQ98, []).shape == (0, 0)
+        assert operator_profile(handles[1], params, PQ98, []).shape == (0,)
+
+
+class TestContract:
+    """`_contract` against a per-row `np.dot`, bit for bit: matmul's
+    (1, K) @ (K, 1) products share np.dot's 1-D loop, which numpy does not
+    document, so these pin it."""
+
+    @staticmethod
+    def assert_rows_are_dots(w, vectors, got):
+        shared = vectors.ndim == 2
+        assert got.shape == (len(w), vectors.shape[-2])
+        for i, row in enumerate(w):
+            own = vectors if shared else vectors[i]
+            assert [v.hex() for v in got[i]] == [float(np.dot(row, v)).hex() for v in own]
+
+    @pytest.mark.parametrize("degree, points", [(1, 7), (3000, 257)])
+    def test_operator_blocks(self, degree, points):
+        # degree 1 takes K = 2; degree 3000 fills 2 rows a block and a last
+        # block of 1 row on 257 points
+        params = OperatorParams(n=degree, b_n=2.0)
+        pq = PQPair(0.95, 0.9)
+        a, b = _node_affine(params, pq)
+        vectors = np.array([_inner_integrals(builtin(name), a, b, pq, 1e-12)
+                            for name in TestOperatorProfile.HANDLES])
+        blocks = list(operators._weight_blocks(params, pq, np.linspace(0.0, 2.0, points)))
+        assert blocks[-1][1].shape == ((1, 3001) if degree == 3000 else (7, 2))
+        for _block, w in blocks:
+            self.assert_rows_are_dots(w, vectors, operators._contract(w, vectors))
+
+    @pytest.mark.parametrize("k", [2, 3, 64, 1001])
+    def test_shared_and_per_row_vectors(self, k):
+        rng = np.random.default_rng(k)
+        w = rng.random((9, k)) * rng.choice([1e-300, 1e-3, 1.0, 1e5], size=(9, k))
+        shared, per_row = rng.standard_normal((4, k)), rng.standard_normal((9, 4, k))
+        # whole and strided rows
+        for rows, vectors in ((w, shared), (w, per_row), (w[::2], shared), (w[::2], per_row[::2])):
+            self.assert_rows_are_dots(rows, vectors, operators._contract(rows, vectors))
+
+    def test_no_row_loop_of_dots(self, monkeypatch):
+        # the operator and the float direct sums contract whole blocks
+        monkeypatch.setattr(np, "dot", lambda *a, **k: pytest.fail("np.dot called"))
+        params = OperatorParams(n=40, m=1, alpha=0.5, beta=1.0, b_n=2.0)
+        xs = np.linspace(0.0, 2.0, 257)
+        handles = [builtin(name) for name in TestOperatorProfile.HANDLES]
+        assert np.isfinite(operator_profile(handles, params, PQ98, xs)).all()
+        assert len(_direct_moments(params, PQ98, xs.tolist())) == 257
 
 
 class TestApplyExtended:
