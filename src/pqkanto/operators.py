@@ -27,7 +27,11 @@ whose factors are all in [0, 1]; the float path evaluates this form, so
 weights stay overflow-free up to n+m ~ 1000 (the (p,q)-binomial itself
 tops out near C(1000, 500) ~ 1e299).  Past that, as q/p -> 1, the
 r-binomials overflow and the operator raises DomainError, before any
-inner integral, instead of returning a non-finite value.
+inner integral, instead of returning a non-finite value.  A block of
+rows takes s^k only below its cut, the first k with s^k < 2^-1100 at the
+block's largest s (every s is in [0, 1]).  Past it the exact s^k is over
+0.99 ulp below the least subnormal 2^-1074, so pow would return +0.0, the
+block's fill: its slow underflow path is skipped and every bit is kept.
 
 Evaluation is a weight matrix times inner-integral vectors.
 `operator_profile` takes any number of handles and x-grid points: it
@@ -159,13 +163,10 @@ def _check_xs(params: OperatorParams, xs: Sequence[Scalar]) -> np.ndarray:
     return xa / params.b_n
 
 
-def _weights_float(degree: int, pq: PQPair, x_norm: np.ndarray, mode: str) -> np.ndarray:
-    """Float basis weights at every normalized point of x_norm, one row per
-    point; each row takes the same float operations as a single point."""
+def _weight_factors(degree: int, pq: PQPair, mode: str) -> Tuple[np.ndarray, ...]:
+    """`_weights_float`'s x-free factors: [N k]_r, r^j (j < N), literal's p-factor or None."""
     p = float(pq.p)
     r = float(pq.q) / p
-    ks = np.arange(degree + 1)
-    s = x_norm[:, None]
     if r == 1.0:
         brackets = np.arange(1, degree + 1, dtype=float)
     else:
@@ -177,13 +178,28 @@ def _weights_float(degree: int, pq: PQPair, x_norm: np.ndarray, mode: str) -> np
         brackets = np.expm1(np.arange(1, degree + 1) * log_r) / d
     binoms = np.ones(degree + 1)
     np.cumprod(brackets[::-1] / brackets, out=binoms[1:])  # [N-i]_r / [i+1]_r
-    prefix = np.ones((len(s), degree + 1))
-    np.cumprod(1.0 - (r ** np.arange(degree)) * s, axis=1, out=prefix[:, 1:])
-    w = binoms * (s ** ks) * prefix[:, ::-1]
-    if mode == "literal":
-        # literal = normalized * p^{(N(N-1) - k(k-1))/2}, a factor <= 1
-        exponents = (degree * (degree - 1) - ks * (ks - 1)) / 2.0
-        w = w * p ** exponents
+    ks = np.arange(degree + 1)
+    return binoms, r ** ks[:-1], (p ** ((degree * (degree - 1) - ks * (ks - 1)) / 2.0)
+                                  if mode == "literal" else None)
+
+
+def _weights_float(x_norm: np.ndarray, binoms: np.ndarray, r_powers: np.ndarray,
+                   literal: Optional[np.ndarray]) -> np.ndarray:
+    """Float basis weights at every normalized point of x_norm, one row per
+    point; each row takes the same float operations as a single point.  s^k
+    is taken below the block's cut (module docstring), and is +0.0 past it."""
+    s = x_norm[:, None]
+    prefix = np.ones((len(s), len(binoms)))
+    np.cumprod(1.0 - r_powers * s, axis=1, out=prefix[:, 1:])
+    top = float(x_norm.max())
+    cut = (len(binoms) if top == 1.0 or np.signbit(x_norm).any() else 1 if top == 0.0
+           else min(len(binoms), math.floor(-1100.0 / math.log2(top)) + 1))
+    w = np.zeros_like(prefix)
+    np.power(s, np.arange(cut), out=w[:, :cut])
+    w *= binoms  # binoms * s^k * prefix * literal, in order and at full width:
+    w *= prefix[:, ::-1]  # an overflowed binomial times a skipped 0.0 stays nan
+    if literal is not None:
+        w *= literal
     return w
 
 
@@ -196,12 +212,16 @@ def _weight_blocks(params: OperatorParams, pq: PQPair,
                    xs: Sequence[Scalar]) -> Iterator[Tuple[slice, np.ndarray]]:
     """Float basis weights at every x in xs as pairs (a slice of xs, its
     rows), blocks of at most WEIGHT_BLOCK entries.  Every x is checked at
-    the call; a block is built only when the iteration reaches it."""
+    the call; the x-free factors (once) and each block are built only as
+    the iteration reaches them, under the caller's np.errstate."""
     x_norm = np.asarray(_check_xs(params, xs), dtype=float)
     rows = max(1, WEIGHT_BLOCK // (params.degree + 1))
-    return ((slice(start, start + rows),
-             _weights_float(params.degree, pq, x_norm[start:start + rows], params.mode))
-            for start in range(0, len(x_norm), rows))
+
+    def blocks():
+        factors = _weight_factors(params.degree, pq, params.mode)
+        for start in range(0, len(x_norm), rows):
+            yield slice(start, start + rows), _weights_float(x_norm[start:start + rows], *factors)
+    return blocks()
 
 
 def _contract(w: np.ndarray, vectors: np.ndarray) -> np.ndarray:

@@ -193,19 +193,35 @@ class TestKorovkinSweep:
 
     def test_weights_built_once_per_block(self, monkeypatch):
         # each weight block serves all five handles; at degree 200 a block
-        # holds 40 rows, so the 257 grid points take 7 blocks, not 5 x 257
-        calls = []
-        weights = operators._weights_float
+        # holds 40 rows, so the 257 grid points take 7 blocks, not 5 x 257;
+        # the x-free factors are built once per `_weight_blocks` call and
+        # shared by its blocks
+        calls, factors, built, block_calls = [], [], [], []
+        weights, build, blocks = (operators._weights_float, operators._weight_factors,
+                                  operators._weight_blocks)
 
-        def counted(degree, pq, x_norm, mode):
+        def counted(x_norm, *args):
             calls.append(len(x_norm))
-            return weights(degree, pq, x_norm, mode)
+            factors.append(args)
+            return weights(x_norm, *args)
+
+        def counted_build(*args):
+            built.append(args)
+            return build(*args)
+
+        def counted_blocks(*args):
+            block_calls.append(args)
+            return blocks(*args)
 
         monkeypatch.setattr(operators, "_weights_float", counted)
+        monkeypatch.setattr(operators, "_weight_factors", counted_build)
+        monkeypatch.setattr(operators, "_weight_blocks", counted_blocks)
         sweep_rows(default_spec((200,)), korovkin_set(builtin("absdev:1"), builtin("bump:2")))
         rows = operators.WEIGHT_BLOCK // 201
         assert sum(calls) == 257
         assert len(calls) <= math.ceil(257 / rows)
+        assert len(built) == len(block_calls) == 1
+        assert all(all(a is b for a, b in zip(f, factors[0])) for f in factors)
 
     def test_overflow_degree_raises(self):
         # the float weights overflow past degree ~1030 on the default sequence

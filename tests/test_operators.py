@@ -444,6 +444,17 @@ class TestOperatorProfile:
         with pytest.raises(DomainError, match="basis weights overflow"):
             operator_profile(builtin("sin"), params, pq, [0.0, 0.5, 1.0])
 
+    @pytest.mark.parametrize("at_end", [False, True])
+    def test_weights_overflow_at_one_end_point(self, monkeypatch, at_end):
+        # x = 0 skips every power past k = 0 and x = b_n none: either way
+        # the overflowed binomials reach the first block's products, 0.0
+        # times inf giving nan, before any node map or integral
+        for name in ("_node_affine", "_inner_integrals"):
+            monkeypatch.setattr(operators, name, lambda *a, name=name: pytest.fail(name))
+        pq, params = default_pq_params(1100)
+        with pytest.raises(DomainError, match="basis weights overflow"):
+            operator_profile(builtin("sin"), params, pq, [params.b_n if at_end else 0.0])
+
     def test_no_handles_or_no_points(self):
         params = OperatorParams(n=5, b_n=2.0)
         handles = [builtin("const1"), builtin("sin")]
@@ -497,6 +508,68 @@ class TestContract:
         handles = [builtin(name) for name in TestOperatorProfile.HANDLES]
         assert np.isfinite(operator_profile(handles, params, PQ98, xs)).all()
         assert len(_direct_moments(params, PQ98, xs.tolist())) == 257
+
+
+def hexes(values):
+    """Bits of each float, with every non-finite value alike."""
+    return [v.hex() if math.isfinite(v) else "non-finite" for v in np.asarray(values).tolist()]
+
+
+class TestWeightCut:
+    """`_weights_float` takes s^k only below its block's cut; every entry
+    keeps the bits of the full-width product."""
+
+    # 0, the least subnormal, the least normal, 1, -0.0, and s = 2^(-1100/k)
+    # (where s^k meets the cut's bound) with its neighbours
+    EDGES = [s for k in (2, 51, 52, 53, 800, 3000, 10_000)
+             for s in (np.nextafter(2.0 ** (-1100 / k), 0.0), 2.0 ** (-1100 / k),
+                       np.nextafter(2.0 ** (-1100 / k), 1.0))]
+    SPECIAL = [0.0, 5e-324, 2.0 ** -1022, 1.0, -0.0, 0.5] + EDGES
+
+    @staticmethod
+    def full_width(degree, pq, x_norm, mode):
+        """`binoms * (s ** ks) * prefix[:, ::-1]` (times literal mode's factor)."""
+        binoms, r_powers, literal = operators._weight_factors(degree, pq, mode)
+        s = np.asarray(x_norm)[:, None]
+        prefix = np.ones((len(s), degree + 1))
+        np.cumprod(1.0 - r_powers * s, axis=1, out=prefix[:, 1:])
+        w = binoms * (s ** np.arange(degree + 1)) * prefix[:, ::-1]
+        return w if literal is None else w * literal
+
+    @pytest.mark.parametrize("mode", ["normalized", "literal"])
+    @pytest.mark.parametrize("degree", [1, 52, 800, 3000, 10_000])
+    def test_blocks_equal_full_width(self, degree, mode):
+        # one point per call (a block of its own), all of them in one call
+        # (blocks of mixed s at low degree), and one unsorted block of 0 and 1
+        mixed = [0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 0.0]
+        # default-sequence q/p overflows past degree ~1030: compared as non-finite
+        for pq in (PQPair(0.95, 0.9), default_pq_params(degree)[0], PQPair(1, 1)):
+            params = OperatorParams(n=degree, b_n=1.0, mode=mode)
+            for xs in [[s] for s in self.SPECIAL] + [self.SPECIAL, mixed]:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    rows = np.vstack([w for _block, w in operators._weight_blocks(params, pq, xs)])
+                    want = self.full_width(degree, pq, xs, mode)
+                    for s, row, full in zip(xs, rows, want):
+                        assert hexes(row) == hexes(full), (pq, s)
+                        assert hexes(row) == hexes(pointwise_weights(degree, pq, s, mode)), (pq, s)
+
+    def test_skips_the_underflowing_powers(self, monkeypatch):
+        # on the 257-point default-sequence grid at degree 800, rows with
+        # s < ~0.41 underflow well before k = 800; a revert to `s ** ks`
+        # reaches no np.power attribute and reads 0 entries
+        evaluated = []
+        power = np.power
+
+        def counted(*args, **kwargs):
+            out = power(*args, **kwargs)
+            evaluated.append(np.asarray(out).size)
+            return out
+
+        monkeypatch.setattr(np, "power", counted)
+        pq, params = default_pq_params(800)
+        xs = np.linspace(0.0, params.b_n, 257)
+        assert sum(len(w) for _block, w in operators._weight_blocks(params, pq, xs)) == 257
+        assert 0 < sum(evaluated) < 190_000  # of 257 * 801 = 205,857
 
 
 class TestApplyExtended:
