@@ -16,9 +16,10 @@ exactly that and are set only when the first modulus comes from exact
 metadata, never from a grid estimate (grid estimates are lower bounds of
 the true modulus and could fake a violation).
 
-Moduli are measured over the node hull [0, node_hull_max]: the operator
-never evaluates f outside it, and the bound proofs only need |t - x|
-with t in the hull.  `_Moduli` is the one routine for both orders.
+Moduli are measured over the node hull [0, node_hull_max], which is not
+where the operator reads f: for p < 1 the nodes reach past it (bounds-grid's
+setting 0 reads f up to 5.42 against 1.527), and for p < 1/2 below 0
+(ROADMAP.md, item 8, mends it).  `_Moduli` is the one routine for both orders.
 
 omega_2 over the domain is exact for const1, id, square, sin, lip with
 its kink in the domain (`exact_second_modulus`; `lip_handle` has the
@@ -74,60 +75,49 @@ def _difference(order: int, values: Sequence[np.ndarray]) -> np.ndarray:
     return values[2] - 2.0 * values[1] + values[0]
 
 
-def _window_range(f: np.ndarray, width: int) -> float:
-    """Largest max - min over the windows of `width` consecutive entries of
-    f, by doubling: hi[i] and lo[i] span f[i : i + span], and two
-    overlapping spans cover each window."""
-    hi = lo = f
-    span = 1
-    while 2 * span <= width:
-        hi = np.maximum(hi[:-span], hi[span:])
-        lo = np.minimum(lo[:-span], lo[span:])
-        span *= 2
-    rest = width - span
-    hi = np.maximum(hi[:hi.size - rest], hi[rest:])
-    lo = np.minimum(lo[:lo.size - rest], lo[rest:])
-    # numpy leaves open which zero np.maximum returns, so an all-zero
-    # window may give -0.0; abs keeps the loop's +0.0
-    return abs(float((hi - lo).max()))
-
-
-def _pl_second_modulus(pl: PiecewiseLinear, delta: float, lo: float,
-                       hi: float) -> Optional[float]:
+def _pl_second_modulus(pl: PiecewiseLinear, deltas: Sequence[float], lo: float,
+                       hi: float) -> List[Optional[float]]:
     """omega_2 over [lo, hi] of f = affine + sum c_k (x - k)_+ (kinks k
-    inside): Delta^2_h f(x) = sum c_k max(0, h - |x + h - k|) peaks at x =
-    k - c h (c = 0, 1, 2) or an end, piecewise linearly in h with breaks
-    (k' - k)/j, (k - lo)/j, (hi - k)/j (j = 1, 2); those and the cap are
-    tried.  None when that costs more than the grid table (~K^4, K kinks)."""
+    inside) at every delta: Delta^2_h f(x) = sum c_k max(0, h - |x + h - k|)
+    peaks at x = k - c h (c = 0, 1, 2) or an end, piecewise linearly in h
+    with breaks (k' - k)/j, (k - lo)/j, (hi - k)/j (j = 1, 2); a delta tries
+    those up to its cap and the cap, every delta's rows in one pass.  None
+    for a delta whose rows cost more than the grid table (~K^4, K kinks)."""
     xs = np.asarray(pl.xs, dtype=float)
     inside = (xs[1:] > lo) & (xs[1:] < hi)
     k, c = xs[1:][inside], np.diff(pl.piece_at(xs)[1])[inside]
-    cap = min(delta, (hi - lo) / 2.0)
+    caps = np.array([min(delta, (hi - lo) / 2.0) for delta in deltas])
     breaks = np.concatenate([(k[:, None] - k).ravel(), k - lo, hi - k])
-    h = np.concatenate([breaks, breaks / 2.0, [cap]])
-    h = h[(h > 0) & (h <= cap)][:, None]
-    if h.size * (3 * k.size + 2) * k.size > DOMAIN_STEPS * DOMAIN_STEPS // 2:
-        return None
+    h = np.sort(np.concatenate([breaks, breaks / 2.0]))
+    h = h[h > 0]
+    below = np.searchsorted(h, caps, side="right")  # a delta's rows: h[:below] and its cap
+    fits = (below + 1) * (3 * k.size + 2) * k.size <= DOMAIN_STEPS * DOMAIN_STEPS // 2
+    top = int(below[fits].max(initial=0))
+    h = np.concatenate([h[:top], caps[fits]])[:, None]
     x = np.hstack([k - j * h for j in (0.0, 1.0, 2.0)] + [np.full_like(h, lo), hi - 2.0 * h])
     x = np.clip(x, lo, hi - 2.0 * h)
     total = np.zeros_like(x)
     for k_i, c_i in zip(k, c):
         total += c_i * np.maximum(0.0, h - np.abs(x + h - k_i))
-    return float(np.abs(total).max())
+    rows = np.abs(total).max(axis=1)  # maxima are exact, in any grouping
+    prefix = np.concatenate([[0.0], np.maximum.accumulate(rows[:top])])
+    best = iter(np.maximum(prefix[below[fits]], rows[top:]).tolist())
+    return [next(best) if fit else None for fit in fits]
 
 
 class _Moduli:
     """omega_1 and omega_2 of one f over one domain, at any number of deltas.
 
-    Exact moduli (module docstring) are returned as is: of the builtins,
-    only lip with its kink outside the domain builds the order-2 table.
-    Otherwise f is sampled at first use.  Order 1 takes max - min over
-    windows of k + 1 base samples: a rounded difference is monotone in
-    each argument and odd, so that is the largest |f(x_{i+j}) - f(x_i)|
-    over j <= k, bit for bit.  Order 2 loops over the offsets with one
-    buffer and grows its table only as far as the largest delta asked
-    for.  `bound_reports` shares one instance across its x-grid, for one
-    call, never longer.
+    `column` takes a column of deltas in passes: exact moduli (module
+    docstring) one call per delta, the piecewise-linear omega_2 one array
+    pass, and the grid the rest, sampling f at first use and at each
+    delta's offset h = delta.  Order 1 takes max - min over windows of
+    k + 1 base samples, from the window extrema over spans of 2^j that
+    the instance keeps: a rounded difference is monotone in each
+    argument and odd, so that is the largest |f(x_{i+j}) - f(x_i)| over
+    j <= k, bit for bit.  Order 2 loops over the offsets with one buffer
+    and grows its table only as far as the largest delta asked for.
+    `bound_reports` shares one instance across its x-grid, for one call.
     """
 
     def __init__(self, f: FunctionHandle, domain: Tuple[float, float]):
@@ -135,44 +125,57 @@ class _Moduli:
         self.lo, self.hi = domain
         self._base: Optional[np.ndarray] = None
         self._f_base: Optional[np.ndarray] = None
+        self._levels: List[Tuple[np.ndarray, np.ndarray]] = []
         self._second: List[float] = [0.0]
 
     def __call__(self, order: int, delta: float) -> float:
-        if not 0 <= delta < np.inf:
-            raise DomainError(f"delta must be finite and nonnegative, got {delta}")
-        if order == 1 and self.f.exact_modulus is not None:
-            return float(self.f.exact_modulus(delta))
-        if self.hi <= self.lo:
-            raise DomainError(f"empty domain [{self.lo}, {self.hi}]")
-        if delta == 0:
-            return 0.0
-        best = None
-        if order == 2 and self.f.exact_second_modulus is not None:
-            best = self.f.exact_second_modulus(delta, self.lo, self.hi)
-        if best is None and order == 2 and self.f.piecewise_linear is not None:
-            best = _pl_second_modulus(self.f.piecewise_linear, delta, self.lo, self.hi)
-        if best is None:
-            best = self._grid(order, delta)
-        if not np.isfinite(best):
-            raise DomainError(f"modulus of {self.f.name} overflows at delta {delta}")
-        return best
+        return self.column(order, [delta])[0]
 
-    def _grid(self, order: int, delta: float) -> float:
+    def column(self, order: int, deltas: Sequence[float]) -> List[float]:
+        """omega_order(f, delta) at every delta of deltas."""
+        for delta in deltas:
+            if not 0 <= delta < np.inf:
+                raise DomainError(f"delta must be finite and nonnegative, got {delta}")
+        f, lo, hi = self.f, self.lo, self.hi
+        if order == 1 and f.exact_modulus is not None:
+            return [float(f.exact_modulus(delta)) for delta in deltas]
+        if hi <= lo:
+            raise DomainError(f"empty domain [{lo}, {hi}]")
+        out = [None if delta else 0.0 for delta in deltas]
+        for use, answer in (
+                (order == 2 and f.exact_second_modulus is not None,
+                 lambda ds: [f.exact_second_modulus(d, lo, hi) for d in ds]),
+                (order == 2 and f.piecewise_linear is not None,
+                 lambda ds: _pl_second_modulus(f.piecewise_linear, ds, lo, hi)),
+                (True, lambda ds: self._grid(order, ds))):
+            todo = [i for i, best in enumerate(out) if best is None]
+            for i, best in zip(todo, answer([deltas[i] for i in todo]) if use and todo else []):
+                out[i] = best
+        for delta, best in zip(deltas, out):
+            if not np.isfinite(best):
+                raise DomainError(f"modulus of {f.name} overflows at delta {delta}")
+        return out
+
+    def _grid(self, order: int, deltas: List[float]) -> List[float]:
         if self._base is None:
             self._base = np.linspace(self.lo, self.hi, DOMAIN_STEPS + 1)
             self._f_base = self._sample(self._base)
         step = (self.hi - self.lo) / DOMAIN_STEPS
         if step == 0:
             raise DomainError(f"domain [{self.lo}, {self.hi}] is too narrow for a grid")
-        # past a subnormal step, delta / step may be inf
-        best = self._grid_aligned(order, int(min(delta / step, DOMAIN_STEPS // order)))
-        ok = self._base + order * delta <= self.hi
-        if np.any(ok):
-            x = self._base[ok]
-            values = [self._f_base[ok]] + [self._sample(x + j * delta)
-                                           for j in range(1, order + 1)]
-            best = max(best, float(np.abs(_difference(order, values)).max()))
-        return best
+        out = []
+        for delta in deltas:
+            # past a subnormal step, delta / step may be inf
+            best = self._grid_aligned(order, int(min(delta / step, DOMAIN_STEPS // order)))
+            # a prefix of the base points has x + order delta <= hi: they ascend, save
+            # the last (hi) after a rounded subnormal step, where hi + order delta > hi
+            m = int(np.count_nonzero(self._base + order * delta <= self.hi))
+            if m:
+                values = [self._f_base[:m]] + [self._sample(self._base[:m] + j * delta)
+                                               for j in range(1, order + 1)]
+                best = max(best, float(np.abs(_difference(order, values)).max()))
+            out.append(best)
+        return out
 
     def _sample(self, x: np.ndarray) -> np.ndarray:
         values = np.asarray(self.f.evaluator(x), dtype=float)
@@ -184,7 +187,22 @@ class _Moduli:
         """Largest |Delta^order_{jD} f(x_i)| over the offsets j <= k."""
         f = self._f_base
         if order == 1:
-            return _window_range(f, k + 1)
+            # level j: max and min over each span of 2^j samples; two spans
+            # of the longest level that fits cover each window of k + 1
+            levels = self._levels = self._levels or [(f, f)]
+            top = (k + 1).bit_length() - 1
+            while len(levels) <= top:
+                hi, lo = levels[-1]
+                span = 2 ** (len(levels) - 1)
+                levels.append((np.maximum(hi[:-span], hi[span:]),
+                               np.minimum(lo[:-span], lo[span:])))
+            hi, lo = levels[top]
+            rest = k + 1 - 2 ** top
+            hi = np.maximum(hi[:hi.size - rest], hi[rest:])
+            lo = np.minimum(lo[:lo.size - rest], lo[rest:])
+            # numpy leaves open which zero np.maximum returns, so an all-zero
+            # window may give -0.0; abs keeps the loop's +0.0
+            return abs(float((hi - lo).max()))
         table = self._second
         if k >= len(table):
             # per offset j: (f[i + 2j] - 2 f[i + j]) + f[i] in one buffer
@@ -236,30 +254,39 @@ def bound_reports(f: FunctionHandle, xs, params: OperatorParams, pq: PQPair,
 
     Requires normalized mode: the bounds are proved for an operator that
     reproduces constants.  The hull, the inner integrals, the direct sums,
-    the Peetre arguments (blocked as the weights) and the grid-moduli
-    tables are built once for the whole call; the values equal
+    the Peetre arguments (blocked as the weights) and the three moduli
+    columns (two calls) are taken once for the call; the values equal
     `apply_operator`, `peetre_bound_args` and the direct-summation c2 of
     `verify_moments` at each x.
     The sqrt argument of the second modulus clamps the printed peetre_arg
     at zero (it is reported unclamped)."""
     if params.mode != "normalized":
         raise DomainError("bound reports require normalized mode")
-    omega = _Moduli(f, (0.0, node_hull_max(params, pq)))
+    domain = (0.0, node_hull_max(params, pq))
     values = operator_profile(f, params, pq, xs, rel_tol).tolist()
     direct = _direct_moments(params, pq, xs)
     xa, rows = np.asarray(xs), max(1, WEIGHT_BLOCK // (2 * params.degree + 1))
     with np.errstate(divide="raise", over="ignore", invalid="ignore"):  # as Python floats do
         blocks = [peetre_bound_args(params, pq, xa[i:i + rows]) for i in range(0, xa.size, rows)]
     peetre = [[float(v) for block in blocks for v in block[j]] for j in (0, 1)]
+    central = [max(float(moments["c2"]), 0.0) for moments in direct]
+    deltas = (np.sqrt(central).tolist(), np.sqrt([max(v, 0.0) for v in peetre[0]]).tolist(),
+              [abs(bias) for bias in peetre[1]])
+    omega = _Moduli(f, domain)
+    try:  # both order-1 columns in one call; numpy warnings raise: only the retry shows them
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            first = omega.column(1, deltas[0] + deltas[2])
+            points = list(zip([float(f.evaluator(float(x))) for x in xs], first,
+                              omega.column(2, deltas[1]), first[len(xs):]))
+    except Exception:  # ask again point by point: the error is the first in (x, column) order
+        omega = _Moduli(f, domain)
+        points = [(float(f.evaluator(float(x))), omega(1, a), omega(2, b), omega(1, c))
+                  for x, a, b, c in zip(xs, *deltas)]
     reports = []
-    for x, kf, moments, peetre_arg, bias in zip(xs, values, direct, *peetre):
-        fx = float(f.evaluator(float(x)))
+    for x, kf, central2, peetre_arg, bias, (fx, om, om2, om_bias) in zip(
+            xs, values, central, *peetre, points):
         observed = abs(kf - fx)
-        central2 = max(float(moments["c2"]), 0.0)
-        om = omega(1, float(np.sqrt(central2)))
         mod_bound = 2.0 * om
-        om2 = omega(2, float(np.sqrt(max(peetre_arg, 0.0))))
-        om_bias = omega(1, abs(bias))
         lip_bound = None
         holds_lip = None
         if f.lip is not None:

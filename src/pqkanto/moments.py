@@ -41,8 +41,8 @@ import numpy as np
 
 from .errors import DomainError, SizeCapError
 from .operators import (OperatorParams, _check_x, _check_xs, _contract, _monomial_terms,
-                        _node_affine, _node_numerators, _not_finite, _poly_integrals,
-                        _scaled, _weight_blocks, _weights_exact)
+                        _node_affine, _node_numerators, _not_finite, _scaled,
+                        _weight_blocks, _weights_exact)
 from .pq_calculus import PQPair, Scalar, _brackets, _pq_powers, pq_power
 
 MOMENT_KEYS = ("m0", "m1", "m2", "c1", "c2")
@@ -77,19 +77,21 @@ class _Terms(NamedTuple):
     w_sq: Scalar  # (p^2 s + 1 - s)^{n+m}
     curly_mid: Scalar  # 1 + 2q/[2] + (q^2 - 1)/[3], as printed
     curly_last: Scalar  # 1 + 2(q - 1)/[2] + (q - 1)^2/[3], as printed
+    w_top: Scalar  # (p s + 1 - s)^{order (n+m)}
 
 
 @_nonzero_divisors()
-def _closed_terms(params: OperatorParams, pq: PQPair, x: Scalar) -> _Terms:
+def _closed_terms(params: OperatorParams, pq: PQPair, x: Scalar, order: int = 1) -> _Terms:
     """Brackets, compound powers and curly coefficients of the closed forms
-    at x, each computed once; arithmetic follows the input types, and an
-    array x takes each point's operations elementwise."""
+    at x, each computed once, the (p s, 1 - s) powers from one table of
+    order `order` (n+m); arithmetic follows the input types, and an array x
+    takes each point's operations elementwise."""
     x_norm = _check_xs(params, x) if isinstance(x, np.ndarray) else _check_x(params, x)
     p, q = pq.p, pq.q
     deg = params.degree
     br = _brackets(max(deg + 2, 4), p, q)  # entry k equals pq_integer(k, pq)
     b2, b3 = br[2], br[3]
-    w = _pq_powers(p * x_norm, 1 - x_norm, deg, pq)  # entry k equals pq_power of order k
+    w = _pq_powers(p * x_norm, 1 - x_norm, order * deg, pq)  # entry k: pq_power of order k
     ee = br[params.n + 1] + params.beta
     try:
         ee2 = ee ** 2  # a Python float ** raises where * would give inf
@@ -100,6 +102,7 @@ def _closed_terms(params: OperatorParams, pq: PQPair, x: Scalar) -> _Terms:
         p + 2 * q - 1, b2, b3, ee, ee2, br[deg], br[deg - 1],
         w[deg], w[deg - 1], pq_power(p * p * x_norm, 1 - x_norm, deg, pq),
         1 + 2 * q / b2 + (q * q - 1) / b3, 1 + 2 * (q - 1) / b2 + (q - 1) ** 2 / b3,
+        w[-1],
     )
 
 
@@ -164,8 +167,9 @@ def _direct_moments(params: OperatorParams, pq: PQPair, xs) -> List[Dict[str, Sc
     `_exact_moments`; else they are floats, every x taken as a float, that
     equal `operator_profile` on the moment polynomials bit for bit: one
     node map and one set of monomial terms T_0, T_1, T_2 serve the call,
-    and one `_contract` call per operator weight block takes its points'
-    five vectors.  Raises DomainError when a float value is not finite.
+    each weight block's central vectors are built at once by broadcasting,
+    and one `_contract` call per block takes its points' five vectors.
+    Raises DomainError when a float value is not finite.
     """
     if params.is_exact(pq) and all(isinstance(x, Rational) for x in xs):
         return _exact_moments(params, pq, xs)
@@ -175,10 +179,15 @@ def _direct_moments(params: OperatorParams, pq: PQPair, xs) -> List[Dict[str, Sc
         a, b = _node_affine(params, pq)
         terms = _monomial_terms(2, a, b, pq)
         for block, w in blocks:
-            # T_u is t^u's own vector: a handle's 0 + 1.0 * T_u equals it (T_u >= 0)
-            vectors = [terms + [_poly_integrals(c, terms) for c in ((-x, 1), (x * x, -2 * x, 1))]
-                       for x in map(float, xs[block])]
-            values = _contract(w, np.array(vectors))
+            x = np.array([float(v) for v in xs[block]])[:, None]
+            # T_u is t^u's own vector; c1, c2 sum c_u T_u from zeros in order, as a
+            # handle does, and a zero c_u adds a signed zero: no change (T_u, x >= 0)
+            vectors = np.zeros((len(x), 5, a.size))
+            vectors[:, :3] = terms
+            for row, coeffs in ((3, (-x, 1.0)), (4, (x * x, -2 * x, 1.0))):
+                for c, term in zip(coeffs, terms):
+                    vectors[:, row] += c * term
+            values = _contract(w, vectors)
             if not np.isfinite(values).all():
                 raise _not_finite("operator value is", params.degree, w)
             out.extend(dict(zip(MOMENT_KEYS, row)) for row in values.tolist())
@@ -201,10 +210,8 @@ def peetre_bound_args(params: OperatorParams, pq: PQPair,
     entries equal the one-point values bit for bit: every step that
     depends on x is +, -, * or /.
     """
-    t = _closed_terms(params, pq, x)
+    t = _closed_terms(params, pq, x, 2)
     alpha, b_n = params.alpha, params.b_n
-    x_norm = x / b_n
-    w_double = pq_power(pq.p * x_norm, 1 - x_norm, 2 * params.degree, pq)
     term_x2 = (
         (t.curly_last + t.lin ** 2 / t.b2 ** 2)
         * t.bnm ** 2 / t.ee2
@@ -219,7 +226,7 @@ def peetre_bound_args(params: OperatorParams, pq: PQPair,
         - 4 * alpha / t.ee
     ) * b_n * x
     term_b2 = (
-        t.w_sq / t.b3 + w_double / t.b2 ** 2 + 4 * alpha / t.b2 * t.w_full
+        t.w_sq / t.b3 + t.w_top / t.b2 ** 2 + 4 * alpha / t.b2 * t.w_full
         + 2 * alpha * alpha
     ) * b_n * b_n / t.ee2
     peetre_arg = term_x2 + term_bx + term_b2

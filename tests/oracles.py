@@ -12,6 +12,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from pqkanto import DomainError, FunctionHandle, OperatorParams, PQPair, RegimeError
+from pqkanto.bounds import DOMAIN_STEPS
+from pqkanto.functions import PiecewiseLinear
 from pqkanto.moments import MOMENT_KEYS
 from pqkanto.pq_calculus import (Scalar, _brackets, pq_integer, pq_integral_monomial,
                                  truncated_series)
@@ -213,3 +215,98 @@ def direct_moments_fractions(params: OperatorParams, pq: PQPair, xs) -> list:
         central = [poly_integrals_fractions(c, terms) for c in ((-x, 1), (x * x, -2 * x, 1))]
         out.append(dict(zip(MOMENT_KEYS, [Fraction(np.dot(w, v)) for v in terms + central])))
     return out
+
+
+# The moduli routines one delta at a time, as `bounds._Moduli` ran them
+# before it took whole columns of deltas.
+
+def window_range(f: np.ndarray, width: int) -> float:
+    """Largest max - min over the windows of `width` consecutive entries of
+    f, by doubling: hi[i] and lo[i] span f[i : i + span], and two
+    overlapping spans cover each window."""
+    hi = lo = f
+    span = 1
+    while 2 * span <= width:
+        hi = np.maximum(hi[:-span], hi[span:])
+        lo = np.minimum(lo[:-span], lo[span:])
+        span *= 2
+    rest = width - span
+    hi = np.maximum(hi[:hi.size - rest], hi[rest:])
+    lo = np.minimum(lo[:lo.size - rest], lo[rest:])
+    # numpy leaves open which zero np.maximum returns, so an all-zero
+    # window may give -0.0; abs keeps the loop's +0.0
+    return abs(float((hi - lo).max()))
+
+
+def pl_second_modulus(pl: PiecewiseLinear, delta: float, lo: float, hi: float):
+    """omega_2 over [lo, hi] of f = affine + sum c_k (x - k)_+ (kinks k
+    inside): Delta^2_h f(x) = sum c_k max(0, h - |x + h - k|) peaks at x =
+    k - c h (c = 0, 1, 2) or an end, piecewise linearly in h with breaks
+    (k' - k)/j, (k - lo)/j, (hi - k)/j (j = 1, 2); those and the cap are
+    tried.  None when that costs more than the grid table (~K^4, K kinks)."""
+    xs = np.asarray(pl.xs, dtype=float)
+    inside = (xs[1:] > lo) & (xs[1:] < hi)
+    k, c = xs[1:][inside], np.diff(pl.piece_at(xs)[1])[inside]
+    cap = min(delta, (hi - lo) / 2.0)
+    breaks = np.concatenate([(k[:, None] - k).ravel(), k - lo, hi - k])
+    h = np.concatenate([breaks, breaks / 2.0, [cap]])
+    h = h[(h > 0) & (h <= cap)][:, None]
+    if h.size * (3 * k.size + 2) * k.size > DOMAIN_STEPS * DOMAIN_STEPS // 2:
+        return None
+    x = np.hstack([k - j * h for j in (0.0, 1.0, 2.0)] + [np.full_like(h, lo), hi - 2.0 * h])
+    x = np.clip(x, lo, hi - 2.0 * h)
+    total = np.zeros_like(x)
+    for k_i, c_i in zip(k, c):
+        total += c_i * np.maximum(0.0, h - np.abs(x + h - k_i))
+    return float(np.abs(total).max())
+
+
+def one_delta_modulus(f: FunctionHandle, order: int, delta: float, lo: float, hi: float):
+    """omega_order(f, delta) over [lo, hi] as `_Moduli` took a single delta:
+    exact metadata, else the piecewise-linear enumeration above, else the
+    grid, where f is sampled on the base points and at the offset h =
+    delta on the base points that a boolean mask selects, and the aligned
+    offsets j D <= delta are read off `window_range` (order 1) or one
+    maximum per offset (order 2)."""
+    if not 0 <= delta < np.inf:
+        raise DomainError(f"delta must be finite and nonnegative, got {delta}")
+    if order == 1 and f.exact_modulus is not None:
+        return float(f.exact_modulus(delta))
+    if hi <= lo:
+        raise DomainError(f"empty domain [{lo}, {hi}]")
+    if delta == 0:
+        return 0.0
+    best = None
+    if order == 2 and f.exact_second_modulus is not None:
+        best = f.exact_second_modulus(delta, lo, hi)
+    if best is None and order == 2 and f.piecewise_linear is not None:
+        best = pl_second_modulus(f.piecewise_linear, delta, lo, hi)
+    if best is None:
+        def sample(x):
+            values = np.asarray(f.evaluator(x), dtype=float)
+            if not np.isfinite(values).all():
+                raise DomainError(f"{f.name} is not finite on [{lo}, {hi}]")
+            return values
+
+        base = np.linspace(lo, hi, DOMAIN_STEPS + 1)
+        f_base = sample(base)
+        step = (hi - lo) / DOMAIN_STEPS
+        if step == 0:
+            raise DomainError(f"domain [{lo}, {hi}] is too narrow for a grid")
+        k = int(min(delta / step, DOMAIN_STEPS // order))
+        if order == 1:
+            best = window_range(f_base, k + 1)
+        else:
+            n = f_base.size
+            best = max([0.0] + [float(np.abs(f_base[2 * j:] - 2.0 * f_base[j:n - j]
+                                              + f_base[:n - 2 * j]).max())
+                                for j in range(1, k + 1)])
+        ok = base + order * delta <= hi
+        if np.any(ok):
+            x = base[ok]
+            values = [f_base[ok]] + [sample(x + j * delta) for j in range(1, order + 1)]
+            diff = values[1] - values[0] if order == 1 else values[2] - 2.0 * values[1] + values[0]
+            best = max(best, float(np.abs(diff).max()))
+    if not np.isfinite(best):
+        raise DomainError(f"modulus of {f.name} overflows at delta {delta}")
+    return best

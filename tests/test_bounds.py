@@ -1,5 +1,6 @@
 import importlib.util
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -19,11 +20,13 @@ from pqkanto import (
     polynomial_handle,
 )
 from pqkanto import bounds
-from pqkanto.bounds import BOUND_CSV_FIELDS, DOMAIN_STEPS, _Moduli, _pl_second_modulus
+from pqkanto.bounds import BOUND_CSV_FIELDS, DOMAIN_STEPS, _Moduli
 from pqkanto.cli import main as cli_main
 from pqkanto.functions import FunctionHandle, PiecewiseLinear
-from pqkanto.moments import peetre_bound_args
+from pqkanto.moments import _direct_moments, peetre_bound_args
 from pqkanto.operators import WEIGHT_BLOCK
+
+from oracles import one_delta_modulus, pl_second_modulus
 
 P11 = PQPair(1, 1)
 
@@ -496,7 +499,7 @@ class TestSecondModulusOverHull:
         assert abs(got - want) <= 1e-13 * want + 1e-25
         assert omega(2, stripped(h), delta, (lo, hi)) <= got + 1e-12
         if gamma == 1.0:
-            pl = _pl_second_modulus(h.piecewise_linear, delta, lo, hi)
+            pl = pl_second_modulus(h.piecewise_linear, delta, lo, hi)
             assert abs(got - pl) <= 1e-15 * pl
         if delta <= min(a - lo, hi - a):
             assert got == 2.0 * delta ** gamma
@@ -631,6 +634,128 @@ class TestGridKernels:
             moduli = kernel(f_base)
             assert_same_bits([moduli._grid_aligned(order, k) for k in ks],
                              [want[k] for k in ks])
+
+
+class TestColumns:
+    """A column of deltas equals the single-delta routine of
+    `oracles.one_delta_modulus` bit for bit, and takes whole columns."""
+
+    @staticmethod
+    def deltas(lo, hi):
+        # 0, the least subnormal, one grid step, past half the domain and
+        # past the domain; unsorted, with repeats
+        step = (hi - lo) / DOMAIN_STEPS
+        half = float(np.nextafter((hi - lo) / 2.0, np.inf))
+        return [0.3, 0.0, 5e-324, step, 0.1, half, 1.5 * (hi - lo), 0.1, step, 0.0, 0.05, 0.3]
+
+    # the last domain's subnormal step rounds up: 1,023 base points lie past hi
+    @pytest.mark.parametrize("domain", [(0.0, TestGridKernels.HULLS[0]), (0.3, 2.2),
+                                        (0.0, 6144 * 5e-324)])
+    @pytest.mark.parametrize("name", ["sin", "absdev:0.5", "lip:0.5:0.5", "lip:2:0.5", "bump:2",
+                                      "square", "const1", "id"])
+    @pytest.mark.parametrize("strip", [False, True], ids=["builtin", "stripped"])
+    def test_equal_one_delta_at_a_time(self, name, domain, strip):
+        h = stripped(builtin(name)) if strip else builtin(name)
+        deltas = self.deltas(*domain)
+        for order in (1, 2):
+            want = [one_delta_modulus(h, order, delta, *domain) for delta in deltas]
+            assert_same_bits(_Moduli(h, domain).column(order, deltas), want)
+            # and one delta at a time through the same instance
+            moduli = _Moduli(h, domain)
+            assert_same_bits([moduli(order, delta) for delta in deltas], want)
+
+    def test_kinks_across_the_size_guard(self, monkeypatch):
+        # 41 kinks, the fewest whose rows can pass the guard (at 40 a delta has
+        # at most 1,682 rows of K(3K + 2) = 4,880 entries, under 4096^2 / 2):
+        # a delta enumerates up to the break 75/41 and takes the grid from
+        # the next one, 76/41, on, as one delta at a time does
+        xs = tuple(np.linspace(0.0, 3.0, 42))
+        pl = PiecewiseLinear(xs=xs, ys=tuple(np.cos(7.0 * np.array(xs))), end_slope=0.5)
+        h = FunctionHandle(name="pl", evaluator=pl, piecewise_linear=pl)
+        domain = (0.0, 4.0)
+        edge, past = 1.829268292682927, 1.853658536585366
+        deltas = [0.01, 1.9, edge, 0.2, 2.5, float(np.nextafter(edge, 2.0)), past, 0.6, 0.2]
+        enumerated = [pl_second_modulus(pl, delta, *domain) is not None for delta in deltas]
+        assert enumerated == [True, False, True, True, False, True, False, True, True]
+        want = [one_delta_modulus(h, 2, delta, *domain) for delta in deltas]
+        orders = count_grid_tables(monkeypatch)
+        assert_same_bits(_Moduli(h, domain).column(2, deltas), want)
+        assert orders == [2] * enumerated.count(False)
+
+    def test_bound_reports_take_three_columns_at_most(self, monkeypatch):
+        calls = []
+        column = _Moduli.column
+        monkeypatch.setattr(_Moduli, "column",
+                            lambda self, order, deltas: calls.append(order)
+                            or column(self, order, deltas))
+        params = OperatorParams(n=50, m=2, alpha=1.0, beta=2.0, b_n=3.0)
+        for name in ("sin", "absdev:0.5", "lip:0.5:0.5", "bump:2", "square"):
+            del calls[:]
+            bound_reports(builtin(name), np.linspace(0.0, 3.0, 9), params, PQPair(0.9, 0.8))
+            assert len(calls) <= 3, name
+
+
+class TestFirstError:
+    """A column that raises is asked again point by point, so a call raises
+    the error that the (x, column) order meets first."""
+
+    @staticmethod
+    def delta_columns(params, pq, xs):
+        central = [max(float(m["c2"]), 0.0) for m in _direct_moments(params, pq, xs)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            peetre, bias = peetre_bound_args(params, pq, np.asarray(xs))
+        return (np.sqrt(central).tolist(), np.sqrt(np.maximum(peetre, 0.0)).tolist(),
+                np.abs(bias).tolist())
+
+    def test_grid_samples_fail_before_a_non_finite_bias(self):
+        # alpha b_n [2] is past the float range in the printed first moment,
+        # so |bias| (and peetre_arg) is inf at every x; the first modulus at
+        # x = 0 meets the hole of f in its base samples first
+        params = OperatorParams(n=5, alpha=1e150, beta=1.3e154, b_n=1.5e158)
+        pq, xs = PQPair(1.0, 0.9), [0.0, 1e150, 2e150]
+        hull = node_hull_max(params, pq)
+
+        def holey(x):
+            x = np.asarray(x, dtype=float)
+            return np.where((x > 0.5 * hull) & (x < 0.6 * hull), np.nan, np.square(x))
+
+        h = FunctionHandle(name="holey", evaluator=holey,
+                           polynomial_coeffs=builtin("square").polynomial_coeffs)
+        central, _peetre, bias = self.delta_columns(params, pq, xs)
+        assert np.isinf(bias).all() and all(0.0 < d < np.inf for d in central)
+        # the order-1 column alone meets the non-finite delta first
+        with pytest.raises(DomainError, match="delta must be finite and nonnegative, got inf"):
+            _Moduli(h, (0.0, hull)).column(1, central + bias)
+        with pytest.raises(DomainError) as error:
+            bound_reports(h, xs, params, pq)
+        assert str(error.value) == "holey is not finite on [0.0, 1.153846153846154e+154]"
+
+    def test_non_finite_peetre_arg_before_a_modulus_overflow(self):
+        # alpha^2 b_n^2 is past the float range in the printed peetre_arg, so
+        # it is inf at every x; at x = b_n the nodes sit on x (central2 = 0),
+        # so omega_2's delta is the first error; the order-1 column would
+        # first meet the jump of f, whose differences overflow, at x = 0
+        params = OperatorParams(n=5, alpha=1e150, beta=1e150, b_n=1e10)
+        pq, xs = PQPair(1.0, 0.5), [1e10, 0.0]
+        hull = node_hull_max(params, pq)
+        jump = 2048.5 * hull / DOMAIN_STEPS  # between two base points
+        h = FunctionHandle(name="jump", polynomial_coeffs=(1.0,),
+                           evaluator=lambda x: np.where(np.asarray(x) < jump, -1e308, 1e308))
+        central, peetre, bias = self.delta_columns(params, pq, xs)
+        assert central[0] == 0.0 and np.isinf(peetre).all() and np.isfinite(bias).all()
+        with np.errstate(over="ignore"):
+            with pytest.raises(DomainError, match="modulus of jump overflows at delta"):
+                _Moduli(h, (0.0, hull)).column(1, central + bias)
+            with pytest.raises(DomainError) as error:
+                bound_reports(h, xs, params, pq)
+        assert str(error.value) == "delta must be finite and nonnegative, got inf"
+        # under numpy's default warnings none is shown: the point order meets no overflow
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError) as error:
+                bound_reports(h, xs, params, pq)
+        assert str(error.value) == "delta must be finite and nonnegative, got inf"
+        assert caught == []
 
 
 class TestNonFinite:

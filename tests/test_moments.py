@@ -164,7 +164,9 @@ def exact_instances(draw):
 class TestDirectMoments:
     @pytest.mark.parametrize("mode", ["normalized", "literal"])
     def test_float_equals_handles_bit_for_bit(self, mode):
-        grid = [float(x) for x in np.linspace(0.0, 3.0, 7)]
+        # -0.0 and 0.0 too: there the block-wide central vectors add the
+        # signed zeros c_u T_u that a handle skips
+        grid = [-0.0] + [float(x) for x in np.linspace(0.0, 3.0, 7)]
         cases = [(pq, OperatorParams(n=n, m=m, alpha=1.0, beta=2.0, b_n=3.0, mode=mode), grid)
                  for pq in (P11, PQPair(0.9, 0.9), PQ98, PQPair(0.95, 0.85))
                  for n, m in ((1, 0), (6, 1), (50, 2))]
@@ -276,6 +278,33 @@ class TestPeetreArgs:
             want = peetre_bound_args(params, pq, x)
             for got, value in zip(arrays, want):
                 assert float(got[i]).hex() == float(value).hex()
+
+    def test_printed_display_at_p_below_one(self):
+        # exact rationals against the display written out from the
+        # primitives: at p < 1 and x > 0 the compound power of order 2(n+m)
+        # differs from the one of order n+m that the moments use
+        params = OperatorParams(n=3, m=2, alpha=F(1, 2), beta=F(1), b_n=F(2))
+        pq = PQPair(F(9, 10), F(4, 5))
+        p, q, alpha, b_n = pq.p, pq.q, params.alpha, params.b_n
+        deg = params.degree
+        b2, b3, bnm = pq_integer(2, pq), pq_integer(3, pq), pq_integer(deg, pq)
+        ee = pq_integer(params.n + 1, pq) + params.beta
+        lin = p + 2 * q - 1
+        curly_mid = 1 + 2 * q / b2 + (q * q - 1) / b3
+        curly_last = 1 + 2 * (q - 1) / b2 + (q - 1) ** 2 / b3
+        for x in (F(0), F(3, 5), F(2)):
+            s = x / b_n
+            w_full, w_double = (pq_power(p * s, 1 - s, k, pq) for k in (deg, 2 * deg))
+            w_sq = pq_power(p * p * s, 1 - s, deg, pq)
+            want = (((curly_last + lin ** 2 / b2 ** 2) * bnm ** 2 / ee ** 2
+                     - 4 * lin * bnm / (b2 * ee) + 2) * x * x
+                    + ((curly_mid + 2 * lin / b2 ** 2) * bnm / ee ** 2 * w_full
+                       + 4 * alpha * lin * bnm / (b2 * ee ** 2) - 4 * w_full / (b2 * ee)
+                       - 4 * alpha / ee) * b_n * x
+                    + (w_sq / b3 + w_double / b2 ** 2 + 4 * alpha / b2 * w_full
+                       + 2 * alpha * alpha) * b_n * b_n / ee ** 2)
+            assert peetre_bound_args(params, pq, x)[0] == want
+            assert x == 0 or w_double != w_full
 
     def test_classical_collapse(self):
         # at p = q = 1 the curly brackets collapse to 1 and 2, leaving
