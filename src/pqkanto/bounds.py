@@ -105,6 +105,12 @@ def _pl_second_modulus(pl: PiecewiseLinear, deltas: Sequence[float], lo: float,
     return [next(best) if fit else None for fit in fits]
 
 
+def _fill(out: List[Optional[float]], answers: Sequence[float]) -> List[float]:
+    """out with its None entries replaced by answers, in order."""
+    answers = iter(answers)
+    return [next(answers) if best is None else best for best in out]
+
+
 class _Moduli:
     """omega_1 and omega_2 of one f over one domain, at any number of deltas.
 
@@ -142,24 +148,24 @@ class _Moduli:
         if hi <= lo:
             raise DomainError(f"empty domain [{lo}, {hi}]")
         out = [None if delta else 0.0 for delta in deltas]
-        for use, answer in (
-                (order == 2 and f.exact_second_modulus is not None,
-                 lambda ds: [f.exact_second_modulus(d, lo, hi) for d in ds]),
-                (order == 2 and f.piecewise_linear is not None,
-                 lambda ds: _pl_second_modulus(f.piecewise_linear, ds, lo, hi)),
-                (True, lambda ds: self._grid(order, ds))):
-            todo = [i for i, best in enumerate(out) if best is None]
-            for i, best in zip(todo, answer([deltas[i] for i in todo]) if use and todo else []):
-                out[i] = best
+        if order == 2 and f.exact_second_modulus is not None:
+            out = [f.exact_second_modulus(delta, lo, hi) if best is None else best
+                   for delta, best in zip(deltas, out)]
+        todo = [delta for delta, best in zip(deltas, out) if best is None]
+        if order == 2 and f.piecewise_linear is not None and todo:
+            out = _fill(out, _pl_second_modulus(f.piecewise_linear, todo, lo, hi))
+            todo = [delta for delta, best in zip(deltas, out) if best is None]
+        if todo:
+            out = _fill(out, self._grid(order, todo))
         for delta, best in zip(deltas, out):
             if not np.isfinite(best):
                 raise DomainError(f"modulus of {f.name} overflows at delta {delta}")
         return out
 
     def _grid(self, order: int, deltas: List[float]) -> List[float]:
-        if self._base is None:
-            self._base = np.linspace(self.lo, self.hi, DOMAIN_STEPS + 1)
-            self._f_base = self._sample(self._base)
+        if self._base is None:  # stored once sampled: a sample that raises raises again
+            base = np.linspace(self.lo, self.hi, DOMAIN_STEPS + 1)
+            self._f_base, self._base = self._sample(base), base
         step = (self.hi - self.lo) / DOMAIN_STEPS
         if step == 0:
             raise DomainError(f"domain [{self.lo}, {self.hi}] is too narrow for a grid")
@@ -167,11 +173,10 @@ class _Moduli:
         for delta in deltas:
             # past a subnormal step, delta / step may be inf
             best = self._grid_aligned(order, int(min(delta / step, DOMAIN_STEPS // order)))
-            # a prefix of the base points has x + order delta <= hi: they ascend, save
-            # the last (hi) after a rounded subnormal step, where hi + order delta > hi
-            m = int(np.count_nonzero(self._base + order * delta <= self.hi))
-            if m:
-                values = [self._f_base[:m]] + [self._sample(self._base[:m] + j * delta)
+            ok = self._base + order * delta <= self.hi
+            if np.any(ok):
+                x = self._base[ok]
+                values = [self._f_base[ok]] + [self._sample(x + j * delta)
                                                for j in range(1, order + 1)]
                 best = max(best, float(np.abs(_difference(order, values)).max()))
             out.append(best)

@@ -59,11 +59,8 @@ def write_json(obj, path) -> None:
 
 
 def write_csv(header: Sequence[str], rows: Sequence[Sequence], path) -> None:
-    # csv_cell by exact type; any other type, such as np.float64, takes csv_cell
-    cells = {float: lambda v: format(v, ".17g"), bool: {True: "true", False: "false"}.get,
-             int: str, type(None): lambda v: "", str: str}
     lines = [",".join(header)]
-    lines += [",".join(cells.get(type(v), csv_cell)(v) for v in row) for row in rows]
+    lines += [",".join(csv_cell(v) for v in row) for row in rows]
     write_text(path, "\n".join(lines) + "\n")
 
 

@@ -20,7 +20,7 @@ from pqkanto import (
     polynomial_handle,
 )
 from pqkanto import bounds
-from pqkanto.bounds import BOUND_CSV_FIELDS, DOMAIN_STEPS, _Moduli
+from pqkanto.bounds import BOUND_CSV_FIELDS, DOMAIN_STEPS, _Moduli, _pl_second_modulus
 from pqkanto.cli import main as cli_main
 from pqkanto.functions import FunctionHandle, PiecewiseLinear
 from pqkanto.moments import _direct_moments, peetre_bound_args
@@ -499,8 +499,9 @@ class TestSecondModulusOverHull:
         assert abs(got - want) <= 1e-13 * want + 1e-25
         assert omega(2, stripped(h), delta, (lo, hi)) <= got + 1e-12
         if gamma == 1.0:
-            pl = pl_second_modulus(h.piecewise_linear, delta, lo, hi)
+            pl = _pl_second_modulus(h.piecewise_linear, [delta], lo, hi)[0]
             assert abs(got - pl) <= 1e-15 * pl
+            assert pl.hex() == pl_second_modulus(h.piecewise_linear, delta, lo, hi).hex()
         if delta <= min(a - lo, hi - a):
             assert got == 2.0 * delta ** gamma
 
@@ -648,9 +649,13 @@ class TestColumns:
         half = float(np.nextafter((hi - lo) / 2.0, np.inf))
         return [0.3, 0.0, 5e-324, step, 0.1, half, 1.5 * (hi - lo), 0.1, step, 0.0, 0.05, 0.3]
 
-    # the last domain's subnormal step rounds up: 1,023 base points lie past hi
+    # the last two domains' subnormal steps round up (1.5 units to 2), so
+    # base points lie past hi; on the last, hi + delta rounds back to hi for
+    # the least deltas, so hi is kept and the points past hi, which come
+    # before it in the base grid, are not
     @pytest.mark.parametrize("domain", [(0.0, TestGridKernels.HULLS[0]), (0.3, 2.2),
-                                        (0.0, 6144 * 5e-324)])
+                                        (0.0, 6144 * 5e-324),
+                                        (2.0 ** -1020, 2.0 ** -1020 + 6144 * 5e-324)])
     @pytest.mark.parametrize("name", ["sin", "absdev:0.5", "lip:0.5:0.5", "lip:2:0.5", "bump:2",
                                       "square", "const1", "id"])
     @pytest.mark.parametrize("strip", [False, True], ids=["builtin", "stripped"])
@@ -693,6 +698,28 @@ class TestColumns:
             del calls[:]
             bound_reports(builtin(name), np.linspace(0.0, 3.0, 9), params, PQPair(0.9, 0.8))
             assert len(calls) <= 3, name
+
+    def test_offsets_read_no_point_past_hi(self):
+        # the step rounds from 1.5 units to 2, so base points past hi come
+        # before hi in the base grid, and hi + 2 units rounds back to hi: at
+        # delta = 1 unit the offsets must take hi, not the first point past
+        # it, where this f starts to rise
+        lo = 2.0 ** -1020
+        hi = lo + 6144 * 5e-324
+        h = FunctionHandle(name="rise", evaluator=lambda x: np.where(
+            np.asarray(x) > hi, (np.asarray(x) - hi) * 2.0 ** 1000, 0.0))
+        assert _Moduli(h, (lo, hi)).column(2, [5e-324]) == [0.0]
+        assert one_delta_modulus(h, 2, 5e-324, lo, hi) == 0.0
+
+    def test_a_failed_base_sample_fails_again(self):
+        # the base samples are kept only once they pass, so a second call on
+        # the same instance samples again and raises the same error
+        h = FunctionHandle(name="holey", evaluator=lambda x: np.where(np.asarray(x) > 0.5,
+                                                                      np.nan, 1.0))
+        moduli = _Moduli(h, (0.0, 1.0))
+        for order in (1, 2, 1):
+            with pytest.raises(DomainError, match=r"^holey is not finite on \[0.0, 1.0\]$"):
+                moduli(order, 0.1)
 
 
 class TestFirstError:

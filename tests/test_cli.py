@@ -7,13 +7,12 @@ import time
 from pathlib import Path
 
 import mpmath as mp
-import numpy as np
 import pytest
 
 import pqkanto
 from pqkanto import cli
 from pqkanto.cli import main
-from pqkanto.manifest import RunManifest, csv_cell, write_csv
+from pqkanto.manifest import RunManifest
 
 
 def run_cli(args, cwd, capsys=None):
@@ -235,18 +234,6 @@ class TestBounds:
         lines = (tmp_path / "l.csv").read_text().splitlines()
         col = lines[0].split(",").index("lipschitz_bound")
         assert all(float(r.split(",")[col]) > 0 for r in lines[1:])
-
-
-    def test_csv_cells_keep_their_bytes(self, tmp_path):
-        # cells are formatted by their exact type; np.float64 and np.bool_
-        # take csv_cell, and every cell reads as csv_cell writes it
-        cells = [0.0, -0.0, 1e-300, 5e-324, True, None, 7, "x", np.float64(0.1), np.bool_(True)]
-        write_csv(["c"] * len(cells), [cells, cells[::-1]], tmp_path / "cells.csv")
-        row = "0,-0,1e-300,4.9406564584124654e-324,true,,7,x,0.10000000000000001,True"
-        assert (tmp_path / "cells.csv").read_bytes() == (
-            ",".join(["c"] * len(cells)) + "\n" + row + "\n"
-            + ",".join(row.split(",")[::-1]) + "\n").encode()
-        assert ",".join(map(csv_cell, cells)) == row
 
 
 class TestConverge:
