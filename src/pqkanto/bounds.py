@@ -12,25 +12,25 @@ central2 is always the direct-summation second central moment, taken at
 every point of the grid by one call.  The first two bounds are proven
 inequalities for a positive operator that reproduces constants, so with
 exact moduli they must hold at every point; `holds_*` flags assert
-exactly that and are set only when the first modulus comes from exact
-metadata, never from a grid estimate (grid estimates are lower bounds of
-the true modulus and could fake a violation).
+exactly that and are set only when the first modulus comes from global
+exact metadata: never from a grid estimate (a lower bound of the true
+modulus, which could fake a violation), nor from a modulus over the hull.
 
 Moduli are measured over the node hull [0, node_hull_max], which is not
 where the operator reads f: for p < 1 the nodes reach past it (bounds-grid's
 setting 0 reads f up to 5.42 against 1.527), and for p < 1/2 below 0
 (ROADMAP.md, item 8, mends it).  `_Moduli` is the one routine for both orders.
 
-omega_2 over the domain is exact for const1, id, square, sin, lip with
-its kink in the domain (`exact_second_modulus`; `lip_handle` has the
-proof) and for piecewise-linear handles (absdev, bump;
-`_pl_second_modulus`).  Where a handle carries no exact modulus (omega_1
-of square, omega_2 of lip with its kink outside the domain or of a handle
-without structure), omega_r(f, delta) (r = 1, 2) is estimated on a grid.
-f is sampled once on the DOMAIN_STEPS + 1 equally spaced base points x_i
-of the domain, spacing D = (hi - lo)/DOMAIN_STEPS, and the estimate is
-the largest |Delta^r_h f(x_i)| with x_i + r h in the domain over two
-kinds of offset h:
+omega_1 over the domain is exact for a polynomial of degree <= 2 without
+exact metadata (square; `_quadratic_modulus`).  omega_2 over it is exact for
+const1, id, square, sin, lip with its kink in the domain
+(`exact_second_modulus`; `lip_handle` has the proof) and for
+piecewise-linear handles (absdev, bump; `_pl_second_modulus`).  A grid
+estimates omega_2 of lip with its kink outside the domain and omega_r (r =
+1, 2) of a handle without such structure.  f is sampled once on the
+DOMAIN_STEPS + 1 equally spaced base points x_i of the domain, spacing D =
+(hi - lo)/DOMAIN_STEPS, and the estimate is the largest |Delta^r_h f(x_i)|
+with x_i + r h in the domain over two kinds of offset h:
 
   * the grid-aligned offsets h = j D <= delta, j <= k = floor(delta/D),
     read off the base samples alone: for r = 1 the largest max - min over
@@ -55,7 +55,7 @@ import numpy as np
 from .errors import DomainError
 from .functions import FunctionHandle, PiecewiseLinear
 from .moments import _direct_moments, peetre_bound_args
-from .operators import WEIGHT_BLOCK, OperatorParams, node_hull_max, operator_profile
+from .operators import WEIGHT_BLOCK, OperatorParams, node_hull_max
 from .pq_calculus import PQPair
 
 #: Base points of the grid estimates: the domain in DOMAIN_STEPS equal
@@ -105,6 +105,16 @@ def _pl_second_modulus(pl: PiecewiseLinear, deltas: Sequence[float], lo: float,
     return [next(best) if fit else None for fit in fits]
 
 
+def _quadratic_modulus(coeffs: Sequence[float], delta: float, lo: float, hi: float) -> float:
+    """omega_1 over [lo, hi] of c0 + c1 t + c2 t^2: f(t + h) - f(t) = h (c1 + c2 (2t + h)) is
+    affine in t, largest at t = lo or hi - h; in h, at h = min(delta, hi - lo) or a vertex below."""
+    c1, c2 = (float(c) for c in (tuple(coeffs) + (0.0,) * 3)[1:3])
+    cap = min(delta, hi - lo)
+    ends = (lambda h: h * (c1 + c2 * (2.0 * lo + h)), lambda h: h * (c1 + c2 * (2.0 * hi - h)))
+    vertices = [-(c1 + 2.0 * c2 * lo) / (2.0 * c2), (c1 + 2.0 * c2 * hi) / (2.0 * c2)] if c2 else []
+    return max(abs(end(h)) for end in ends for h in [cap] + [v for v in vertices if 0.0 < v < cap])
+
+
 def _fill(out: List[Optional[float]], answers: Sequence[float]) -> List[float]:
     """out with its None entries replaced by answers, in order."""
     answers = iter(answers)
@@ -148,6 +158,8 @@ class _Moduli:
         if hi <= lo:
             raise DomainError(f"empty domain [{lo}, {hi}]")
         out = [None if delta else 0.0 for delta in deltas]
+        if order == 1 and f.polynomial_coeffs is not None and not any(f.polynomial_coeffs[3:]):
+            out = [_quadratic_modulus(f.polynomial_coeffs, delta, lo, hi) for delta in deltas]
         if order == 2 and f.exact_second_modulus is not None:
             out = [f.exact_second_modulus(delta, lo, hi) if best is None else best
                    for delta, best in zip(deltas, out)]
@@ -164,7 +176,8 @@ class _Moduli:
 
     def _grid(self, order: int, deltas: List[float]) -> List[float]:
         if self._base is None:  # stored once sampled: a sample that raises raises again
-            base = np.linspace(self.lo, self.hi, DOMAIN_STEPS + 1)
+            # a subnormal step can round up and carry base points past hi
+            base = np.minimum(np.linspace(self.lo, self.hi, DOMAIN_STEPS + 1), self.hi)
             self._f_base, self._base = self._sample(base), base
         step = (self.hi - self.lo) / DOMAIN_STEPS
         if step == 0:
@@ -258,9 +271,9 @@ def bound_reports(f: FunctionHandle, xs, params: OperatorParams, pq: PQPair,
     [0, b_n]).
 
     Requires normalized mode: the bounds are proved for an operator that
-    reproduces constants.  The hull, the inner integrals, the direct sums,
-    the Peetre arguments (blocked as the weights) and the three moduli
-    columns (two calls) are taken once for the call; the values equal
+    reproduces constants.  The hull, the operator values with the direct sums
+    (one weight build), the Peetre arguments (blocked as the weights) and the
+    three moduli columns (two calls) are taken once for the call; they equal
     `apply_operator`, `peetre_bound_args` and the direct-summation c2 of
     `verify_moments` at each x.
     The sqrt argument of the second modulus clamps the printed peetre_arg
@@ -268,8 +281,7 @@ def bound_reports(f: FunctionHandle, xs, params: OperatorParams, pq: PQPair,
     if params.mode != "normalized":
         raise DomainError("bound reports require normalized mode")
     domain = (0.0, node_hull_max(params, pq))
-    values = operator_profile(f, params, pq, xs, rel_tol).tolist()
-    direct = _direct_moments(params, pq, xs)
+    values, direct = _direct_moments(params, pq, xs, f, rel_tol)
     xa, rows = np.asarray(xs), max(1, WEIGHT_BLOCK // (2 * params.degree + 1))
     with np.errstate(divide="raise", over="ignore", invalid="ignore"):  # as Python floats do
         blocks = [peetre_bound_args(params, pq, xa[i:i + rows]) for i in range(0, xa.size, rows)]

@@ -41,9 +41,10 @@ def csv_cell(v) -> str:
 
 
 def write_text(path, text: str) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    if not Path(path).parent.is_dir():  # mkdir on an existing one costs a third of a write
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as fh:  # one call; bytes, so "\n" stays LF
+        fh.write(text.encode("utf-8"))
 
 
 def dumps_json(obj) -> str:

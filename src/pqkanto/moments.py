@@ -28,6 +28,7 @@ never from the closed forms.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from contextlib import contextmanager
@@ -35,14 +36,15 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from numbers import Rational
 from operator import mul
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .errors import DomainError, SizeCapError
-from .operators import (OperatorParams, _check_x, _check_xs, _contract, _monomial_terms,
-                        _node_affine, _node_numerators, _not_finite, _scaled,
-                        _weight_blocks, _weights_exact)
+from .functions import FunctionHandle
+from .operators import (OperatorParams, _check_x, _check_xs, _contract, _inner_integrals,
+                        _monomial_terms, _node_affine, _node_numerators, _not_finite, _scaled,
+                        _weight_blocks, _weights_exact, operator_profile)
 from .pq_calculus import PQPair, Scalar, _brackets, _pq_powers, pq_power
 
 MOMENT_KEYS = ("m0", "m1", "m2", "c1", "c2")
@@ -161,7 +163,8 @@ def _exact_moments(params: OperatorParams, pq: PQPair, xs) -> List[Dict[str, Fra
     return out
 
 
-def _direct_moments(params: OperatorParams, pq: PQPair, xs) -> List[Dict[str, Scalar]]:
+def _direct_moments(params: OperatorParams, pq: PQPair, xs, f: Optional[FunctionHandle] = None,
+                    rel_tol: float = 1e-12):
     """Direct summation of the five moments at every x in xs, keyed as
     MOMENT_KEYS.  When every input is rational they are Fractions from
     `_exact_moments`; else they are floats, every x taken as a float, that
@@ -169,29 +172,43 @@ def _direct_moments(params: OperatorParams, pq: PQPair, xs) -> List[Dict[str, Sc
     node map and one set of monomial terms T_0, T_1, T_2 serve the call,
     each weight block's central vectors are built at once by broadcasting,
     and one `_contract` call per block takes its points' five vectors.
+    Given a handle f, returns (f's operator values, the moments): in floats its
+    integrals are a sixth vector of each block, and values and errors are `operator_profile`'s.
     Raises DomainError when a float value is not finite.
     """
     if params.is_exact(pq) and all(isinstance(x, Rational) for x in xs):
-        return _exact_moments(params, pq, xs)
+        if f is None:
+            return _exact_moments(params, pq, xs)
+        return operator_profile(f, params, pq, xs, rel_tol).tolist(), _exact_moments(params, pq, xs)
     blocks = _weight_blocks(params, pq, xs)
-    out = []
+    out, values = [], []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # raised below instead
+        # with f, operator_profile's errors first: weights that overflow, non-finite integrals
+        first = list(itertools.islice(blocks, 1))
+        if f is not None and first and not np.isfinite(first[0][1]).all():
+            raise _not_finite("operator value is", params.degree, first[0][1])
         a, b = _node_affine(params, pq)
+        extra = np.reshape([] if f is None else _inner_integrals(f, a, b, pq, rel_tol),
+                           (-1, a.size))
+        if first and not np.isfinite(extra).all():
+            raise _not_finite("operator value is", params.degree, first[0][1])
         terms = _monomial_terms(2, a, b, pq)
-        for block, w in blocks:
+        for block, w in itertools.chain(first, blocks):
             x = np.array([float(v) for v in xs[block]])[:, None]
             # T_u is t^u's own vector; c1, c2 sum c_u T_u from zeros in order, as a
             # handle does, and a zero c_u adds a signed zero: no change (T_u, x >= 0)
-            vectors = np.zeros((len(x), 5, a.size))
+            vectors = np.zeros((len(x), 5 + len(extra), a.size))
             vectors[:, :3] = terms
+            vectors[:, 5:] = extra
             for row, coeffs in ((3, (-x, 1.0)), (4, (x * x, -2 * x, 1.0))):
                 for c, term in zip(coeffs, terms):
                     vectors[:, row] += c * term
-            values = _contract(w, vectors)
-            if not np.isfinite(values).all():
+            rows = _contract(w, vectors)
+            if not np.isfinite(rows).all():
                 raise _not_finite("operator value is", params.degree, w)
-            out.extend(dict(zip(MOMENT_KEYS, row)) for row in values.tolist())
-    return out
+            out.extend(dict(zip(MOMENT_KEYS, row)) for row in rows.tolist())
+            values.extend(rows[:, 5:].ravel().tolist())
+    return out if f is None else (values, out)
 
 
 @_nonzero_divisors()

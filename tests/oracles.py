@@ -264,10 +264,12 @@ def pl_second_modulus(pl: PiecewiseLinear, delta: float, lo: float, hi: float):
 def one_delta_modulus(f: FunctionHandle, order: int, delta: float, lo: float, hi: float):
     """omega_order(f, delta) over [lo, hi] as `_Moduli` took a single delta:
     exact metadata, else the piecewise-linear enumeration above, else the
-    grid, where f is sampled on the base points and at the offset h =
-    delta on the base points that a boolean mask selects, and the aligned
-    offsets j D <= delta are read off `window_range` (order 1) or one
-    maximum per offset (order 2)."""
+    grid, where f is sampled on the base points (none past hi) and at the
+    offset h = delta on the base points that a boolean mask selects, and the
+    aligned offsets j D <= delta are read off `window_range` (order 1) or
+    one maximum per offset (order 2).  The package's closed-form first
+    modulus of a polynomial of degree <= 2 is not transcribed here: this
+    grid is one of its oracles, mpmath the other."""
     if not 0 <= delta < np.inf:
         raise DomainError(f"delta must be finite and nonnegative, got {delta}")
     if order == 1 and f.exact_modulus is not None:
@@ -288,7 +290,8 @@ def one_delta_modulus(f: FunctionHandle, order: int, delta: float, lo: float, hi
                 raise DomainError(f"{f.name} is not finite on [{lo}, {hi}]")
             return values
 
-        base = np.linspace(lo, hi, DOMAIN_STEPS + 1)
+        # a subnormal step can round up and carry base points past hi
+        base = np.minimum(np.linspace(lo, hi, DOMAIN_STEPS + 1), hi)
         f_base = sample(base)
         step = (hi - lo) / DOMAIN_STEPS
         if step == 0:

@@ -1,7 +1,8 @@
 import importlib.util
 import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -157,8 +158,8 @@ class TestBoundReport:
                           PQPair(0.9, 0.8))[0]
 
     def test_moduli_measured_over_hull(self):
-        # square has no exact modulus; its grid modulus grows with the
-        # domain, so the report must use the hull end, not b_n
+        # square has no exact (global) modulus; its modulus over the domain
+        # grows with it, so the report must use the hull end, not b_n
         params = OperatorParams(n=2, m=0, b_n=1.0)
         pq = PQPair(0.8, 0.5)
         hull_hi = node_hull_max(params, pq)
@@ -167,6 +168,27 @@ class TestBoundReport:
         direct = omega(1, builtin("square"), np.sqrt(rep.second_central_moment),
                        (0.0, hull_hi))
         assert rep.modulus_at_sqrt_moment == pytest.approx(direct, rel=1e-12)
+
+    def test_rational_inputs_keep_the_exact_direct_sums(self):
+        # all-rational inputs: c2 is the exact sum rounded once, which the
+        # float sums miss in the last bits at most of these points; the
+        # operator values are the float profile's
+        from pqkanto.moments import _exact_moments
+        from pqkanto.operators import operator_profile
+
+        params = OperatorParams(n=5, m=1, alpha=Fraction(1), beta=Fraction(2), b_n=Fraction(3))
+        pq = PQPair(Fraction(9, 10), Fraction(4, 5))
+        xs = [Fraction(k, 4) for k in range(13)]
+        h = builtin("sin")
+        rows = bound_reports(h, xs, params, pq)
+        exact = [max(float(m["c2"]), 0.0) for m in _exact_moments(params, pq, xs)]
+        assert [row.second_central_moment for row in rows] == exact
+        floats = _direct_moments(OperatorParams(n=5, m=1, alpha=1.0, beta=2.0, b_n=3.0),
+                                 PQPair(0.9, 0.8), [float(x) for x in xs])
+        assert sum(m["c2"] != c2 for m, c2 in zip(floats, exact)) >= 6
+        assert [row.observed_error for row in rows] == [
+            abs(v - float(h.evaluator(float(x))))
+            for v, x in zip(operator_profile(h, params, pq, xs).tolist(), xs)]
 
     def test_csv_fields_cover_report(self):
         rep = bound_reports(builtin("absdev:1"), [0.5], OperatorParams(n=3),
@@ -213,16 +235,16 @@ class TestGridEstimator:
 
     def test_reports_sample_f_once(self):
         # polynomial coefficients keep the operator off the evaluator, and
-        # without exact moduli both orders go through the grid
-        sq = builtin("square")
+        # without exact moduli, at degree 3, both orders go through the grid
+        cube = polynomial_handle("cube", (0.0, 0.0, 0.0, 1.0))
         points = []
 
         def counted(x):
             points.append(np.size(x))
-            return sq.evaluator(x)
+            return cube.evaluator(x)
 
-        h = FunctionHandle(name="sq", evaluator=counted,
-                           polynomial_coeffs=sq.polynomial_coeffs)
+        h = FunctionHandle(name="cube", evaluator=counted,
+                           polynomial_coeffs=cube.polynomial_coeffs)
         params = OperatorParams(n=50, m=2, alpha=1.0, beta=2.0, b_n=3.0)
         xs = np.linspace(0.0, 3.0, 9)
         bound_reports(h, xs, params, PQPair(0.9, 0.8))
@@ -232,7 +254,7 @@ class TestGridEstimator:
         assert points.count(DOMAIN_STEPS + 1) == 1
 
     def test_reports_share_one_operator_profile(self, monkeypatch):
-        from pqkanto import apply_operator, operators
+        from pqkanto import apply_operator, moments, operators
 
         params = OperatorParams(n=50, m=2, alpha=1.0, beta=2.0, b_n=3.0)
         pq = PQPair(0.9, 0.8)
@@ -247,9 +269,12 @@ class TestGridEstimator:
         for name in ("sin", "absdev:0.5", "lip:0.5:0.5", "square"):
             h = builtin(name)
             want = [apply_operator(h, x, params, pq) for x in xs]
-            monkeypatch.setattr(operators, "_inner_integrals", counted)
+            # the direct sums hold their own binding
+            for module in (operators, moments):
+                monkeypatch.setattr(module, "_inner_integrals", counted)
             rows = bound_reports(h, xs, params, pq)
-            monkeypatch.setattr(operators, "_inner_integrals", inner)
+            for module in (operators, moments):
+                monkeypatch.setattr(module, "_inner_integrals", inner)
             assert [row.observed_error for row in rows] == [
                 abs(kf - float(h.evaluator(x))) for kf, x in zip(want, xs)]
             # once for f; the direct-sum moments take no handle
@@ -272,6 +297,8 @@ class TestGridEstimator:
 
     @pytest.mark.parametrize("points", [2, 33])
     def test_reports_take_one_profile_and_one_moment_node_map(self, monkeypatch, points):
+        # the operator values and the direct sums share one weight build and
+        # one node map: one call each, whichever module's binding is used
         from pqkanto import moments, operators
 
         calls = []
@@ -281,16 +308,16 @@ class TestGridEstimator:
             monkeypatch.setattr(module, name,
                                 lambda *a, **k: calls.append(name) or original(*a, **k))
 
-        for module, name in ((operators, "operator_profile"), (operators, "_node_affine"),
+        for module, name in ((operators, "_weight_factors"), (operators, "_node_affine"),
                              (moments, "_node_affine")):
             counted(module, name)
-        # bounds holds its own binding of operator_profile
-        monkeypatch.setattr(bounds, "operator_profile", operators.operator_profile)
         params = OperatorParams(n=50, m=2, alpha=1.0, beta=2.0, b_n=3.0)
         xs = [float(x) for x in np.linspace(0.0, 3.0, points)]
-        bound_reports(builtin("sin"), xs, params, PQPair(0.9, 0.8))
-        assert calls.count("operator_profile") == 1
-        assert calls.count("_node_affine") <= 2
+        for name in ("sin", "square"):
+            del calls[:]
+            bound_reports(builtin(name), xs, params, PQPair(0.9, 0.8))
+            assert calls.count("_weight_factors") == 1, name
+            assert calls.count("_node_affine") == 1, name
 
     def test_peetre_args_in_blocks(self, monkeypatch):
         # a large grid at moderate degree: each call sees at most
@@ -307,6 +334,85 @@ class TestGridEstimator:
         for x, report in zip(xs[::50], reports[::50]):
             peetre_arg, bias = peetre_bound_args(params, pq, x)
             assert (report.peetre_arg, report.bias) == (float(peetre_arg), float(bias))
+
+
+def mp_quadratic_modulus(coeffs, delta, lo, hi, steps=200):
+    """50-digit omega_1 of c0 + c1 t + c2 t^2 over [lo, hi], found without the
+    closed form: the largest range of f over a window [t, t + w], w = min(delta,
+    hi - lo), inside the domain, over a dense grid of t and then golden-section
+    search around each grid maximum.  The range over a window is taken from
+    its ends and, when inside it, the stationary point of f."""
+    with mp.workdps(50):
+        c0, c1, c2 = (mp.mpf(c) for c in coeffs)
+        lo, hi = mp.mpf(lo), mp.mpf(hi)
+        w = min(mp.mpf(delta), hi - lo)
+
+        def spread(t):
+            ts = [t, t + w] + ([-c1 / (2 * c2)] if c2 and t < -c1 / (2 * c2) < t + w else [])
+            values = [c0 + c1 * s + c2 * s * s for s in ts]
+            return max(values) - min(values)
+
+        ts = [lo + (hi - w - lo) * i / steps for i in range(steps + 1)]
+        vals = [spread(t) for t in ts]
+        best = max(vals)
+        golden = (mp.sqrt(5) - 1) / 2
+        for i in range(steps + 1):
+            if vals[i] < max(vals[max(i - 1, 0)], vals[min(i + 1, steps)]):
+                continue
+            a, b = ts[max(i - 1, 0)], ts[min(i + 1, steps)]
+            for _ in range(120):
+                c, d = b - golden * (b - a), a + golden * (b - a)
+                if spread(c) >= spread(d):
+                    b = d
+                else:
+                    a = c
+            best = max(best, spread((a + b) / 2))
+        return best
+
+
+class TestQuadraticModulus:
+    """omega_1 of a polynomial of degree <= 2 without exact metadata is a
+    closed form over the domain: no grid table is built."""
+
+    # square on bounds-grid's first hull, inside it and past it; a concave f
+    # whose ends both peak at h = 1/2; lo > 0 with the vertex of the hi end
+    # (delta 0.9) and of the lo end (delta past the domain); a falling
+    # concave f; a line; a constant
+    CASES = [((0.0, 0.0, 1.0), 0.3, (0.0, 1.5271657522561723)),
+             ((0.0, 0.0, 1.0), 2.0, (0.0, 1.5271657522561723)),
+             ((0.0, 1.0, -1.0), 0.8, (0.0, 1.0)),
+             ((1.0, -3.0, 0.7), 0.9, (0.4, 2.9)),
+             ((1.0, -3.0, 0.7), 5.0, (0.4, 2.9)),
+             ((-2.0, 0.5, -1.5), 0.6, (0.3, 1.1)),
+             ((0.25, -2.5), 0.7, (1.0, 4.0)),
+             ((3.0,), 0.7, (1.0, 4.0))]
+
+    @pytest.mark.parametrize("coeffs, delta, domain", CASES)
+    def test_against_mpmath_and_the_grid(self, monkeypatch, coeffs, delta, domain):
+        h = polynomial_handle("quad", coeffs)
+        orders = count_grid_tables(monkeypatch)
+        got = omega(1, h, delta, domain)
+        assert orders == []
+        want = mp_quadratic_modulus(coeffs + (0.0,) * (3 - len(coeffs)), delta, *domain)
+        assert abs(got - want) <= 1e-14 * want
+        assert omega(1, stripped(h), delta, domain) <= got + 1e-12
+        assert one_delta_modulus(h, 1, delta, *domain) <= got + 1e-12
+
+    def test_square_is_h_times_2H_minus_h(self):
+        # h (2H - h) at h = min(delta, H) on [0, H], as printed; the flags stay
+        # keyed to the global exact modulus, which square lacks
+        hi = 1.7716868861038455  # bounds-grid's second hull
+        for delta in (0.0, 5e-324, 0.1, 1.0, hi, 3.0):
+            h = min(delta, hi)
+            assert omega(1, builtin("square"), delta, (0.0, hi)) == h * (2.0 * hi - h)
+        assert builtin("square").exact_modulus is None
+
+    def test_degree_three_takes_the_grid(self, monkeypatch):
+        orders = count_grid_tables(monkeypatch)
+        cube = polynomial_handle("cube", (0.0, 0.0, 1.0, 1.0))
+        got = omega(1, cube, 0.3, (0.0, 1.0))
+        assert orders == [1]
+        assert got == omega(1, stripped(cube), 0.3, (0.0, 1.0))
 
 
 def count_grid_tables(monkeypatch):
@@ -508,15 +614,18 @@ class TestSecondModulusOverHull:
     def test_bound_reports_build_no_grid_table(self, tmp_path, monkeypatch):
         # both operator settings of perfbench's bounds-grid over its five
         # builtins: sqrt peetre_arg reaches 2.09 on the hull [0, 1.527] in
-        # the first; only square's first modulus takes the grid
+        # the first; square's first modulus is a closed form too, so no
+        # order takes the grid, and f is never sampled on it
         workloads = load_by_path("workloads", monkeypatch)
         monkeypatch.chdir(tmp_path)
         orders = count_grid_tables(monkeypatch)
+        samples = []
+        sample = _Moduli._sample
+        monkeypatch.setattr(_Moduli, "_sample", lambda self, x: samples.append(x.size)
+                            or sample(self, x))
         for op in workloads.build("bounds-grid", 3):
-            del orders[:]
             assert cli_main(list(op.argv)) == 0, op.id
-            want = {1} if op.meta.get("fn") == "square" else set()
-            assert set(orders) == want, op.id
+            assert orders == [] and samples == [], op.id
 
     @pytest.mark.parametrize("kinks, enumerated", [(30, True), (100, False)])
     def test_many_kinks_stay_bounded(self, monkeypatch, kinks, enumerated):
@@ -661,6 +770,10 @@ class TestColumns:
     @pytest.mark.parametrize("strip", [False, True], ids=["builtin", "stripped"])
     def test_equal_one_delta_at_a_time(self, name, domain, strip):
         h = stripped(builtin(name)) if strip else builtin(name)
+        if name == "square" and not strip:
+            # its first modulus is a closed form (TestQuadraticModulus); without
+            # its coefficients it keeps its exact omega_2 and takes the grid for omega_1
+            h = replace(h, polynomial_coeffs=None)
         deltas = self.deltas(*domain)
         for order in (1, 2):
             want = [one_delta_modulus(h, order, delta, *domain) for delta in deltas]
@@ -698,6 +811,27 @@ class TestColumns:
             del calls[:]
             bound_reports(builtin(name), np.linspace(0.0, 3.0, 9), params, PQPair(0.9, 0.8))
             assert len(calls) <= 3, name
+
+    @pytest.mark.parametrize("domain", [(0.0, 6144 * 5e-324),
+                                        (2.0 ** -1020, 2.0 ** -1020 + 6144 * 5e-324)])
+    def test_no_sample_past_hi(self, domain):
+        # the subnormal step rounds from 1.5 units up to 2, which put 1,023 base
+        # points of [0, 6144 units] past hi; every base point and offset now
+        # stays in the domain
+        lo, hi = domain
+        points = []
+
+        def probe(x):
+            points.append(np.array(x, dtype=float))
+            return np.zeros_like(points[-1])
+
+        h = FunctionHandle(name="probe", evaluator=probe)
+        for order in (1, 2):
+            _Moduli(h, domain).column(order, self.deltas(lo, hi))
+            one_delta_modulus(h, order, 5e-324, lo, hi)
+        sampled = np.concatenate(points)
+        assert sampled.size > 4 * (DOMAIN_STEPS + 1)
+        assert lo <= sampled.min() and sampled.max() <= hi
 
     def test_offsets_read_no_point_past_hi(self):
         # the step rounds from 1.5 units to 2, so base points past hi come
@@ -744,10 +878,11 @@ class TestFirstError:
 
         def holey(x):
             x = np.asarray(x, dtype=float)
-            return np.where((x > 0.5 * hull) & (x < 0.6 * hull), np.nan, np.square(x))
+            return np.where((x > 0.5 * hull) & (x < 0.6 * hull), np.nan, np.sqrt(x))
 
-        h = FunctionHandle(name="holey", evaluator=holey,
-                           polynomial_coeffs=builtin("square").polynomial_coeffs)
+        # no structure keeps omega_1 on the grid; the operator reads f only on
+        # its nodes, all within 1e5 of the hull's end (1.15e154), past the hole
+        h = FunctionHandle(name="holey", evaluator=holey)
         central, _peetre, bias = self.delta_columns(params, pq, xs)
         assert np.isinf(bias).all() and all(0.0 < d < np.inf for d in central)
         # the order-1 column alone meets the non-finite delta first
@@ -766,7 +901,9 @@ class TestFirstError:
         pq, xs = PQPair(1.0, 0.5), [1e10, 0.0]
         hull = node_hull_max(params, pq)
         jump = 2048.5 * hull / DOMAIN_STEPS  # between two base points
-        h = FunctionHandle(name="jump", polynomial_coeffs=(1.0,),
+        # the operator reads the coefficients, about 1 on the nodes near 1e10;
+        # their cubic term keeps omega_1 on the grid
+        h = FunctionHandle(name="jump", polynomial_coeffs=(1.0, 0.0, 0.0, 1e-300),
                            evaluator=lambda x: np.where(np.asarray(x) < jump, -1e308, 1e308))
         central, peetre, bias = self.delta_columns(params, pq, xs)
         assert central[0] == 0.0 and np.isinf(peetre).all() and np.isfinite(bias).all()

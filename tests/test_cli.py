@@ -12,7 +12,7 @@ import pytest
 import pqkanto
 from pqkanto import cli
 from pqkanto.cli import main
-from pqkanto.manifest import RunManifest
+from pqkanto.manifest import RunManifest, write_text
 
 
 def run_cli(args, cwd, capsys=None):
@@ -550,15 +550,19 @@ def test_huge_beta_one_error_line(tmp_path, argv):
                   "--bn", "1e-200", "--grid", "3"],
                  2, "error: a bracket product the closed forms divide by underflows to 0",
                  id="peetre_divisor_underflows"),
-    # a hull of 3.6e-313: delta / step is past the float range; then a
-    # hull of 3.5e-323, too narrow for a step
-    pytest.param(["bounds", "--fn", "square", "--n", "11", "--m", "8", "--p", "1e-17",
+    # the omega_2 grid of lip with its kink past the hull: a hull of 3.6e-313,
+    # where delta / step is past the float range; then a hull of 3.5e-323, too
+    # narrow for a step, where square's closed-form omega_1 still gives values
+    pytest.param(["bounds", "--fn", "lip:1:0.5", "--n", "11", "--m", "8", "--p", "1e-17",
                   "--q", "1e-25", "--beta", "2.77e+06", "--grid", "5"],
                  0, "wrote bounds.csv", id="grid_step_subnormal"),
-    pytest.param(["bounds", "--fn", "square", "--n", "11", "--m", "8", "--p", "1e-17",
+    pytest.param(["bounds", "--fn", "lip:1:0.5", "--n", "11", "--m", "8", "--p", "1e-17",
                   "--q", "1e-25", "--beta", "2.77e+06", "--bn", "1e-10", "--grid", "5"],
                  2, "error: domain [0.0, 3.5e-323] is too narrow for a grid",
-                 id="grid_step_underflows"),
+                 id="grid_too_narrow"),
+    pytest.param(["bounds", "--fn", "square", "--n", "11", "--m", "8", "--p", "1e-17",
+                  "--q", "1e-25", "--beta", "2.77e+06", "--bn", "1e-10", "--grid", "5"],
+                 0, "wrote bounds.csv", id="grid_step_underflows"),
     pytest.param(["eval", "--fn", "id", "--n", "1031", "--bn", "1e-300", "--p", "0.01",
                   "--q", "0.001", "--x", "5e-301"],
                  2, "error: operator value is not finite", id="node_scale_divides_by_zero"),
@@ -600,6 +604,30 @@ def test_domain_edge_ends_in_a_value_or_one_line(tmp_path, capsys, argv, code, l
     assert (out if code else err) == ""
     written = [path.read_text().lower() for path in tmp_path.iterdir()]
     assert not written if code else not any("nan" in t or "inf" in t for t in written)
+
+
+def test_write_text_bytes_and_parents(tmp_path, capsys, monkeypatch):
+    # the text's UTF-8 bytes, with no newline translation; a missing parent
+    # is made, an existing one is not made again; a file in the parent's
+    # place is one error line, exit 2
+    made = []
+    mkdir = Path.mkdir
+    monkeypatch.setattr(Path, "mkdir",
+                        lambda self, *a, **k: made.append(self) or mkdir(self, *a, **k))
+    text = "x,f(x)\r\n0.5,\u00e9\n"
+    write_text(tmp_path / "new" / "deep" / "a.csv", text)
+    assert tmp_path / "new" / "deep" in made
+    del made[:]
+    write_text(tmp_path / "new" / "b.csv", text)
+    assert made == []
+    for name in ("new/deep/a.csv", "new/b.csv"):
+        assert (tmp_path / name).read_bytes() == b"x,f(x)\r\n0.5,\xc3\xa9\n"
+    (tmp_path / "blocker").write_text("")
+    for out, cause in (("blocker/v.json", "File exists"),
+                       ("blocker/sub/v.json", "Not a directory")):
+        assert run_cli(["verify", "--x", "0.5", "--n", "3", "--out", out], tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno") and cause in err and err.count("\n") == 1
 
 
 def test_check_only_ratio_past_float_range_exit_2(tmp_path, capsys):
