@@ -28,7 +28,6 @@ never from the closed forms.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from contextlib import contextmanager
@@ -42,9 +41,9 @@ import numpy as np
 
 from .errors import DomainError, SizeCapError
 from .functions import FunctionHandle
-from .operators import (OperatorParams, _check_x, _check_xs, _contract, _inner_integrals,
-                        _monomial_terms, _node_affine, _node_numerators, _not_finite, _scaled,
-                        _weight_blocks, _weights_exact, operator_profile)
+from .operators import (OperatorParams, _blocks_and_integrals, _check_x, _check_xs, _contract,
+                        _monomial_terms, _node_numerators, _not_finite, _scaled, _weights_exact,
+                        operator_profile)
 from .pq_calculus import PQPair, Scalar, _brackets, _pq_powers, pq_power
 
 MOMENT_KEYS = ("m0", "m1", "m2", "c1", "c2")
@@ -180,20 +179,13 @@ def _direct_moments(params: OperatorParams, pq: PQPair, xs, f: Optional[Function
         if f is None:
             return _exact_moments(params, pq, xs)
         return operator_profile(f, params, pq, xs, rel_tol).tolist(), _exact_moments(params, pq, xs)
-    blocks = _weight_blocks(params, pq, xs)
     out, values = [], []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # raised below instead
-        # with f, operator_profile's errors first: weights that overflow, non-finite integrals
-        first = list(itertools.islice(blocks, 1))
-        if f is not None and first and not np.isfinite(first[0][1]).all():
-            raise _not_finite("operator value is", params.degree, first[0][1])
-        a, b = _node_affine(params, pq)
-        extra = np.reshape([] if f is None else _inner_integrals(f, a, b, pq, rel_tol),
-                           (-1, a.size))
-        if first and not np.isfinite(extra).all():
-            raise _not_finite("operator value is", params.degree, first[0][1])
+        blocks, a, b, extra = _blocks_and_integrals(f and [f], params, pq, xs, rel_tol)
+        if len(xs) and not np.isfinite(extra).all():  # no value is (0 inf is nan): before the terms
+            raise _not_finite("operator value is", params.degree, next(blocks)[1])
         terms = _monomial_terms(2, a, b, pq)
-        for block, w in itertools.chain(first, blocks):
+        for block, w in blocks:
             x = np.array([float(v) for v in xs[block]])[:, None]
             # T_u is t^u's own vector; c1, c2 sum c_u T_u from zeros in order, as a
             # handle does, and a zero c_u adds a signed zero: no change (T_u, x >= 0)

@@ -224,6 +224,21 @@ def _weight_blocks(params: OperatorParams, pq: PQPair,
     return blocks()
 
 
+def _blocks_and_integrals(handles: Optional[Sequence[FunctionHandle]], params: OperatorParams,
+                          pq: PQPair, xs: Sequence[Scalar], rel_tol: float):
+    """(`_weight_blocks` of xs, A, B, each handle's inner integrals as rows), under the
+    caller's np.errstate.  Weights that overflow raise before any inner integral: the
+    binomials that overflow do not depend on x, so the first block decides.  handles None
+    (no operator values) takes no integrals and leaves every check to the caller."""
+    blocks = _weight_blocks(params, pq, xs)
+    first = list(itertools.islice(blocks, 1))
+    if handles is not None and first and not np.isfinite(first[0][1]).all():
+        raise _not_finite("operator value is", params.degree, first[0][1])
+    a, b = _node_affine(params, pq)
+    integrals = [_inner_integrals(f, a, b, pq, rel_tol) for f in handles or ()]
+    return itertools.chain(first, blocks), a, b, np.reshape(integrals, (len(integrals), len(a)))
+
+
 def _contract(w: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Rows of w (R, K) dotted with shared (H, K) or per-row (R, H, K) vectors
     as (R, H), with `np.dot`'s bits: matmul runs its 1-D loop (tests pin it)."""
@@ -633,17 +648,10 @@ def operator_profile(fs: Union[FunctionHandle, Sequence[FunctionHandle]],
     """
     single = isinstance(fs, FunctionHandle)
     handles = [fs] if single else list(fs)
-    blocks = _weight_blocks(params, pq, xs)
     out = np.empty((len(handles), len(xs)))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # raised below instead
-        # the binomials that overflow do not depend on x: the first block decides
-        first = list(itertools.islice(blocks, 1))
-        if first and not np.isfinite(first[0][1]).all():
-            raise _not_finite("operator value is", params.degree, first[0][1])
-        a, b = _node_affine(params, pq)
-        integrals = np.reshape([_inner_integrals(f, a, b, pq, rel_tol) for f in handles],
-                               (len(handles), len(a)))
-        for block, w in itertools.chain(first, blocks):
+        blocks, _a, _b, integrals = _blocks_and_integrals(handles, params, pq, xs, rel_tol)
+        for block, w in blocks:
             out[:, block] = _contract(w, integrals).T
             if not np.isfinite(out[:, block]).all():
                 raise _not_finite("operator value is", params.degree, w)

@@ -254,7 +254,7 @@ class TestGridEstimator:
         assert points.count(DOMAIN_STEPS + 1) == 1
 
     def test_reports_share_one_operator_profile(self, monkeypatch):
-        from pqkanto import apply_operator, moments, operators
+        from pqkanto import apply_operator, operators
 
         params = OperatorParams(n=50, m=2, alpha=1.0, beta=2.0, b_n=3.0)
         pq = PQPair(0.9, 0.8)
@@ -269,12 +269,9 @@ class TestGridEstimator:
         for name in ("sin", "absdev:0.5", "lip:0.5:0.5", "square"):
             h = builtin(name)
             want = [apply_operator(h, x, params, pq) for x in xs]
-            # the direct sums hold their own binding
-            for module in (operators, moments):
-                monkeypatch.setattr(module, "_inner_integrals", counted)
+            monkeypatch.setattr(operators, "_inner_integrals", counted)
             rows = bound_reports(h, xs, params, pq)
-            for module in (operators, moments):
-                monkeypatch.setattr(module, "_inner_integrals", inner)
+            monkeypatch.setattr(operators, "_inner_integrals", inner)
             assert [row.observed_error for row in rows] == [
                 abs(kf - float(h.evaluator(x))) for kf, x in zip(want, xs)]
             # once for f; the direct-sum moments take no handle
@@ -298,19 +295,14 @@ class TestGridEstimator:
     @pytest.mark.parametrize("points", [2, 33])
     def test_reports_take_one_profile_and_one_moment_node_map(self, monkeypatch, points):
         # the operator values and the direct sums share one weight build and
-        # one node map: one call each, whichever module's binding is used
-        from pqkanto import moments, operators
+        # one node map: one call each
+        from pqkanto import operators
 
         calls = []
-
-        def counted(module, name):
-            original = getattr(module, name)
-            monkeypatch.setattr(module, name,
-                                lambda *a, **k: calls.append(name) or original(*a, **k))
-
-        for module, name in ((operators, "_weight_factors"), (operators, "_node_affine"),
-                             (moments, "_node_affine")):
-            counted(module, name)
+        for name in ("_weight_factors", "_node_affine"):
+            original = getattr(operators, name)
+            monkeypatch.setattr(operators, name, lambda *a, _f=original, _n=name, **k:
+                                calls.append(_n) or _f(*a, **k))
         params = OperatorParams(n=50, m=2, alpha=1.0, beta=2.0, b_n=3.0)
         xs = [float(x) for x in np.linspace(0.0, 3.0, points)]
         for name in ("sin", "square"):

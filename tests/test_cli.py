@@ -579,6 +579,13 @@ def test_huge_beta_one_error_line(tmp_path, argv):
                   "--q", "1.862823227115954e-175"],
                  2, "error: operator value is not finite at degree n+m = 200: the inner",
                  id="pl_kink_log_underflows_in_bounds"),
+    # the direct sums' bracket error comes before their overflowing weights:
+    # only bounds checks the weights first, as its operator values do
+    pytest.param(["verify", "--x", "1.4908523301635342e-228", "--n", "653", "--m", "589",
+                  "--bn", "4.660330214754911e-228", "--p", "6.302597450199011e-203",
+                  "--q", "6.30196719045399e-203", "--mode", "literal"],
+                 2, "error: [3] underflows to 0 at p=6.302597450199011e-203",
+                 id="moment_bracket_before_weight_overflow"),
     pytest.param(["eval", "--fn", "lip:0.5:0.5", "--n", "1", "--x", "0.5", "--p", "1e-300",
                   "--q", "9.999e-301"],
                  2, "error: the integrand is not finite on the series nodes",
