@@ -3,7 +3,8 @@
 A `FunctionHandle` bundles an evaluator on [0, inf) with whatever exact
 structure is known about it: polynomial coefficients, a piecewise-linear
 description, a Lipschitz pair (M, gamma), exact moduli of continuity, a
-support bound, an antiderivative, or the points where it is not smooth.
+support bound, its inner integrals in closed form, or the points where it
+is not smooth.
 The operator code exploits the structure (polynomials and
 piecewise-linear functions integrate exactly; known kinks open the
 Euler-Maclaurin series path); the bound code uses the moduli; everything
@@ -23,6 +24,8 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError
+
+_EPS = 2.0 ** -52  # machine epsilon of float64
 
 
 @dataclass(frozen=True)
@@ -80,11 +83,13 @@ class FunctionHandle:
     |f(t) - f(x)| <= M |t - x|^gamma; `exact_modulus` maps delta to the
     modulus of continuity over [0, inf), `exact_second_modulus` (delta,
     lo, hi) to the second one over [lo, hi] or None; `support_bound` C
-    certifies f == 0 on [C, inf); `antiderivative` is a vectorised F with F' = f,
-    used by the classical (p = q = 1) and Euler-Maclaurin inner integrals;
-    `kinks` lists the points where f is not smooth (empty for f smooth on
-    [0, inf), None when unknown, which keeps the series inner integrals on
-    the truncated sum).
+    certifies f == 0 on [C, inf); `integral` maps (A, B, t_lo, t_hi) to the
+    integrals of f(A + B t) over [t_lo, t_hi], node by node, and a bound on
+    their own rounding (not on f's conditioning in A), for the classical
+    (p = q = 1) and Euler-Maclaurin inner integrals (without it they take
+    Gauss-Legendre quadrature); `kinks` lists the points where f is not
+    smooth (empty for f smooth on [0, inf), None when unknown, which keeps
+    the series inner integrals on the truncated sum).
     """
 
     name: str
@@ -95,7 +100,7 @@ class FunctionHandle:
     support_bound: Optional[float] = None
     polynomial_coeffs: Optional[Tuple[float, ...]] = None
     piecewise_linear: Optional[PiecewiseLinear] = None
-    antiderivative: Optional[Callable] = None
+    integral: Optional[Callable] = None
     kinks: Optional[Tuple[float, ...]] = None
 
     def __call__(self, x):
@@ -154,14 +159,26 @@ def _sin_second_modulus(delta: float, lo: float, hi: float) -> float:
     return max(value(h) for h in hs if 0.0 < h <= cap)
 
 
+def _sin_integral(a, b, t_lo, t_hi):
+    """Integrals of sin(A + B t) over [t_lo, t_hi] as dt sin(A + B t_mid) sin(u)/u,
+    u = B dt/2: a product, which does not cancel as B dt -> 0 the way a -cos
+    difference does.  sin(u)/u is 1 at u = 0 and at subnormal u (sin u = u), so
+    B = 0 gives sin(A) dt."""
+    dt = t_hi - t_lo
+    u = b * (0.5 * dt)
+    sinc = np.divide(np.sin(u), u, out=np.ones_like(u), where=u != 0.0)
+    values = dt * np.sin(a + b * (t_lo + 0.5 * dt)) * sinc
+    return values, 4.0 * _EPS * np.abs(values)
+
+
 def sine() -> FunctionHandle:
     # modulus over [0, inf): 2 sin(delta/2) for delta <= pi, else 2
     def mod(d):
         return 2.0 if d >= np.pi else float(2.0 * np.sin(d / 2.0))
 
     return FunctionHandle(
-        name="sin", evaluator=lambda x: np.sin(x), lip=(1.0, 1.0),
-        exact_modulus=mod, exact_second_modulus=_sin_second_modulus, kinks=(),
+        name="sin", evaluator=lambda x: np.sin(x), lip=(1.0, 1.0), exact_modulus=mod,
+        exact_second_modulus=_sin_second_modulus, integral=_sin_integral, kinks=(),
     )
 
 
@@ -193,8 +210,11 @@ def lip_handle(a: float, gamma: float) -> FunctionHandle:
     |Delta^2_h| = 2 v^g - (v + h)^g - (v - h)^g (v = |u| >= h) falls with v
     and rises with h.  Inside the window delta <= min(w_L, w_R) that is
     2 delta^g; with the kink outside [lo, hi], None (the grid answers).
-    The antiderivative sign(x - a) |x - a|^(gamma+1) / (gamma+1) integrates
-    across the kink exactly.
+    The integral of f(A + B t) over [t_lo, t_hi] takes one-sided pieces from the
+    kink: with y, z the ends' distances to it, far = max(y, z) and rho = |B| dt / far,
+    a side gives far^g dt (1 - (1 - rho)^(g+1)) / ((g+1) rho) by expm1 and log1p,
+    no difference of antiderivatives; both sides give (y^(g+1) + z^(g+1)) dt /
+    ((g+1)(y + z)).
     """
     if not 0 <= a < math.inf:
         raise DomainError(f"lip requires a finite a >= 0, got a={a}")
@@ -204,9 +224,20 @@ def lip_handle(a: float, gamma: float) -> FunctionHandle:
     def ev(x, _a=float(a), _g=float(gamma)):
         return np.abs(np.asarray(x, float) - _a) ** _g
 
-    def antiderivative(x, _a=float(a), _g=float(gamma)):
-        d = np.asarray(x, float) - _a
-        return np.sign(d) * np.abs(d) ** (_g + 1.0) / (_g + 1.0)
+    def integral(a, b, t_lo, t_hi, _a=float(a), _g=float(gamma)):
+        dt, lo = t_hi - t_lo, a + b * t_lo - _a
+        hi = lo + b * dt  # not a + b t_hi - kink, whose rounding is eps |a| near the kink
+        y, z, g1 = np.abs(lo), np.abs(hi), _g + 1.0
+        far = np.maximum(y, z)
+        rho = np.divide(np.abs(b) * dt, far, out=np.zeros_like(far), where=far > 0.0)
+        # rho > 1 where rounding moved an end onto the kink: the piece past it,
+        # (rho - 1)^(g+1) of far^(g+1), is dropped
+        side = np.divide(-np.expm1(g1 * np.log1p(-np.minimum(rho, 1.0 - _EPS / 2.0))),
+                         g1 * rho, out=np.ones_like(rho), where=rho > 0.0) * far ** _g * dt
+        cross = np.sign(lo) * np.sign(hi) < 0.0
+        s = np.where(cross, y + z, np.inf)  # y/s = z/s = 0 off the kink
+        values = np.where(cross, (y ** _g * (y / s) + z ** _g * (z / s)) * dt / g1, side)
+        return values, 8.0 * _EPS * np.abs(values)
 
     pl = absdev(a).piecewise_linear if gamma == 1.0 else None
     return FunctionHandle(
@@ -217,7 +248,7 @@ def lip_handle(a: float, gamma: float) -> FunctionHandle:
                 (2.0 - 2.0 ** _g) * min(d, (_a - lo) / 2.0) ** _g,
                 (2.0 - 2.0 ** _g) * min(d, (hi - _a) / 2.0) ** _g)
             if lo <= _a <= hi else None),
-        piecewise_linear=pl, antiderivative=antiderivative, kinks=(float(a),),
+        piecewise_linear=pl, integral=integral, kinks=(float(a),),
     )
 
 

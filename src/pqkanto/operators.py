@@ -44,7 +44,7 @@ Inner integrals, one path per integrand and regime:
 
   * polynomial f, any regime: exact monomial rule;
   * p = q = 1: piecewise-linear f exactly (trapezoids), else the handle's
-    antiderivative when it carries one (exact across kinks), else fixed
+    integral hook when it carries one (every builtin does), else fixed
     64-point Gauss-Legendre quadrature;
   * p = q < 1: RegimeError for anything but polynomials;
   * q < p, piecewise-linear f: exact geometric tail sums;
@@ -69,7 +69,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -78,7 +77,7 @@ from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import DomainError, RegimeError
-from .functions import FunctionHandle, PiecewiseLinear
+from .functions import _EPS, FunctionHandle, PiecewiseLinear
 from .pq_calculus import (
     PQPair,
     Scalar,
@@ -372,8 +371,6 @@ GREGORY = (1 / 2, -1 / 12, 1 / 24, -19 / 720, 3 / 160, -863 / 60480,
 #: Nodes summed directly on each side of a kink.
 KINK_WINDOW = 256
 
-_EPS = sys.float_info.epsilon
-
 
 def _log_product(p: float, tau: float) -> float:
     """ln(p tau) for p, tau > 0, as ln p + ln tau only where p tau underflows to 0."""
@@ -411,13 +408,14 @@ def _euler_maclaurin(f: FunctionHandle, a: np.ndarray, b: np.ndarray,
         sum_{j=s}^{e} G_j = (p/h) int_{t_e}^{t_s} f(A + B t) dt
                             + sum_i GREGORY[i] (Delta^i G_s + (-1)^i nabla^i G_e),
 
-    with no e-terms for e = inf.  The integral comes from the handle's
-    antiderivative, else from 64-point Gauss-Legendre on the range and on
-    its halves.  A kink at t = tau in (0, 1/p] (or up to KINK_WINDOW nodes
-    beyond 1/p) sits at j* = -ln(p tau)/h; the nodes within KINK_WINDOW of
-    j* are summed directly and the smooth ranges on either side get
-    Gregory ends.  The error estimate adds the first omitted Gregory
-    term, the integral's estimate and a rounding floor of one ulp.
+    with no e-terms for e = inf.  The integral and its rounding estimate
+    come from the handle's integral hook, else from 64-point Gauss-Legendre
+    on the range and on its halves.  A kink at t = tau in (0, 1/p] (or up
+    to KINK_WINDOW nodes beyond 1/p) sits at j* = -ln(p tau)/h; the nodes
+    within KINK_WINDOW of j* are summed directly and the smooth ranges on
+    either side get Gregory ends.  The error estimate adds the first
+    omitted Gregory term, the integral's estimate and a rounding floor of
+    one ulp.
     """
     p = float(pq.p)
     one_minus_r = (p - float(pq.q)) / p
@@ -476,11 +474,8 @@ def _gregory_segment(f: FunctionHandle, a: np.ndarray, b: np.ndarray,
     with its error estimate, by Gregory's formula (see `_euler_maclaurin`)."""
     t_hi = math.exp(-start * h) / p
     t_lo = 0.0 if stop is None else math.exp(-stop * h) / p
-    if f.antiderivative is not None:
-        upper = f.antiderivative(a + b * t_hi)
-        lower = f.antiderivative(a + b * t_lo)
-        integral = (upper - lower) / b
-        err = _EPS * (np.abs(upper) + np.abs(lower)) / b
+    if f.integral is not None:
+        integral, err = f.integral(a, b, t_lo, t_hi)
     else:
         mid = 0.5 * (t_lo + t_hi)
         whole = _gauss_legendre(f, a, b, t_lo, t_hi)
@@ -495,7 +490,7 @@ def _gregory_segment(f: FunctionHandle, a: np.ndarray, b: np.ndarray,
         diffs = e * f(a[:, None] + b[:, None] / p * e[None, :])
         for g in GREGORY[:-1]:
             corr += g * diffs[:, 0]
-            diffs = np.diff(diffs, axis=1)
+            diffs = diffs[:, 1:] - diffs[:, :-1]
         err += np.abs(GREGORY[-1] * diffs[:, 0])
     total = main + corr
     return total, err + _EPS * (np.abs(main) + np.abs(corr))
@@ -604,9 +599,7 @@ def _inner_integrals(f: FunctionHandle, a: np.ndarray, b: np.ndarray,
     if pq.is_classical:
         if f.piecewise_linear is not None:
             return _pl_integrals_classical(f.piecewise_linear, a, b)
-        if f.antiderivative is not None:
-            return (f.antiderivative(a + b) - f.antiderivative(a)) / b
-        return _gl_integrals(f, a, b)
+        return _gl_integrals(f, a, b) if f.integral is None else f.integral(a, b, 0.0, 1.0)[0]
     if not pq.is_strict:
         raise RegimeError(
             "p = q < 1 supports only polynomial integrands (monomial rule); "

@@ -566,9 +566,16 @@ def test_huge_beta_one_error_line(tmp_path, argv):
     pytest.param(["eval", "--fn", "id", "--n", "1031", "--bn", "1e-300", "--p", "0.01",
                   "--q", "0.001", "--x", "5e-301"],
                  2, "error: operator value is not finite", id="node_scale_divides_by_zero"),
+    # A = B = 0 at every node: the integral hook gives f(0) dt, so the
+    # operator certifies its value (exit 3 before the hook) and bounds goes
+    # on to its closed forms, past the float range at this beta
     pytest.param(["bounds", "--fn", "lip:0.5:0.5", "--n", "2", "--m", "7", "--beta", "1e200",
                   "--bn", "1e-300", "--p", "1", "--q", "0.99999999999", "--grid", "5"],
-                 3, "convergence error: series integral needs", id="gregory_divides_by_zero_b"),
+                 2, "error: ([n+1] + beta)^2 is past the float range",
+                 id="gregory_divides_by_zero_b"),
+    pytest.param(["eval", "--fn", "lip:0.5:0.5", "--n", "2", "--m", "7", "--beta", "1e200",
+                  "--bn", "1e-300", "--p", "1", "--q", "0.99999999999", "--x", "0"],
+                 0, "0.707106781186547", id="gregory_hook_at_zero_b"),
     # p tau below the float range in the node count above a kink: ln p + ln tau
     pytest.param(["eval", "--fn", "bump:2", "--n", "1", "--x", "0.5", "--p", "1e-200",
                   "--q", "1e-201"],
@@ -611,6 +618,67 @@ def test_domain_edge_ends_in_a_value_or_one_line(tmp_path, capsys, argv, code, l
     assert (out if code else err) == ""
     written = [path.read_text().lower() for path in tmp_path.iterdir()]
     assert not written if code else not any("nan" in t or "inf" in t for t in written)
+
+
+def classical_oracle(fn, n, b_n, x):
+    """`eval` at p = q = 1 in 30 digits from the flags' doubles: Bernstein
+    weights at x/b_n times the integrals of f(A_k + B t) over [0, 1], with
+    A_k = k b_n/(n+1) and B = b_n/(n+1), by mp.quad split at the kink."""
+    with mp.workdps(30):
+        b_n, x = mp.mpf(float(b_n)), mp.mpf(float(x))
+        kink, gamma = (mp.mpf(float(v)) for v in fn.split(":")[1:]) if ":" in fn else (None, None)
+        f = mp.sin if kink is None else (lambda u: abs(u - kink) ** gamma)
+        s, big_b, total = x / b_n, b_n / (n + 1), mp.mpf(0)
+        for k in range(n + 1):
+            a = k * big_b
+            cut = [(kink - a) / big_b] if kink is not None and 0 < (kink - a) / big_b < 1 else []
+            inner = mp.quad(lambda t: f(a + big_b * t), [0] + cut + [1])
+            total += mp.binomial(n, k) * s ** k * (1 - s) ** (n - k) * inner
+        return total
+
+
+def subnormal_sin_series_oracle(n, b_n, p, q):
+    """`eval --fn sin --x 0` at q < p with subnormal nodes, where sin u = u
+    to every digit: only k = 0 counts, B_0 times the integral of t, B_0 =
+    b_n/[n+1] and the integral 1/(p + q)."""
+    with mp.workdps(30):
+        p, q = mp.mpf(p), mp.mpf(q)
+        bracket = mp.fsum(p ** (n - j) * q ** j for j in range(n + 1))
+        return mp.mpf(b_n) / bracket / (p + q)
+
+
+#: The least subnormal double: a value on the subnormal grid rounds each
+#: weight product to a multiple of it.
+TINY = 2.0 ** -1074
+
+
+@pytest.mark.parametrize("argv, want", [
+    # lip's classical integral without the antiderivative difference, which
+    # lost up to 2.8e-8 relative here, printed 0 at 1e-310 and exited 2 at
+    # 5e-324 (B = 0)
+    *(pytest.param(["--fn", "lip:1:0.5", "--bn", bn],
+                   lambda bn=bn: classical_oracle("lip:1:0.5", 60, bn, "0"), id=f"lip_bn_{bn}")
+      for bn in ("1e-2", "1e-4", "1e-6", "1e-8", "1e-310", "5e-324")),
+    pytest.param(["--fn", "sin", "--bn", "5e-324"],
+                 lambda: classical_oracle("sin", 60, "5e-324", "0"), id="sin_zero_b"),
+    pytest.param(["--fn", "sin", "--bn", "1e-310", "--x", "1e-311"],
+                 lambda: classical_oracle("sin", 60, "1e-310", "1e-311"), id="sin_subnormal_b"),
+    # the parent of the hook exited 3 here: the Gauss-Legendre estimate
+    # sent every node to the truncated sum
+    pytest.param(["--fn", "sin", "--bn", "1e-320", "--q", "0.9999999"],
+                 lambda: subnormal_sin_series_oracle(60, 1e-320, 1.0, 0.9999999),
+                 id="sin_subnormal_series"),
+])
+def test_domain_edge_integral_hook_values(tmp_path, capsys, argv, want):
+    # B = 0, subnormal B and tiny B against 30 digits: 1e-15 relative, or
+    # two steps of the subnormal grid
+    flags = dict(zip(argv[::2], argv[1::2]))
+    flags = {"--n": "60", "--x": "0", "--p": "1", "--q": "1", **flags}
+    assert run_cli(["eval"] + [v for kv in flags.items() for v in kv], tmp_path) == 0
+    out, err = capsys.readouterr()
+    value, want = float(out), want()
+    assert err == "" and (value > 0 or want < TINY)
+    assert abs(value - want) <= 1e-15 * abs(want) + 2 * TINY, (value, mp.nstr(want, 30))
 
 
 def test_write_text_bytes_and_parents(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,8 @@
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from pqkanto import DomainError, builtin, polynomial_handle
 from pqkanto.functions import PiecewiseLinear
@@ -75,14 +77,58 @@ def test_evaluator_maps_a_float_array_to_its_shape(f):
 
 
 def test_antiderivative_matches_evaluator():
-    for a, gamma in ((0.8, 0.5), (1.0, 0.3), (0.0, 0.7)):
-        h = builtin(f"lip:{a}:{gamma}")
-        for lo, hi in ((0.0, 0.5), (0.3, 1.9), (1.2, 4.0)):
-            kink = [a] if lo < a < hi else None
-            want, _err = quad(h.evaluator, lo, hi, points=kink,
-                              epsabs=1e-13, epsrel=1e-13, limit=200)
-            got = h.antiderivative(hi) - h.antiderivative(lo)
-            assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
+    # the integral hook against 30-digit quadrature at the same float A, B:
+    # within its own rounding estimate plus f's conditioning in A and B (one
+    # ulp of each, measured by the same quadrature), across and up to the
+    # kink, near-zero integrals of sin, A up to 1e3, B = 0, subnormal B and
+    # falling nodes (B < 0, as at p < 1 where the brackets fall)
+    eps = 2.0 ** -52
+    for name in ("sin", "lip:1:0.5", "lip:0.8:0.3", "lip:0:1", "lip:2:0.01"):
+        h = builtin(name)
+        kink = 0.0 if name == "sin" else float(name.split(":")[1])
+        mpf = (lambda u: mp.sin(u)) if name == "sin" else (
+            lambda u, g=mp.mpf(float(name.split(":")[2])), c=kink: abs(u - c) ** g)
+        near_zero = [(a, 2.0 * (math.pi - a), 0.0, 1.0) for a in (1.0, 3.0, 3.1)]
+        cases = near_zero + [
+            (0.0, 1.0, 0.0, 1.0), (0.9, 0.2, 0.0, 1.0), (0.5, 0.5, 0.0, 1.0), (1.0, 3.0, 0.25, 0.75),
+            (1e3, 1e-3, 0.0, 1.0), (1e3, 7.0, 0.1, 1.01), (999.5, 1.0, 0.0, 1.0), (2.5, 1e-9, 0.0, 1.0),
+            (0.3, 0.0, 0.0, 1.0), (0.3, 1e-310, 0.0, 1.0), (1e-311, 1e-310, 0.0, 1.0),
+            (kink, 0.7, 0.0, 1.0), (kink - 0.7, 0.7, 0.0, 1.0), (0.7, 1e-6, 1e-3, 1.0001),
+            (kink + 0.7, -0.7, 0.0, 1.0), (kink + 0.3, -0.7, 0.0, 1.0), (3.0, -1.0, 0.0, 1.0),
+            (kink - 0.2, -0.5, 0.0, 1.0)]
+        a, b = np.array([c[0] for c in cases]), np.array([c[1] for c in cases])
+        for t_lo, t_hi in ((0.0, 1.0), (0.125, 0.875)):
+            got, err = h.integral(a, b, t_lo, t_hi)
+            assert got.shape == err.shape == a.shape
+            assert np.all(err <= 8.0 * eps * np.abs(got))
+            with mp.workdps(30):
+                def exact(ai, bi):
+                    lo, hi = mp.mpf(t_lo), mp.mpf(t_hi)
+                    cut = [(kink - ai) / bi] if bi and lo < (kink - ai) / bi < hi else []
+                    return mp.quad(lambda t: mpf(ai + bi * t), [lo] + cut + [hi])
+                for k, (ai, bi) in enumerate(zip(map(mp.mpf, a), map(mp.mpf, b))):
+                    want = exact(ai, bi)
+                    d = eps * (abs(ai) + abs(bi) * t_hi + kink)
+                    cond = max(abs(exact(ai + s * d, bi * (1 + s2 * eps)) - want)
+                               for s in (-1, 0, 1) for s2 in (-1, 0, 1))
+                    assert abs(got[k] - want) <= err[k] + 2 * cond + 1e-320, (name, cases[k], t_lo)
+
+
+def test_lip_integral_with_an_end_on_the_kink():
+    # the last nodes of the unit operator at n = 648, A = k (1/649) and B =
+    # 1/649, reach the kink 1 within rounding.  At k = 648, A + B rounds onto
+    # it while the exact sum is 7.5e-17 past it, so |B| dt is 1 + 4.9e-14
+    # times the far end's distance: the hook divides by that ratio, not by
+    # one clipped below 1.  At k = 649, A is the kink, and A + B - 1 would
+    # round B by 2.3e-14 of it: the hook takes the upper end as lo + B dt.
+    h, s = builtin("lip:1:0.5"), 1.0 / 649
+    for k in (648, 649):
+        got, _err = h.integral(np.array([k * s]), np.array([s]), 0.0, 1.0)
+        with mp.workdps(40):
+            a, b = mp.mpf(k * s), mp.mpf(s)
+            big_f = lambda u: mp.sign(u - 1) * abs(u - 1) ** 1.5 / 1.5  # noqa: E731
+            want = (big_f(a + b) - big_f(a)) / b
+        assert abs(got[0] - want) <= 2e-16 * want, k
 
 
 def test_support_bound_is_honored():

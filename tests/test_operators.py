@@ -651,8 +651,8 @@ def sqrt_kink_series_oracle(a, b, p, q, kink):
 
 
 def with_kinks_only(handle):
-    """The handle's evaluator and kinks, nothing else: forces the general
-    series paths."""
+    """The handle's evaluator and kinks, nothing else (no integral hook):
+    forces the general series paths and Gauss-Legendre integrals."""
     return FunctionHandle(name="kinks-only", evaluator=handle.evaluator,
                           kinks=handle.kinks)
 
@@ -710,10 +710,23 @@ class TestSeriesPaths:
             assert np.all(err <= 1e-12 * np.abs(em)), h.name
             assert np.all(np.abs(em - summed) <= 1e-12 * np.abs(summed)), h.name
 
+    def test_falling_nodes_match_truncated_sum(self):
+        # at p < 1 the brackets fall, so B < 0 from node 2 on, and two of
+        # those nodes cross lip's kink: the integral hooks take |B| dt
+        pq = PQPair(0.6, 0.6 * 0.999)
+        a, b = _node_affine(OperatorParams(n=8, b_n=1.0), pq)
+        assert np.sum((b < 0) & (a > 1.2) & (a + b / pq.p < 1.2)) == 2
+        for h in (builtin("sin"), builtin("lip:1.2:0.5")):
+            em, err = _euler_maclaurin(h, a, b, pq)
+            summed = truncated_series(h, a, b, pq, 1e-14)
+            assert np.all(err <= 1e-12 * np.abs(em)), h.name
+            assert np.all(np.abs(em - summed) <= 1e-12 * np.abs(summed)), h.name
+
     @pytest.mark.parametrize("name", ["absdev:1", "bump:2", "absdev:3.1"])
     def test_piecewise_exact_matches_euler_maclaurin(self, name):
         # q/p -> 1, where the truncated sum cannot run: the exact geometric
-        # tail sums against the kink windows with Gauss-Legendre gaps
+        # tail sums against the kink windows with Gauss-Legendre gaps (the
+        # stripped handles carry no integral hook)
         pq, params = default_pq_params(200)
         a, b = _node_affine(params, pq)
         exact = _inner_integrals(builtin(name), a, b, pq, 1e-12)
@@ -721,7 +734,7 @@ class TestSeriesPaths:
         assert np.all(np.abs(em - exact) <= 1e-12 * np.maximum(np.abs(exact), 1e-300))
 
     def test_uncertified_nodes_fall_back(self):
-        # without its antiderivative, Gauss-Legendre next to the kink of
+        # without its integral hook, Gauss-Legendre next to the kink of
         # |t - 1|^0.5 misses the tolerance at some nodes; those, and only
         # those, take the truncated sum
         pq = PQPair(1.0, 0.9999)
@@ -753,8 +766,8 @@ class TestSeriesPaths:
         except RegimeError:
             taken.append("RegimeError")
         monkeypatch.undo()
-        # the classical antiderivative path is inline in _inner_integrals
-        return taken or ["antiderivative"]
+        # the classical integral hook is called inline in _inner_integrals
+        return taken or ["integral"]
 
     def test_path_pinned_per_builtin_and_regime(self, monkeypatch):
         near_one, params = default_pq_params(200)
@@ -765,12 +778,81 @@ class TestSeriesPaths:
               ["_pl_integrals_strict"]]
         expected = {
             "const1": poly, "id": poly, "square": poly,
-            "sin": [["_gl_integrals"], ["RegimeError"], ["truncated_series"],
-                    ["_euler_maclaurin"]],
+            "sin": [["integral"], ["RegimeError"], ["truncated_series"], ["_euler_maclaurin"]],
             "absdev:1": pl, "bump:2": pl, "lip:1:1": pl,
-            "lip:1:0.5": [["antiderivative"], ["RegimeError"], ["truncated_series"],
+            "lip:1:0.5": [["integral"], ["RegimeError"], ["truncated_series"],
                           ["_euler_maclaurin"]],
         }
         for name, paths in expected.items():
             got = [self.paths_taken(monkeypatch, builtin(name), params, pq) for pq in regimes]
             assert got == paths, name
+
+    @pytest.mark.parametrize("x", [0.0, 1.0, 5.0])
+    def test_no_builtin_reaches_gauss_legendre(self, monkeypatch, x):
+        # every builtin integrates in closed form in all four regimes, the
+        # kinked nodes' Gregory gaps included; a stripped sin still counts
+        near_one, params = default_pq_params(200)
+        calls = []
+        original = operators._gauss_legendre
+        monkeypatch.setattr(operators, "_gauss_legendre",
+                            lambda *args: calls.append(1) or original(*args))
+        names = ("const1", "id", "square", "sin", "absdev:1", "bump:2", "lip:1:1",
+                 "lip:1:0.5", "lip:0.3:0.7")
+        for pq in (P11, PQPair(0.9, 0.9), PQPair(0.9, 0.8), near_one):
+            for name in names:
+                try:
+                    apply_operator(builtin(name), x * float(params.b_n) / 5.0, params, pq)
+                except RegimeError:
+                    pass
+        assert calls == []
+        apply_operator(with_kinks_only(builtin("sin")), 1.0, params, P11)
+        assert calls == [1]
+
+    def test_sin_n200_certifies_every_node(self, monkeypatch):
+        # the series-slow `eval sin n=200 q/p->1`: the product-form integral
+        # leaves every node on the Euler-Maclaurin path, with no truncated sum
+        pq, params = default_pq_params(200)
+        a, b = _node_affine(params, pq)
+        em, err = _euler_maclaurin(builtin("sin"), a, b, pq)
+        assert np.all(err <= 1e-12 * np.abs(em))
+        calls = []
+        monkeypatch.setattr(operators, "truncated_series",
+                            lambda *args: calls.append(1) or truncated_series(*args))
+        value = apply_operator(builtin("sin"), 0.35 * float(params.b_n), params, pq)
+        assert calls == [] and math.isfinite(value)
+
+    def test_gregory_ends_match_the_diff_loop(self):
+        # the end differences by slices take np.diff's operations: every bit
+        # of the sums and estimates is the same, with and without the hook
+        pq = PQPair(1.0, 0.999)
+        p, h = 1.0, -math.log1p(-0.001)
+        a, b = _node_affine(OperatorParams(n=30, m=2, alpha=0.5, beta=1.0, b_n=3.0), pq)
+
+        def diff_loop(f, start, stop):
+            t_hi = math.exp(-start * h) / p
+            t_lo = 0.0 if stop is None else math.exp(-stop * h) / p
+            if f.integral is not None:
+                integral, err = f.integral(a, b, t_lo, t_hi)
+            else:
+                mid = 0.5 * (t_lo + t_hi)
+                whole = operators._gauss_legendre(f, a, b, t_lo, t_hi)
+                integral = (operators._gauss_legendre(f, a, b, t_lo, mid)
+                            + operators._gauss_legendre(f, a, b, mid, t_hi))
+                err = np.abs(whole - integral)
+            main, err = (p / h) * integral, (p / h) * err
+            corr = np.zeros_like(a)
+            steps = np.arange(len(operators.GREGORY))
+            for js in [start + steps] + ([] if stop is None else [stop - steps]):
+                e = np.exp(-js * h)
+                diffs = e * f(a[:, None] + b[:, None] / p * e[None, :])
+                for g in operators.GREGORY[:-1]:
+                    corr += g * diffs[:, 0]
+                    diffs = np.diff(diffs, axis=1)
+                err += np.abs(operators.GREGORY[-1] * diffs[:, 0])
+            return main + corr, err + operators._EPS * (np.abs(main) + np.abs(corr))
+
+        for f in (builtin("sin"), builtin("lip:1:0.5"), with_kinks_only(builtin("sin"))):
+            for start, stop in ((0, None), (3, 40), (300, None)):
+                got = operators._gregory_segment(f, a, b, p, h, start, stop)
+                want = diff_loop(f, start, stop)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want)), (f.name, start)
