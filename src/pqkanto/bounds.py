@@ -13,36 +13,20 @@ every point of the grid by one call.  The first two bounds are proven
 inequalities for a positive operator that reproduces constants, so with
 exact moduli they must hold at every point; `holds_*` flags assert
 exactly that and are set only when the first modulus comes from global
-exact metadata: never from a grid estimate (a lower bound of the true
-modulus, which could fake a violation), nor from a modulus over the hull.
+exact metadata, not from a modulus over the hull.
 
 Moduli are measured over the node hull [0, node_hull_max], which is not
 where the operator reads f: for p < 1 the nodes reach past it (bounds-grid's
 setting 0 reads f up to 5.42 against 1.527), and for p < 1/2 below 0
 (ROADMAP.md, item 8, mends it).  `_Moduli` is the one routine for both orders.
 
-omega_1 over the domain is exact for a polynomial of degree <= 2 without
-exact metadata (square; `_quadratic_modulus`).  omega_2 over it is exact for
-const1, id, square, sin, lip with its kink in the domain
-(`exact_second_modulus`; `lip_handle` has the proof) and for
-piecewise-linear handles (absdev, bump; `_pl_second_modulus`).  A grid
-estimates omega_2 of lip with its kink outside the domain and omega_r (r =
-1, 2) of a handle without such structure.  f is sampled once on the
-DOMAIN_STEPS + 1 equally spaced base points x_i of the domain, spacing D =
-(hi - lo)/DOMAIN_STEPS, and the estimate is the largest |Delta^r_h f(x_i)|
-with x_i + r h in the domain over two kinds of offset h:
-
-  * the grid-aligned offsets h = j D <= delta, j <= k = floor(delta/D),
-    read off the base samples alone: for r = 1 the largest max - min over
-    windows of k + 1 consecutive samples; for r = 2 a table of the
-    per-offset maxima, prefix-maximised over j, which answers every delta
-    by lookup;
-  * the offset h = delta itself, which costs r evaluations of f at the
-    shifted base points.
-
-Every candidate is an admissible pair (x, h <= delta), so the estimate is
-a lower estimate of the true modulus.  A delta, a sample of f or a
-modulus that is not finite raises DomainError.
+Every modulus is exact, from the handle's structure, and f itself is never
+sampled.  omega_1 comes from `exact_modulus` (over [0, inf)), else over the
+domain for a polynomial of degree <= 2 (square; `_quadratic_modulus`).
+omega_2 over the domain comes from `exact_second_modulus` (const1, id,
+square, sin, lip; `lip_handle` has the proof), else for a piecewise-linear
+handle (absdev, bump; `_pl_second_modulus`).  A delta that none of them
+answers, and a delta or a modulus that is not finite, raises DomainError.
 """
 
 from __future__ import annotations
@@ -53,47 +37,44 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError
-from .functions import FunctionHandle, PiecewiseLinear
+from .functions import FunctionHandle
 from .moments import _direct_moments, peetre_bound_args
 from .operators import WEIGHT_BLOCK, OperatorParams, node_hull_max
 from .pq_calculus import PQPair
-
-#: Base points of the grid estimates: the domain in DOMAIN_STEPS equal
-#: steps.  Keeps grid bias below the tolerances asserted for the bundled
-#: test functions.
-DOMAIN_STEPS = 4096
 
 #: Multiplicative and additive slack when asserting a proven bound in floats.
 HOLDS_RTOL = 1e-9
 HOLDS_ATOL = 1e-12
 
-
-def _difference(order: int, values: Sequence[np.ndarray]) -> np.ndarray:
-    """Delta^order_h f(x) from [f(x), f(x + h), ..., f(x + order h)]."""
-    if order == 1:
-        return values[1] - values[0]
-    return values[2] - 2.0 * values[1] + values[0]
+#: Work (candidate rows times their kink terms) that the piecewise-linear
+#: omega_2 may spend on one delta: about K^4 for K kinks inside the domain,
+#: which 40 kinks stay under at any delta.
+PL_MAX_WORK = 2 ** 23
 
 
-def _pl_second_modulus(pl: PiecewiseLinear, deltas: Sequence[float], lo: float,
-                       hi: float) -> List[Optional[float]]:
-    """omega_2 over [lo, hi] of f = affine + sum c_k (x - k)_+ (kinks k
-    inside) at every delta: Delta^2_h f(x) = sum c_k max(0, h - |x + h - k|)
-    peaks at x = k - c h (c = 0, 1, 2) or an end, piecewise linearly in h
-    with breaks (k' - k)/j, (k - lo)/j, (hi - k)/j (j = 1, 2); a delta tries
-    those up to its cap and the cap, every delta's rows in one pass.  None
-    for a delta whose rows cost more than the grid table (~K^4, K kinks)."""
-    xs = np.asarray(pl.xs, dtype=float)
+def _pl_second_modulus(f: FunctionHandle, deltas: Sequence[float], lo: float,
+                       hi: float) -> List[float]:
+    """omega_2 over [lo, hi] of piecewise-linear f = affine + sum c_k (x - k)_+
+    (kinks k inside) at every delta: Delta^2_h f(x) = sum c_k max(0, h - |x + h - k|)
+    peaks at x = k - c h (c = 0, 1, 2) or an end, piecewise linearly in h with breaks
+    (k' - k)/j, (k - lo)/j, (hi - k)/j (j = 1, 2); a delta tries those up to its
+    cap and the cap, every delta's rows in one pass.  DomainError for a delta
+    whose rows cost more than PL_MAX_WORK."""
+    xs = np.asarray(f.piecewise_linear.xs, dtype=float)
     inside = (xs[1:] > lo) & (xs[1:] < hi)
-    k, c = xs[1:][inside], np.diff(pl.piece_at(xs)[1])[inside]
+    k, c = xs[1:][inside], np.diff(f.piecewise_linear.piece_at(xs)[1])[inside]
     caps = np.array([min(delta, (hi - lo) / 2.0) for delta in deltas])
     breaks = np.concatenate([(k[:, None] - k).ravel(), k - lo, hi - k])
     h = np.sort(np.concatenate([breaks, breaks / 2.0]))
     h = h[h > 0]
     below = np.searchsorted(h, caps, side="right")  # a delta's rows: h[:below] and its cap
-    fits = (below + 1) * (3 * k.size + 2) * k.size <= DOMAIN_STEPS * DOMAIN_STEPS // 2
-    top = int(below[fits].max(initial=0))
-    h = np.concatenate([h[:top], caps[fits]])[:, None]
+    costly = (below + 1) * (3 * k.size + 2) * k.size > PL_MAX_WORK
+    if costly.any():
+        raise DomainError(f"{f.name} has no exact omega_2 at delta {deltas[costly.argmax()]}: "
+                          f"its {k.size} kinks in [{lo}, {hi}] are too many for the "
+                          "piecewise-linear enumeration")
+    top = int(below.max(initial=0))
+    h = np.concatenate([h[:top], caps])[:, None]
     x = np.hstack([k - j * h for j in (0.0, 1.0, 2.0)] + [np.full_like(h, lo), hi - 2.0 * h])
     x = np.clip(x, lo, hi - 2.0 * h)
     total = np.zeros_like(x)
@@ -101,8 +82,7 @@ def _pl_second_modulus(pl: PiecewiseLinear, deltas: Sequence[float], lo: float,
         total += c_i * np.maximum(0.0, h - np.abs(x + h - k_i))
     rows = np.abs(total).max(axis=1)  # maxima are exact, in any grouping
     prefix = np.concatenate([[0.0], np.maximum.accumulate(rows[:top])])
-    best = iter(np.maximum(prefix[below[fits]], rows[top:]).tolist())
-    return [next(best) if fit else None for fit in fits]
+    return np.maximum(prefix[below], rows[top:]).tolist()
 
 
 def _quadratic_modulus(coeffs: Sequence[float], delta: float, lo: float, hi: float) -> float:
@@ -115,34 +95,14 @@ def _quadratic_modulus(coeffs: Sequence[float], delta: float, lo: float, hi: flo
     return max(abs(end(h)) for end in ends for h in [cap] + [v for v in vertices if 0.0 < v < cap])
 
 
-def _fill(out: List[Optional[float]], answers: Sequence[float]) -> List[float]:
-    """out with its None entries replaced by answers, in order."""
-    answers = iter(answers)
-    return [next(answers) if best is None else best for best in out]
-
-
 class _Moduli:
-    """omega_1 and omega_2 of one f over one domain, at any number of deltas.
-
-    `column` takes a column of deltas in passes: exact moduli (module
-    docstring) one call per delta, the piecewise-linear omega_2 one array
-    pass, and the grid the rest, sampling f at first use and at each
-    delta's offset h = delta.  Order 1 takes max - min over windows of
-    k + 1 base samples, from the window extrema over spans of 2^j that
-    the instance keeps: a rounded difference is monotone in each
-    argument and odd, so that is the largest |f(x_{i+j}) - f(x_i)| over
-    j <= k, bit for bit.  Order 2 loops over the offsets with one buffer
-    and grows its table only as far as the largest delta asked for.
-    `bound_reports` shares one instance across its x-grid, for one call.
-    """
+    """omega_1 and omega_2 of one f over one domain, at any number of deltas:
+    `column` makes one call of the exact moduli (module docstring) per delta
+    and one array pass of the piecewise-linear omega_2."""
 
     def __init__(self, f: FunctionHandle, domain: Tuple[float, float]):
         self.f = f
         self.lo, self.hi = domain
-        self._base: Optional[np.ndarray] = None
-        self._f_base: Optional[np.ndarray] = None
-        self._levels: List[Tuple[np.ndarray, np.ndarray]] = []
-        self._second: List[float] = [0.0]
 
     def __call__(self, order: int, delta: float) -> float:
         return self.column(order, [delta])[0]
@@ -165,74 +125,17 @@ class _Moduli:
                    for delta, best in zip(deltas, out)]
         todo = [delta for delta, best in zip(deltas, out) if best is None]
         if order == 2 and f.piecewise_linear is not None and todo:
-            out = _fill(out, _pl_second_modulus(f.piecewise_linear, todo, lo, hi))
-            todo = [delta for delta, best in zip(deltas, out) if best is None]
-        if todo:
-            out = _fill(out, self._grid(order, todo))
+            answers = iter(_pl_second_modulus(f, todo, lo, hi))
+            out = [next(answers) if best is None else best for best in out]
+        elif todo:
+            needs = ("exact_modulus or a polynomial of degree <= 2" if order == 1
+                     else "exact_second_modulus or piecewise_linear")
+            raise DomainError(f"{f.name} has no exact omega_{order} at delta {todo[0]}: "
+                              f"bounds needs {needs}")
         for delta, best in zip(deltas, out):
             if not np.isfinite(best):
                 raise DomainError(f"modulus of {f.name} overflows at delta {delta}")
         return out
-
-    def _grid(self, order: int, deltas: List[float]) -> List[float]:
-        if self._base is None:  # stored once sampled: a sample that raises raises again
-            # a subnormal step can round up and carry base points past hi
-            base = np.minimum(np.linspace(self.lo, self.hi, DOMAIN_STEPS + 1), self.hi)
-            self._f_base, self._base = self._sample(base), base
-        step = (self.hi - self.lo) / DOMAIN_STEPS
-        if step == 0:
-            raise DomainError(f"domain [{self.lo}, {self.hi}] is too narrow for a grid")
-        out = []
-        for delta in deltas:
-            # past a subnormal step, delta / step may be inf
-            best = self._grid_aligned(order, int(min(delta / step, DOMAIN_STEPS // order)))
-            ok = self._base + order * delta <= self.hi
-            if np.any(ok):
-                x = self._base[ok]
-                values = [self._f_base[ok]] + [self._sample(x + j * delta)
-                                               for j in range(1, order + 1)]
-                best = max(best, float(np.abs(_difference(order, values)).max()))
-            out.append(best)
-        return out
-
-    def _sample(self, x: np.ndarray) -> np.ndarray:
-        values = np.asarray(self.f.evaluator(x), dtype=float)
-        if not np.isfinite(values).all():
-            raise DomainError(f"{self.f.name} is not finite on [{self.lo}, {self.hi}]")
-        return values
-
-    def _grid_aligned(self, order: int, k: int) -> float:
-        """Largest |Delta^order_{jD} f(x_i)| over the offsets j <= k."""
-        f = self._f_base
-        if order == 1:
-            # level j: max and min over each span of 2^j samples; two spans
-            # of the longest level that fits cover each window of k + 1
-            levels = self._levels = self._levels or [(f, f)]
-            top = (k + 1).bit_length() - 1
-            while len(levels) <= top:
-                hi, lo = levels[-1]
-                span = 2 ** (len(levels) - 1)
-                levels.append((np.maximum(hi[:-span], hi[span:]),
-                               np.minimum(lo[:-span], lo[span:])))
-            hi, lo = levels[top]
-            rest = k + 1 - 2 ** top
-            hi = np.maximum(hi[:hi.size - rest], hi[rest:])
-            lo = np.minimum(lo[:lo.size - rest], lo[rest:])
-            # numpy leaves open which zero np.maximum returns, so an all-zero
-            # window may give -0.0; abs keeps the loop's +0.0
-            return abs(float((hi - lo).max()))
-        table = self._second
-        if k >= len(table):
-            # per offset j: (f[i + 2j] - 2 f[i + j]) + f[i] in one buffer
-            twice, buf = 2.0 * f, np.empty(f.size)
-            maxima = [table[-1]]
-            for j in range(len(table), k + 1):
-                m = f.size - 2 * j
-                out = np.subtract(f[2 * j:], twice[j:j + m], out=buf[:m])
-                np.abs(np.add(out, f[:m], out=out), out=out)
-                maxima.append(out.max())
-            table.extend(np.maximum.accumulate(maxima)[1:].tolist())
-        return table[k]
 
 
 @dataclass(kw_only=True)
@@ -296,7 +199,8 @@ def bound_reports(f: FunctionHandle, xs, params: OperatorParams, pq: PQPair,
             points = list(zip([float(f.evaluator(float(x))) for x in xs], first,
                               omega.column(2, deltas[1]), first[len(xs):]))
     except Exception:  # ask again point by point: the error is the first in (x, column) order
-        omega = _Moduli(f, domain)
+        # of a delta that is not finite or that no exact source answers, a modulus
+        # that overflows, and an error of f at x or of a closed form
         points = [(float(f.evaluator(float(x))), omega(1, a), omega(2, b), omega(1, c))
                   for x, a, b, c in zip(xs, *deltas)]
     reports = []

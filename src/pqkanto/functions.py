@@ -6,9 +6,9 @@ description, a Lipschitz pair (M, gamma), exact moduli of continuity, a
 support bound, its inner integrals in closed form, or the points where it
 is not smooth.
 The operator code exploits the structure (polynomials and
-piecewise-linear functions integrate exactly; known kinks open the
-Euler-Maclaurin series path); the bound code uses the moduli; everything
-else falls back to generic numerics.
+piecewise-linear functions integrate exactly; the integral hook serves
+p = q = 1 and, with known kinks, the Euler-Maclaurin series path); the
+bound code takes every modulus from it (`FunctionHandle` says what each needs).
 
 Builtin registry names (stable CLI surface):
 
@@ -17,6 +17,7 @@ Builtin registry names (stable CLI surface):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Tuple
@@ -86,10 +87,12 @@ class FunctionHandle:
     certifies f == 0 on [C, inf); `integral` maps (A, B, t_lo, t_hi) to the
     integrals of f(A + B t) over [t_lo, t_hi], node by node, and a bound on
     their own rounding (not on f's conditioning in A), for the classical
-    (p = q = 1) and Euler-Maclaurin inner integrals (without it they take
-    Gauss-Legendre quadrature); `kinks` lists the points where f is not
-    smooth (empty for f smooth on [0, inf), None when unknown, which keeps
-    the series inner integrals on the truncated sum).
+    (p = q = 1) inner integrals, else Gauss-Legendre, and the Euler-Maclaurin
+    ones, which also need `kinks`, the points where f is not smooth (empty
+    for f smooth on [0, inf), None when unknown), else the truncated sum.
+    `bound_reports` takes omega from `exact_modulus` or polynomial
+    coefficients of degree <= 2, omega_2 from `exact_second_modulus` or
+    `piecewise_linear`, and raises DomainError without them.
     """
 
     name: str
@@ -197,6 +200,33 @@ def absdev(a: float) -> FunctionHandle:
     )
 
 
+def _lip_second_modulus(a: float, g: float, delta: float, lo: float, hi: float) -> float:
+    """omega_2 of |x - a|^g over [lo, hi] (`lip_handle` has the proof).  With the
+    kink outside it cancels as u = h/c -> 0: below u = 0.4 it takes c^g sum_{k>=2}
+    C(g, k) (2 - 2^k) u^k, alternating and falling, to a term under a quarter
+    ulp; above, c^g (2 E(u) - E(2u)) with E(u) = expm1(g log1p(u))."""
+    if lo <= a <= hi:
+        return max(2.0 * min(delta, a - lo, hi - a) ** g,
+                   (2.0 - 2.0 ** g) * min(delta, (a - lo) / 2.0) ** g,
+                   (2.0 - 2.0 ** g) * min(delta, (hi - a) / 2.0) ** g)
+    if g == 1.0:  # f is affine on [lo, hi]
+        return 0.0
+    c, h = lo - a if a < lo else a - hi, min(delta, (hi - lo) / 2.0)
+    u = h / c
+    if u < 0.4:
+        total, coeff, power, k = 0.0, g * (g - 1.0) / 2.0, u * u, 2
+        while True:
+            term = coeff * (2.0 - 2.0 ** k) * power
+            total += term
+            if abs(term) <= 0.25 * _EPS * total:
+                return c ** g * total
+            coeff, power, k = coeff * (g - k) / (k + 1.0), power * u, k + 1
+    if math.isfinite(2.0 * u):
+        return c ** g * (2.0 * math.expm1(g * math.log1p(u)) - math.expm1(g * math.log1p(2.0 * u)))
+    # 2u past the float range: c^g <= 2^(-1023 g) (c + h)^g, cancelling only as 1 - g
+    return 2.0 * (c + h) ** g - c ** g - (c + 2.0 * h) ** g
+
+
 def lip_handle(a: float, gamma: float) -> FunctionHandle:
     """|x - a|^gamma for gamma in (0, 1]; member of Lip_1(gamma).
 
@@ -209,7 +239,9 @@ def lip_handle(a: float, gamma: float) -> FunctionHandle:
     where negative it is no larger in size than on one side.  On one side,
     |Delta^2_h| = 2 v^g - (v + h)^g - (v - h)^g (v = |u| >= h) falls with v
     and rises with h.  Inside the window delta <= min(w_L, w_R) that is
-    2 delta^g; with the kink outside [lo, hi], None (the grid answers).
+    2 delta^g.  With the kink outside [lo, hi], the one-sided |Delta^2_h|
+    peaks at the end nearer the kink, c from it, and h = min(delta, (hi -
+    lo)/2): 2 (c + h)^g - c^g - (c + 2h)^g.
     The integral of f(A + B t) over [t_lo, t_hi] takes one-sided pieces from the
     kink: with y, z the ends' distances to it, far = max(y, z) and rho = |B| dt / far,
     a side gives far^g dt (1 - (1 - rho)^(g+1)) / ((g+1) rho) by expm1 and log1p,
@@ -243,11 +275,7 @@ def lip_handle(a: float, gamma: float) -> FunctionHandle:
     return FunctionHandle(
         name=f"lip:{a:g}:{gamma:g}", evaluator=ev, lip=(1.0, float(gamma)),
         exact_modulus=lambda d, _g=float(gamma): float(d) ** _g,
-        exact_second_modulus=lambda d, lo, hi, _a=float(a), _g=float(gamma): (
-            max(2.0 * min(d, _a - lo, hi - _a) ** _g,
-                (2.0 - 2.0 ** _g) * min(d, (_a - lo) / 2.0) ** _g,
-                (2.0 - 2.0 ** _g) * min(d, (hi - _a) / 2.0) ** _g)
-            if lo <= _a <= hi else None),
+        exact_second_modulus=functools.partial(_lip_second_modulus, float(a), float(gamma)),
         piecewise_linear=pl, integral=integral, kinks=(float(a),),
     )
 

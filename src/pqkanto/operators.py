@@ -45,7 +45,7 @@ Inner integrals, one path per integrand and regime:
   * polynomial f, any regime: exact monomial rule;
   * p = q = 1: piecewise-linear f exactly (trapezoids), else the handle's
     integral hook when it carries one (every builtin does), else fixed
-    64-point Gauss-Legendre quadrature;
+    64-point Gauss-Legendre quadrature, the one path for such a handle;
   * p = q < 1: RegimeError for anything but polynomials;
   * q < p, piecewise-linear f: exact geometric tail sums;
   * q < p, general f: the series (p - q) sum_j t_j f(A + B t_j),
@@ -53,11 +53,11 @@ Inner integrals, one path per integrand and regime:
     `predicted_terms` = ceil(ln(rel_tol) / ln(q/p)) terms, about 72k at
     n = 50 on the default sequence.  When that count exceeds EM_MIN_TERMS
     and the handle declares its kinks (`FunctionHandle.kinks`, empty for
-    smooth f), the series is evaluated by Gregory's form of the
-    Euler-Maclaurin formula, with direct sums over a window of nodes
-    around each kink; its error estimate must reach rel_tol times the
-    value, node by node.  Every other case, and every node the
-    Euler-Maclaurin path cannot certify, takes the truncated sum.
+    smooth f) and carries an integral hook, the series is evaluated by
+    Gregory's form of the Euler-Maclaurin formula, with direct sums over a
+    window of nodes around each kink; its error estimate must reach
+    rel_tol times the value, node by node.  Every other case, and every
+    node the Euler-Maclaurin path cannot certify, takes the truncated sum.
 
 ConvergenceError is raised at once, before f is evaluated, when the
 truncated sum would need more than TERM_CAP terms, and otherwise when it
@@ -381,13 +381,13 @@ def _series_integrals(f: FunctionHandle, a: np.ndarray, b: np.ndarray,
                       pq: PQPair, rel_tol: float) -> np.ndarray:
     """Series integrals of f(A_k + B_k t) for every k, q < p.
 
-    Handles that declare their kinks take the Euler-Maclaurin path when
-    the truncated sum would need more than EM_MIN_TERMS terms; a node
-    whose error estimate there exceeds rel_tol times its value falls back
-    to `truncated_series`, which raises ConvergenceError at once when its
-    predicted term count exceeds TERM_CAP.
+    Handles that declare their kinks and carry an integral hook take the
+    Euler-Maclaurin path when the truncated sum would need more than
+    EM_MIN_TERMS terms; a node whose error estimate there exceeds rel_tol
+    times its value falls back to `truncated_series`, which raises
+    ConvergenceError at once when its predicted term count exceeds TERM_CAP.
     """
-    if f.kinks is None or predicted_terms(pq, rel_tol) <= EM_MIN_TERMS:
+    if f.kinks is None or f.integral is None or predicted_terms(pq, rel_tol) <= EM_MIN_TERMS:
         return truncated_series(f, a, b, pq, rel_tol)
     values, err = _euler_maclaurin(f, a, b, pq)
     bad = ~(err <= rel_tol * np.abs(values))
@@ -399,7 +399,7 @@ def _series_integrals(f: FunctionHandle, a: np.ndarray, b: np.ndarray,
 def _euler_maclaurin(f: FunctionHandle, a: np.ndarray, b: np.ndarray,
                      pq: PQPair) -> Tuple[np.ndarray, np.ndarray]:
     """Series integrals and their error estimates by Gregory's form of the
-    Euler-Maclaurin formula; f must declare its kinks.
+    Euler-Maclaurin formula; f must declare its kinks and carry an integral hook.
 
     With r = q/p, h = -ln r and G(u) = e^{-u} f(A + B e^{-u}/p), the
     series (p - q) sum_j t_j f(A + B t_j) is (1 - r) sum_j G(j h).  On a
@@ -408,10 +408,9 @@ def _euler_maclaurin(f: FunctionHandle, a: np.ndarray, b: np.ndarray,
         sum_{j=s}^{e} G_j = (p/h) int_{t_e}^{t_s} f(A + B t) dt
                             + sum_i GREGORY[i] (Delta^i G_s + (-1)^i nabla^i G_e),
 
-    with no e-terms for e = inf.  The integral and its rounding estimate
-    come from the handle's integral hook, else from 64-point Gauss-Legendre
-    on the range and on its halves.  A kink at t = tau in (0, 1/p] (or up
-    to KINK_WINDOW nodes beyond 1/p) sits at j* = -ln(p tau)/h; the nodes
+    with no e-terms for e = inf, and the integral and its rounding estimate
+    from the handle's hook.  A kink at t = tau in (0, 1/p] (or up to
+    KINK_WINDOW nodes beyond 1/p) sits at j* = -ln(p tau)/h; the nodes
     within KINK_WINDOW of j* are summed directly and the smooth ranges on
     either side get Gregory ends.  The error estimate adds the first
     omitted Gregory term, the integral's estimate and a rounding floor of
@@ -474,13 +473,7 @@ def _gregory_segment(f: FunctionHandle, a: np.ndarray, b: np.ndarray,
     with its error estimate, by Gregory's formula (see `_euler_maclaurin`)."""
     t_hi = math.exp(-start * h) / p
     t_lo = 0.0 if stop is None else math.exp(-stop * h) / p
-    if f.integral is not None:
-        integral, err = f.integral(a, b, t_lo, t_hi)
-    else:
-        mid = 0.5 * (t_lo + t_hi)
-        whole = _gauss_legendre(f, a, b, t_lo, t_hi)
-        integral = _gauss_legendre(f, a, b, t_lo, mid) + _gauss_legendre(f, a, b, mid, t_hi)
-        err = np.abs(whole - integral)
+    integral, err = f.integral(a, b, t_lo, t_hi)
     main = (p / h) * integral
     err = (p / h) * err
     corr = np.zeros_like(a)
@@ -504,18 +497,12 @@ def _gl_rule() -> Tuple[np.ndarray, np.ndarray]:
     return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
-def _gauss_legendre(f: FunctionHandle, a: np.ndarray, b: np.ndarray, lo: float,
-                    hi: float) -> np.ndarray:
-    """64-point Gauss-Legendre integrals of f(A_k + B_k t) over [lo, hi]."""
-    t_unit, w_unit = _gl_rule()
-    t = lo + (hi - lo) * t_unit
-    return f(a[:, None] + b[:, None] * t[None, :]) @ ((hi - lo) * w_unit)
-
-
 def _gl_integrals(f: FunctionHandle, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Classical integrals over [0,1] by 64-point Gauss-Legendre; exact to
-    machine precision for smooth f (the p = q = 1 path for general f)."""
-    return _gauss_legendre(f, a, b, 0.0, 1.0)
+    """Classical integrals of f(A_k + B_k t) over [0,1] by 64-point
+    Gauss-Legendre; exact to machine precision for smooth f (the p = q = 1
+    path of a handle with no other description)."""
+    t, w = _gl_rule()
+    return f(a[:, None] + b[:, None] * t[None, :]) @ w
 
 
 def _pl_edges(pl: PiecewiseLinear, a: np.ndarray, b: np.ndarray,

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from pqkanto import DomainError, FunctionHandle, OperatorParams, PQPair, RegimeError
-from pqkanto.bounds import DOMAIN_STEPS
+from pqkanto.bounds import PL_MAX_WORK
 from pqkanto.functions import PiecewiseLinear
 from pqkanto.moments import MOMENT_KEYS
 from pqkanto.pq_calculus import (Scalar, _brackets, pq_integer, pq_integral_monomial,
@@ -218,7 +218,12 @@ def direct_moments_fractions(params: OperatorParams, pq: PQPair, xs) -> list:
 
 
 # The moduli routines one delta at a time, as `bounds._Moduli` ran them
-# before it took whole columns of deltas.
+# before it took whole columns of deltas, with the grid estimate it ran
+# before it answered only from exact sources.
+
+#: Base points of the grid estimate: the domain in GRID_STEPS equal steps.
+GRID_STEPS = 4096
+
 
 def window_range(f: np.ndarray, width: int) -> float:
     """Largest max - min over the windows of `width` consecutive entries of
@@ -243,7 +248,7 @@ def pl_second_modulus(pl: PiecewiseLinear, delta: float, lo: float, hi: float):
     inside): Delta^2_h f(x) = sum c_k max(0, h - |x + h - k|) peaks at x =
     k - c h (c = 0, 1, 2) or an end, piecewise linearly in h with breaks
     (k' - k)/j, (k - lo)/j, (hi - k)/j (j = 1, 2); those and the cap are
-    tried.  None when that costs more than the grid table (~K^4, K kinks)."""
+    tried.  None when that costs more than the package's PL_MAX_WORK (~K^4, K kinks)."""
     xs = np.asarray(pl.xs, dtype=float)
     inside = (xs[1:] > lo) & (xs[1:] < hi)
     k, c = xs[1:][inside], np.diff(pl.piece_at(xs)[1])[inside]
@@ -251,7 +256,7 @@ def pl_second_modulus(pl: PiecewiseLinear, delta: float, lo: float, hi: float):
     breaks = np.concatenate([(k[:, None] - k).ravel(), k - lo, hi - k])
     h = np.concatenate([breaks, breaks / 2.0, [cap]])
     h = h[(h > 0) & (h <= cap)][:, None]
-    if h.size * (3 * k.size + 2) * k.size > DOMAIN_STEPS * DOMAIN_STEPS // 2:
+    if h.size * (3 * k.size + 2) * k.size > PL_MAX_WORK:
         return None
     x = np.hstack([k - j * h for j in (0.0, 1.0, 2.0)] + [np.full_like(h, lo), hi - 2.0 * h])
     x = np.clip(x, lo, hi - 2.0 * h)
@@ -267,9 +272,11 @@ def one_delta_modulus(f: FunctionHandle, order: int, delta: float, lo: float, hi
     grid, where f is sampled on the base points (none past hi) and at the
     offset h = delta on the base points that a boolean mask selects, and the
     aligned offsets j D <= delta are read off `window_range` (order 1) or
-    one maximum per offset (order 2).  The package's closed-form first
-    modulus of a polynomial of degree <= 2 is not transcribed here: this
-    grid is one of its oracles, mpmath the other."""
+    one maximum per offset (order 2).  Every grid candidate is an admissible
+    pair (x, h <= delta), so the grid is a lower estimate of the true
+    modulus: the oracle that every closed form must reach.  The package's
+    closed-form first modulus of a polynomial of degree <= 2 is not
+    transcribed here: this grid is one of its oracles, mpmath the other."""
     if not 0 <= delta < np.inf:
         raise DomainError(f"delta must be finite and nonnegative, got {delta}")
     if order == 1 and f.exact_modulus is not None:
@@ -291,12 +298,12 @@ def one_delta_modulus(f: FunctionHandle, order: int, delta: float, lo: float, hi
             return values
 
         # a subnormal step can round up and carry base points past hi
-        base = np.minimum(np.linspace(lo, hi, DOMAIN_STEPS + 1), hi)
+        base = np.minimum(np.linspace(lo, hi, GRID_STEPS + 1), hi)
         f_base = sample(base)
-        step = (hi - lo) / DOMAIN_STEPS
+        step = (hi - lo) / GRID_STEPS
         if step == 0:
             raise DomainError(f"domain [{lo}, {hi}] is too narrow for a grid")
-        k = int(min(delta / step, DOMAIN_STEPS // order))
+        k = int(min(delta / step, GRID_STEPS // order))
         if order == 1:
             best = window_range(f_base, k + 1)
         else:

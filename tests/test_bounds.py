@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 import sys
 import warnings
@@ -15,25 +16,27 @@ from pqkanto import (
     DomainError,
     OperatorParams,
     PQPair,
+    apply_operator,
     bound_reports,
     builtin,
     node_hull_max,
     polynomial_handle,
 )
 from pqkanto import bounds
-from pqkanto.bounds import BOUND_CSV_FIELDS, DOMAIN_STEPS, _Moduli, _pl_second_modulus
+from pqkanto.bounds import BOUND_CSV_FIELDS, _Moduli, _pl_second_modulus
 from pqkanto.cli import main as cli_main
 from pqkanto.functions import FunctionHandle, PiecewiseLinear
 from pqkanto.moments import _direct_moments, peetre_bound_args
 from pqkanto.operators import WEIGHT_BLOCK
 
-from oracles import one_delta_modulus, pl_second_modulus
+from oracles import (GRID_STEPS, apply_classical_reference, one_delta_modulus,
+                     pl_second_modulus, window_range)
 
 P11 = PQPair(1, 1)
 
 
 def stripped(handle):
-    """Same evaluator, no metadata: forces the grid estimators."""
+    """Same evaluator, no metadata: no exact modulus of either order."""
     return FunctionHandle(name="plain", evaluator=handle.evaluator)
 
 
@@ -48,7 +51,8 @@ class TestModulus:
         assert omega(1, lin, 0.2, (0.0, 2.0)) == pytest.approx(0.6, abs=1e-12)
 
     def test_constant_is_zero(self):
-        c = stripped(builtin("const1"))
+        # a constant without exact metadata takes the closed form of degree <= 2
+        c = polynomial_handle("c", (1.0,))
         assert omega(1, c, 0.5, (0.0, 1.0)) == 0.0
 
     def test_square_example(self):
@@ -64,15 +68,16 @@ class TestModulus:
     def test_grid_estimate_below_exact(self):
         h = builtin("absdev:1")
         for delta in (0.1, 0.5, 1.3):
-            est = omega(1, stripped(h), delta, (0.0, 4.0))
+            est = one_delta_modulus(stripped(h), 1, delta, 0.0, 4.0)
             assert est <= h.exact_modulus(delta) + 1e-12
 
     def test_nondecreasing_and_zero_at_zero(self):
-        h = stripped(builtin("sin"))
-        deltas = [0.0, 0.1, 0.5, 1.0, 2.0]
-        vals = [omega(1, h, d, (0.0, 8.0)) for d in deltas]
-        assert vals[0] == 0.0
-        assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
+        h = builtin("sin")
+        deltas = [0.0, 0.1, 0.5, 1.0, 2.0, 4.0]
+        for order in (1, 2):
+            vals = [omega(order, h, d, (0.0, 8.0)) for d in deltas]
+            assert vals[0] == 0.0
+            assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_rejects_negative_delta(self):
         with pytest.raises(DomainError):
@@ -85,8 +90,11 @@ class TestModulus:
 
 class TestSecondModulus:
     def test_linear_vanishes(self):
-        lin = polynomial_handle("lin", (2.0, -3.0))
-        assert omega(2, lin, 0.3, (0.0, 2.0)) == pytest.approx(0.0, abs=1e-12)
+        # a line's omega_2 comes from its piecewise-linear description (its
+        # coefficients alone give omega_1 only)
+        pl = PiecewiseLinear(xs=(0.0,), ys=(2.0,), end_slope=-3.0)
+        lin = FunctionHandle(name="lin", evaluator=pl, piecewise_linear=pl)
+        assert omega(2, lin, 0.3, (0.0, 2.0)) == 0.0
         # bump:2 is affine on [0, 1.9]: its kink at 2 lies outside
         assert omega(2, builtin("bump:2"), 0.9, (0.0, 1.9)) == 0.0
 
@@ -96,7 +104,7 @@ class TestSecondModulus:
 
     def test_square_grid_matches_exact(self):
         h = stripped(builtin("square"))
-        got = omega(2, h, 0.1, (0.0, 1.0))
+        got = one_delta_modulus(h, 2, 0.1, 0.0, 1.0)
         assert got == pytest.approx(0.02, abs=1e-4)
         assert got <= 0.02 + 1e-12
 
@@ -145,12 +153,28 @@ class TestBoundReport:
         assert rep.bias < 0
         assert rep.modulus_at_abs_bias == pytest.approx(abs(rep.bias))
 
-    def test_grid_moduli_set_no_flags(self):
-        h = stripped(builtin("sin"))
-        rep = bound_reports(h, [0.5], OperatorParams(n=4), PQPair(0.9, 0.8))[0]
+    def test_hull_moduli_set_no_flags(self):
+        # square's moduli are exact over the hull only, and it has no Lipschitz pair
+        rep = bound_reports(builtin("square"), [0.5], OperatorParams(n=4), PQPair(0.9, 0.8))[0]
         assert rep.holds_modulus is None
         assert rep.holds_lipschitz is None
         assert rep.lipschitz_bound is None
+
+    def test_no_structure_is_one_error(self):
+        # no exact modulus of either order: one DomainError naming the handle and
+        # what it lacks, while the operator still evaluates it at p = q = 1
+        h = FunctionHandle(name="plain", evaluator=np.exp)
+        params = OperatorParams(n=4)
+        with pytest.raises(DomainError) as error:
+            bound_reports(h, [0.0, 0.5, 1.0], params, PQPair(0.9, 0.8))
+        assert str(error.value).startswith("plain has no exact omega_1 at delta ")
+        assert str(error.value).endswith(
+            ": bounds needs exact_modulus or a polynomial of degree <= 2")
+        with pytest.raises(DomainError, match="^plain has no exact omega_2 at delta 0.1: bounds "
+                                              "needs exact_second_modulus or piecewise_linear$"):
+            omega(2, h, 0.1, (0.0, 1.0))
+        assert apply_operator(h, 0.5, params, P11) == pytest.approx(
+            apply_classical_reference(h, 0.5, params), rel=1e-12)
 
     def test_requires_normalized_mode(self):
         with pytest.raises(DomainError):
@@ -199,8 +223,11 @@ class TestBoundReport:
 
 
 class TestGridEstimator:
+    """The oracle's grid estimate stays below the closed forms; the reports'
+    moduli, operator values and moments."""
+
     DOMAIN = (0.0, 4.0)
-    STEP = 4.0 / DOMAIN_STEPS
+    STEP = 4.0 / GRID_STEPS
 
     @staticmethod
     def closed_forms(name, length):
@@ -219,39 +246,34 @@ class TestGridEstimator:
         h = stripped(builtin(name))
         om1, om2_upper = self.closed_forms(name, self.DOMAIN[1])
         for delta in (0.37 * self.STEP, 3.5 * self.STEP, 0.1, 1.3, 5.0):
-            assert omega(1, h, delta, self.DOMAIN) <= om1(delta) + 1e-12
-            assert omega(2, h, delta, self.DOMAIN) <= om2_upper(delta) + 1e-12
+            assert one_delta_modulus(h, 1, delta, *self.DOMAIN) <= om1(delta) + 1e-12
+            assert one_delta_modulus(h, 2, delta, *self.DOMAIN) <= om2_upper(delta) + 1e-12
 
     def test_reports_match_pointwise_in_any_order(self):
         params = OperatorParams(n=50, m=2, alpha=1.0, beta=2.0, b_n=3.0)
         pq = PQPair(0.9, 0.8)
         xs = [float(x) for x in np.linspace(0.0, 3.0, 9)]
-        for h in (stripped(builtin("sin")), builtin("square"), builtin("lip:0.5:0.5"),
-                  builtin("absdev:0.5")):
+        for h in (builtin("sin"), builtin("square"), builtin("lip:0.5:0.5"),
+                  builtin("lip:10:0.5"), builtin("absdev:0.5")):
             rows = bound_reports(h, xs, params, pq)
             assert rows == [bound_reports(h, [x], params, pq)[0] for x in xs]
-            # tables grown in another order give the same values
             assert bound_reports(h, xs[::-1], params, pq) == rows[::-1]
 
     def test_reports_sample_f_once(self):
-        # polynomial coefficients keep the operator off the evaluator, and
-        # without exact moduli, at degree 3, both orders go through the grid
-        cube = polynomial_handle("cube", (0.0, 0.0, 0.0, 1.0))
+        # polynomial coefficients keep the operator off the evaluator, and the
+        # moduli are closed forms: f is sampled once per x, for the error only
+        sq = builtin("square")
         points = []
 
         def counted(x):
             points.append(np.size(x))
-            return cube.evaluator(x)
+            return sq.evaluator(x)
 
-        h = FunctionHandle(name="cube", evaluator=counted,
-                           polynomial_coeffs=cube.polynomial_coeffs)
+        h = replace(sq, evaluator=counted)
         params = OperatorParams(n=50, m=2, alpha=1.0, beta=2.0, b_n=3.0)
         xs = np.linspace(0.0, 3.0, 9)
         bound_reports(h, xs, params, PQPair(0.9, 0.8))
-        assert sum(points) <= (2 + 4 * len(xs)) * (DOMAIN_STEPS + 1) + len(xs)
-        # one base sample serves both orders at every x; the offset h = delta
-        # never reaches past the last base point
-        assert points.count(DOMAIN_STEPS + 1) == 1
+        assert points == [1] * len(xs)
 
     def test_reports_share_one_operator_profile(self, monkeypatch):
         from pqkanto import apply_operator, operators
@@ -364,7 +386,7 @@ def mp_quadratic_modulus(coeffs, delta, lo, hi, steps=200):
 
 class TestQuadraticModulus:
     """omega_1 of a polynomial of degree <= 2 without exact metadata is a
-    closed form over the domain: no grid table is built."""
+    closed form over the domain."""
 
     # square on bounds-grid's first hull, inside it and past it; a concave f
     # whose ends both peak at h = 1/2; lo > 0 with the vertex of the hi end
@@ -380,14 +402,11 @@ class TestQuadraticModulus:
              ((3.0,), 0.7, (1.0, 4.0))]
 
     @pytest.mark.parametrize("coeffs, delta, domain", CASES)
-    def test_against_mpmath_and_the_grid(self, monkeypatch, coeffs, delta, domain):
+    def test_against_mpmath_and_the_grid(self, coeffs, delta, domain):
         h = polynomial_handle("quad", coeffs)
-        orders = count_grid_tables(monkeypatch)
         got = omega(1, h, delta, domain)
-        assert orders == []
         want = mp_quadratic_modulus(coeffs + (0.0,) * (3 - len(coeffs)), delta, *domain)
         assert abs(got - want) <= 1e-14 * want
-        assert omega(1, stripped(h), delta, domain) <= got + 1e-12
         assert one_delta_modulus(h, 1, delta, *domain) <= got + 1e-12
 
     def test_square_is_h_times_2H_minus_h(self):
@@ -399,21 +418,11 @@ class TestQuadraticModulus:
             assert omega(1, builtin("square"), delta, (0.0, hi)) == h * (2.0 * hi - h)
         assert builtin("square").exact_modulus is None
 
-    def test_degree_three_takes_the_grid(self, monkeypatch):
-        orders = count_grid_tables(monkeypatch)
+    def test_degree_three_has_no_exact_modulus(self):
         cube = polynomial_handle("cube", (0.0, 0.0, 1.0, 1.0))
-        got = omega(1, cube, 0.3, (0.0, 1.0))
-        assert orders == [1]
-        assert got == omega(1, stripped(cube), 0.3, (0.0, 1.0))
-
-
-def count_grid_tables(monkeypatch):
-    """The orders of every `_Moduli._grid_aligned` call from now on."""
-    orders = []
-    original = _Moduli._grid_aligned
-    monkeypatch.setattr(_Moduli, "_grid_aligned",
-                        lambda self, order, k: orders.append(order) or original(self, order, k))
-    return orders
+        with pytest.raises(DomainError, match="^cube has no exact omega_1 at delta 0.3: bounds "
+                                              "needs exact_modulus or a polynomial of degree"):
+            omega(1, cube, 0.3, (0.0, 1.0))
 
 
 def pl_brute_force(pl, delta, lo, hi, steps=150):
@@ -475,17 +484,18 @@ def lip_second_modulus(a, g, delta, lo, hi):
                k * min(delta, (a - lo) / 2.0) ** g, k * min(delta, (hi - a) / 2.0) ** g)
 
 
-def mp_lip_second_modulus(a, g, delta, lo, hi, steps=40):
-    """30-digit largest |Delta^2_h f(x)| of f = |x - a|^g over 0 < h <= cap =
+def mp_lip_second_modulus(a, g, delta, lo, hi, steps=40, digits=30):
+    """Largest |Delta^2_h f(x)|, to `digits` digits, of f = |x - a|^g over 0 < h <= cap =
     min(delta, (hi - lo)/2) and lo <= x <= hi - 2h, found without the
     closed form.  Off the lines where a point x + jh meets a or an end of
     [lo, hi], the gradient of Delta^2 vanishes only where Delta^2 = 0: its
     h-part 2 (f'(x + 2h) - f'(x + h)) is nonzero for g < 1 (f' falls on
     each side of a and changes sign across it), and for g = 1 its x-part
     is +-2 across the kink.  So the max lies on one of those lines (x = lo,
-    x = hi - 2h, x + jh = a) or on h = cap; each is searched by a dense
-    grid, then golden section around each grid maximum."""
-    with mp.workdps(30):
+    x = hi - 2h, and x + jh = a when a is in [lo, hi]) or on h = cap; each
+    is searched by a dense grid, then golden section around each grid
+    maximum."""
+    with mp.workdps(digits):
         a, g, lo, hi = mp.mpf(a), mp.mpf(g), mp.mpf(lo), mp.mpf(hi)
         cap = min(mp.mpf(delta), (hi - lo) / 2)
 
@@ -515,7 +525,7 @@ def mp_lip_second_modulus(a, g, delta, lo, hi, steps=40):
         for c0, c1 in ((lo, 0), (hi, -2), (a, 0), (a, -1), (a, -2)):
             top = min([cap] + ([(c0 - lo) / -c1] if c1 else [])
                       + ([(hi - c0) / (c1 + 2)] if c1 + 2 else []))
-            if top > 0:
+            if top > 0 and lo <= c0 <= hi:  # each line starts at x = c0, h = 0
                 best = max(best, search(lambda h: diff(c0 + c1 * h, h), top))
         return best
 
@@ -543,7 +553,7 @@ class TestSecondModulusOverHull:
         domain = (lo, lo + length)
         exact = omega(2, FunctionHandle(name="pl", evaluator=pl, piecewise_linear=pl),
                       delta, domain)
-        grid = omega(2, FunctionHandle(name="pl", evaluator=pl), delta, domain)
+        grid = one_delta_modulus(FunctionHandle(name="pl", evaluator=pl), 2, delta, *domain)
         assert grid <= exact + 1e-12
         assert exact <= pl_brute_force(pl, delta, *domain) + 1e-12
 
@@ -558,46 +568,45 @@ class TestSecondModulusOverHull:
         want = mp_sin_second_modulus(delta, *domain)
         got = omega(2, builtin("sin"), delta, domain)
         assert abs(got - want) <= 1e-13 * want
-        assert omega(2, stripped(builtin("sin")), delta, domain) <= got + 1e-12
+        assert one_delta_modulus(stripped(builtin("sin")), 2, delta, *domain) <= got + 1e-12
 
     @pytest.mark.parametrize("a, domain", [(0.5, (0.0, 1.5)), (1.2, (0.0, 1.5))])
-    def test_lip_window_edge_and_past_it(self, monkeypatch, a, domain):
-        # past the window the closed form answers too: no table is built
+    def test_lip_window_edge_and_past_it(self, a, domain):
         h = builtin(f"lip:{a}:0.5")
         edge = min(a - domain[0], domain[1] - a)
-        orders = count_grid_tables(monkeypatch)
         assert omega(2, h, edge, domain) == 2.0 * edge ** 0.5
-        past = {delta: omega(2, h, delta, domain)
-                for delta in (float(np.nextafter(edge, 2.0)), 0.6, 2.0)}
-        assert orders == []
-        for delta, got in past.items():
+        for delta in (float(np.nextafter(edge, 2.0)), 0.6, 2.0):
+            got = omega(2, h, delta, domain)
             assert got == lip_second_modulus(a, 0.5, delta, *domain)
-            assert omega(2, stripped(h), delta, domain) <= got + 1e-12
+            assert one_delta_modulus(stripped(h), 2, delta, *domain) <= got + 1e-12
 
-    def test_lip_kink_outside_the_hull_takes_the_grid(self, monkeypatch):
-        h = builtin("lip:2:0.5")
-        orders = count_grid_tables(monkeypatch)
-        got = omega(2, h, 0.4, (0.0, 1.5))
-        assert orders == [2]
-        assert got == omega(2, stripped(h), 0.4, (0.0, 1.5))
-
-    @pytest.mark.parametrize("a", [0.2, 0.5, 1.7])
-    @pytest.mark.parametrize("gamma", [1e-3, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("a", [0.05, 0.2, 0.5, 1.7, 2.0, 10.0, 1e6])
+    @pytest.mark.parametrize("gamma", [1e-3, 0.3, 0.5, 0.999, 1.0])
     @pytest.mark.parametrize("delta", [0.2, 0.45, 1.0])
     def test_lip_against_mpmath(self, a, gamma, delta):
-        # hull [0.2, 1.7]: the kink at lo, inside (window 0.3, w_R/2 = 0.6)
-        # and at hi; delta inside the window, between it and w_R/2, and
-        # past half the hull
+        # hull [0.2, 1.7]: the kink below lo, at lo, inside (window 0.3,
+        # w_R/2 = 0.6), at hi, and past hi at three distances (u = h/c from
+        # 0.375 down to 7.5e-7); delta inside the window, between it and
+        # w_R/2, and past half the hull
         lo, hi = 0.2, 1.7
         h = builtin(f"lip:{a}:{gamma}")
         got = omega(2, h, delta, (lo, hi))
-        want = mp_lip_second_modulus(a, gamma, delta, lo, hi)
-        # 1e-25: the 30-digit rounding where the true value is 0 (g = 1, a
-        # at an end)
-        assert abs(got - want) <= 1e-13 * want + 1e-25
-        assert omega(2, stripped(h), delta, (lo, hi)) <= got + 1e-12
+        outside = not lo <= a <= hi
+        # 50 digits: the kink far past hi cancels about 13 of them
+        want = mp_lip_second_modulus(a, gamma, delta, lo, hi, digits=50 if outside else 30)
+        if outside and gamma == 1.0:
+            assert got == 0.0 and abs(want) <= 1e-40
+        else:
+            # 1e-25: the 30-digit rounding where the true value is 0 (g = 1, a
+            # at an end); outside, the rounding of 2 E(u) - E(2u) grows as 1/(1 - g)
+            tol = 1e-13 / (1.0 - gamma) if outside else 1e-13
+            assert abs(got - want) <= tol * want + 1e-25
+        # the grid's second differences of f's values round by up to 4 eps max|f|,
+        # 9e-10 for the kink at 1e6 where f is near 1e6
+        rounding = 4.0 * np.finfo(float).eps * max(abs(lo - a), abs(hi - a)) ** gamma
+        assert one_delta_modulus(stripped(h), 2, delta, lo, hi) <= got + 1e-12 + rounding
         if gamma == 1.0:
-            pl = _pl_second_modulus(h.piecewise_linear, [delta], lo, hi)[0]
+            pl = _pl_second_modulus(h, [delta], lo, hi)[0]
             assert abs(got - pl) <= 1e-15 * pl
             assert pl.hex() == pl_second_modulus(h.piecewise_linear, delta, lo, hi).hex()
         if delta <= min(a - lo, hi - a):
@@ -606,59 +615,70 @@ class TestSecondModulusOverHull:
     def test_bound_reports_build_no_grid_table(self, tmp_path, monkeypatch):
         # both operator settings of perfbench's bounds-grid over its five
         # builtins: sqrt peetre_arg reaches 2.09 on the hull [0, 1.527] in
-        # the first; square's first modulus is a closed form too, so no
-        # order takes the grid, and f is never sampled on it
+        # the first.  The package has no grid: a modulus that no exact
+        # source answered would stop the operation with exit 2
         workloads = load_by_path("workloads", monkeypatch)
         monkeypatch.chdir(tmp_path)
-        orders = count_grid_tables(monkeypatch)
-        samples = []
-        sample = _Moduli._sample
-        monkeypatch.setattr(_Moduli, "_sample", lambda self, x: samples.append(x.size)
-                            or sample(self, x))
         for op in workloads.build("bounds-grid", 3):
             assert cli_main(list(op.argv)) == 0, op.id
-            assert orders == [] and samples == [], op.id
+
+    @pytest.mark.parametrize("gamma", [1e-3, 0.5, 0.999])
+    def test_lip_kink_a_subnormal_distance_below_lo(self, gamma):
+        # c = 1e-310 and h = 1: 2 h / c is past the float range, so the value
+        # is taken as written, which loses digits only as 1 - g
+        lo, hi = 1e-310, 2.0
+        h = builtin(f"lip:0:{gamma}")
+        got = omega(2, h, 1.0, (lo, hi))
+        with mp.workdps(50):
+            c = mp.mpf(lo)
+            want = 2 * (c + 1) ** gamma - c ** gamma - (c + 2) ** gamma
+        assert abs(got - want) <= 1e-13 / (1.0 - gamma) * want
+        assert one_delta_modulus(stripped(h), 2, 1.0, lo, hi) <= got + 1e-12
+
+    def test_bounds_with_the_kink_past_the_hull(self, tmp_path):
+        # `bounds --fn lip:10:0.5`: its omega_2 column is the closed form at the
+        # hull's end, to 50 digits, and never below the grid estimate it
+        # replaced (the oracle's grid, which printed that column before)
+        params, pq = OperatorParams(n=8), PQPair(0.95, 0.9)
+        assert cli_main(["bounds", "--fn", "lip:10:0.5", "--n", "8", "--p", "0.95", "--q", "0.9",
+                         "--grid", "9", "--out", str(tmp_path / "b.csv")]) == 0
+        with open(tmp_path / "b.csv") as handle:
+            rows = list(csv.DictReader(handle))
+        hull = node_hull_max(params, pq)
+        plain = stripped(builtin("lip:10:0.5"))
+        for row in rows:
+            delta = float(np.sqrt(max(float(row["peetre_arg"]), 0.0)))
+            got = float(row["second_modulus_at_sqrt_peetre"])
+            with mp.workdps(50):
+                c, h = 10 - mp.mpf(hull), min(mp.mpf(delta), mp.mpf(hull) / 2)
+                want = 2 * mp.sqrt(c + h) - mp.sqrt(c) - mp.sqrt(c + 2 * h)
+            assert abs(got - want) <= 2e-13 * want, row["x"]
+            assert got >= one_delta_modulus(plain, 2, delta, 0.0, hull), row["x"]
 
     @pytest.mark.parametrize("kinks, enumerated", [(30, True), (100, False)])
-    def test_many_kinks_stay_bounded(self, monkeypatch, kinks, enumerated):
+    def test_many_kinks_stay_bounded(self, kinks, enumerated):
         # the enumeration costs about K^4 for K kinks inside the hull: at 30
-        # it still runs, at 100 the grid answers instead
+        # it still runs, at 100 it raises at once, naming the kink count
         xs = tuple(np.linspace(0.0, 3.0, kinks + 1))
         pl = PiecewiseLinear(xs=xs, ys=tuple(np.cos(7.0 * np.array(xs))), end_slope=0.5)
-        orders = count_grid_tables(monkeypatch)
-        got = omega(2, FunctionHandle(name="pl", evaluator=pl, piecewise_linear=pl),
-                    2.0, (0.0, 3.5))
-        assert (orders == []) == enumerated
-        grid = omega(2, FunctionHandle(name="pl", evaluator=pl), 2.0, (0.0, 3.5))
-        assert grid <= got + 1e-12
-        assert enumerated or got == grid
+        h = FunctionHandle(name="pl", evaluator=pl, piecewise_linear=pl)
+        if not enumerated:
+            with pytest.raises(DomainError, match=r"^pl has no exact omega_2 at delta 2.0: its "
+                                                  r"100 kinks in \[0.0, 3.5\] are too many"):
+                omega(2, h, 2.0, (0.0, 3.5))
+            return
+        got = omega(2, h, 2.0, (0.0, 3.5))
+        assert one_delta_modulus(FunctionHandle(name="pl", evaluator=pl), 2, 2.0, 0.0, 3.5) \
+            <= got + 1e-12
 
 
-def offset_maxima(f_base, order):
-    """Entry j - 1 is the largest |Delta^order_{jD} f(x_i)|, for j = 1, 2, ..."""
-    maxima = []
-    for j in range(1, (f_base.size - 1) // order + 1):
-        m = f_base.size - order * j
-        values = [f_base[i * j: i * j + m] for i in range(order + 1)]
-        diff = values[1] - values[0] if order == 1 else values[2] - 2.0 * values[1] + values[0]
-        maxima.append(float(np.abs(diff).max()))
-    return maxima
-
-
-def reference_table(f_base, order):
-    """The per-offset loop the grid kernels replace: entry k is the largest
-    |Delta^order_{jD} f(x_i)| over the offsets j <= k."""
+def reference_table(f_base):
+    """The per-offset loop that `oracles.window_range` replaces: entry k is
+    the largest |f(x_{i+j}) - f(x_i)| over the offsets j <= k."""
     table = [0.0]
-    for best in offset_maxima(f_base, order):
-        table.append(max(table[-1], best))
+    for j in range(1, f_base.size):
+        table.append(max(table[-1], float(np.abs(f_base[j:] - f_base[:-j]).max())))
     return table
-
-
-def kernel(f_base):
-    """A _Moduli whose base samples are f_base."""
-    moduli = _Moduli(FunctionHandle(name="samples", evaluator=None), (0.0, 1.0))
-    moduli._f_base = np.asarray(f_base, dtype=float)
-    return moduli
 
 
 def assert_same_bits(got, want):
@@ -667,57 +687,27 @@ def assert_same_bits(got, want):
 
 
 class TestGridKernels:
-    """The window range (order 1) and the buffered offset loop (order 2)
-    equal the per-offset loop bit for bit at every k."""
+    """The oracle's window range, by doubling, equals the per-offset loop bit
+    for bit at every width: its grid is the lower estimate that the closed
+    forms are held to."""
 
     # node_hull_max of the two operator settings of perfbench's bounds-grid
     HULLS = (1.5271657522561723, 1.7716868861038455)
-
-    @staticmethod
-    def sampled(evaluator, hi):
-        return np.asarray(evaluator(np.linspace(0.0, hi, DOMAIN_STEPS + 1)), dtype=float)
 
     @pytest.mark.parametrize("hi", HULLS)
     @pytest.mark.parametrize("name", ["sin", "absdev:0.5", "lip:0.5:0.5", "bump:2", "square",
                                       "const1"])
     def test_builtins_at_every_k(self, name, hi):
-        f_base = self.sampled(builtin(name).evaluator, hi)
-        for order in (1, 2):
-            ks = range(DOMAIN_STEPS // order + 1)
-            moduli = kernel(f_base)
-            assert_same_bits([moduli._grid_aligned(order, k) for k in ks],
-                             reference_table(f_base, order))
-
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_request_order(self, order):
-        # sin(200 x) has per-offset maxima that rise and fall with j
-        f_base = self.sampled(lambda x: np.sin(200.0 * x), self.HULLS[0])
-        want = reference_table(f_base, order)
-        top = DOMAIN_STEPS // order
-        for ks in ([0, 1, 7, 300, top], [top, 300, 7, 1, 0], [5, 5, 300, 5, 300, 0, 300],
-                   [300, top]):
-            moduli = kernel(f_base)
-            assert_same_bits([moduli._grid_aligned(order, k) for k in ks],
-                             [want[k] for k in ks])
-
-    def test_second_table_grown_in_two_steps(self):
-        f_base = self.sampled(lambda x: np.sin(200.0 * x), self.HULLS[1])
-        want = reference_table(f_base, 2)
-        # the offset j = 301 alone does not reach the maximum over j <= 300
-        assert offset_maxima(f_base, 2)[300] < want[300]
-        moduli = kernel(f_base)
-        moduli._grid_aligned(2, 300)
-        assert len(moduli._second) == 301
-        moduli._grid_aligned(2, 2048)
-        assert_same_bits(moduli._second, want)
+        f_base = np.asarray(builtin(name).evaluator(np.linspace(0.0, hi, GRID_STEPS + 1)),
+                            dtype=float)
+        assert_same_bits([window_range(f_base, k + 1) for k in range(GRID_STEPS + 1)],
+                         reference_table(f_base))
 
     def test_signed_zeros(self):
         for f_base in ([-0.0, 0.0, -0.0, 0.0, 0.0], [0.0, -0.0, -0.0, 0.0, -0.0]):
-            for order in (1, 2):
-                moduli = kernel(f_base)
-                want = reference_table(moduli._f_base, order)
-                assert_same_bits([moduli._grid_aligned(order, k) for k in range(len(want))],
-                                 want)
+            f_base = np.asarray(f_base)
+            assert_same_bits([window_range(f_base, k + 1) for k in range(f_base.size)],
+                             reference_table(f_base))
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40),
@@ -726,34 +716,25 @@ class TestGridKernels:
         f_base = np.asarray(samples, dtype=float)
         # differences of finite samples may overflow to inf in both kernels
         with np.errstate(over="ignore"):
-            self.check_random_samples(f_base, rng)
-
-    @staticmethod
-    def check_random_samples(f_base, rng):
-        for order in (1, 2):
-            want = reference_table(f_base, order)
+            want = reference_table(f_base)
             ks = [rng.randrange(len(want)) for _ in range(6)] + list(range(len(want)))
-            moduli = kernel(f_base)
-            assert_same_bits([moduli._grid_aligned(order, k) for k in ks],
-                             [want[k] for k in ks])
+            assert_same_bits([window_range(f_base, k + 1) for k in ks], [want[k] for k in ks])
 
 
 class TestColumns:
     """A column of deltas equals the single-delta routine of
-    `oracles.one_delta_modulus` bit for bit, and takes whole columns."""
+    `oracles.one_delta_modulus` bit for bit where an exact source answers,
+    and raises at its first nonzero delta where none does."""
 
     @staticmethod
     def deltas(lo, hi):
         # 0, the least subnormal, one grid step, past half the domain and
         # past the domain; unsorted, with repeats
-        step = (hi - lo) / DOMAIN_STEPS
+        step = (hi - lo) / GRID_STEPS
         half = float(np.nextafter((hi - lo) / 2.0, np.inf))
         return [0.3, 0.0, 5e-324, step, 0.1, half, 1.5 * (hi - lo), 0.1, step, 0.0, 0.05, 0.3]
 
-    # the last two domains' subnormal steps round up (1.5 units to 2), so
-    # base points lie past hi; on the last, hi + delta rounds back to hi for
-    # the least deltas, so hi is kept and the points past hi, which come
-    # before it in the base grid, are not
+    # the last two domains are 6144 subnormal units wide
     @pytest.mark.parametrize("domain", [(0.0, TestGridKernels.HULLS[0]), (0.3, 2.2),
                                         (0.0, 6144 * 5e-324),
                                         (2.0 ** -1020, 2.0 ** -1020 + 6144 * 5e-324)])
@@ -763,22 +744,33 @@ class TestColumns:
     def test_equal_one_delta_at_a_time(self, name, domain, strip):
         h = stripped(builtin(name)) if strip else builtin(name)
         if name == "square" and not strip:
-            # its first modulus is a closed form (TestQuadraticModulus); without
-            # its coefficients it keeps its exact omega_2 and takes the grid for omega_1
+            # its first modulus is a closed form (TestQuadraticModulus) that the
+            # oracle does not transcribe; without its coefficients it has none
             h = replace(h, polynomial_coeffs=None)
         deltas = self.deltas(*domain)
         for order in (1, 2):
-            want = [one_delta_modulus(h, order, delta, *domain) for delta in deltas]
-            assert_same_bits(_Moduli(h, domain).column(order, deltas), want)
-            # and one delta at a time through the same instance
             moduli = _Moduli(h, domain)
+            if strip or (name == "square" and order == 1):
+                with pytest.raises(DomainError, match=rf"^{h.name} has no exact "
+                                                      rf"omega_{order} at delta 0.3: "):
+                    moduli.column(order, deltas)
+                for delta in deltas:
+                    if delta:
+                        with pytest.raises(DomainError, match=f"at delta {delta}: bounds needs"):
+                            moduli(order, delta)
+                    else:
+                        assert moduli(order, delta) == 0.0
+                continue
+            want = [one_delta_modulus(h, order, delta, *domain) for delta in deltas]
+            assert_same_bits(moduli.column(order, deltas), want)
+            # and one delta at a time through the same instance
             assert_same_bits([moduli(order, delta) for delta in deltas], want)
 
-    def test_kinks_across_the_size_guard(self, monkeypatch):
-        # 41 kinks, the fewest whose rows can pass the guard (at 40 a delta has
-        # at most 1,682 rows of K(3K + 2) = 4,880 entries, under 4096^2 / 2):
-        # a delta enumerates up to the break 75/41 and takes the grid from
-        # the next one, 76/41, on, as one delta at a time does
+    def test_kinks_across_the_size_guard(self):
+        # 41 kinks, the fewest whose rows can pass PL_MAX_WORK (at 40 a delta has
+        # at most 1,682 rows of K(3K + 2) = 4,880 entries, under 2^23): a delta
+        # enumerates up to the break 75/41 and raises from the next one, 76/41,
+        # on; a column raises at its first such delta
         xs = tuple(np.linspace(0.0, 3.0, 42))
         pl = PiecewiseLinear(xs=xs, ys=tuple(np.cos(7.0 * np.array(xs))), end_slope=0.5)
         h = FunctionHandle(name="pl", evaluator=pl, piecewise_linear=pl)
@@ -787,10 +779,16 @@ class TestColumns:
         deltas = [0.01, 1.9, edge, 0.2, 2.5, float(np.nextafter(edge, 2.0)), past, 0.6, 0.2]
         enumerated = [pl_second_modulus(pl, delta, *domain) is not None for delta in deltas]
         assert enumerated == [True, False, True, True, False, True, False, True, True]
-        want = [one_delta_modulus(h, 2, delta, *domain) for delta in deltas]
-        orders = count_grid_tables(monkeypatch)
-        assert_same_bits(_Moduli(h, domain).column(2, deltas), want)
-        assert orders == [2] * enumerated.count(False)
+        fits = [delta for delta, fit in zip(deltas, enumerated) if fit]
+        assert_same_bits(_Moduli(h, domain).column(2, fits),
+                         [one_delta_modulus(h, 2, delta, *domain) for delta in fits])
+        with pytest.raises(DomainError, match=r"^pl has no exact omega_2 at delta 1.9: its 41 "
+                                              r"kinks in \[0.0, 4.0\] are too many for the "
+                                              r"piecewise-linear enumeration$"):
+            _Moduli(h, domain).column(2, deltas)
+        for delta in (delta for delta, fit in zip(deltas, enumerated) if not fit):
+            with pytest.raises(DomainError, match=f"at delta {delta}: its 41 kinks"):
+                _Moduli(h, domain)(2, delta)
 
     def test_bound_reports_take_three_columns_at_most(self, monkeypatch):
         calls = []
@@ -807,9 +805,10 @@ class TestColumns:
     @pytest.mark.parametrize("domain", [(0.0, 6144 * 5e-324),
                                         (2.0 ** -1020, 2.0 ** -1020 + 6144 * 5e-324)])
     def test_no_sample_past_hi(self, domain):
-        # the subnormal step rounds from 1.5 units up to 2, which put 1,023 base
-        # points of [0, 6144 units] past hi; every base point and offset now
-        # stays in the domain
+        # the moduli sample f nowhere: a handle without structure raises
+        # before any sample.  In the oracle's grid the subnormal step rounds
+        # from 1.5 units up to 2, which put 1,023 base points of [0, 6144
+        # units] past hi; every base point and offset there stays in the domain
         lo, hi = domain
         points = []
 
@@ -819,33 +818,27 @@ class TestColumns:
 
         h = FunctionHandle(name="probe", evaluator=probe)
         for order in (1, 2):
-            _Moduli(h, domain).column(order, self.deltas(lo, hi))
+            with pytest.raises(DomainError, match=f"^probe has no exact omega_{order}"):
+                _Moduli(h, domain).column(order, self.deltas(lo, hi))
+        assert points == []
+        for order in (1, 2):
             one_delta_modulus(h, order, 5e-324, lo, hi)
         sampled = np.concatenate(points)
-        assert sampled.size > 4 * (DOMAIN_STEPS + 1)
+        assert sampled.size > 4 * (GRID_STEPS + 1)
         assert lo <= sampled.min() and sampled.max() <= hi
 
     def test_offsets_read_no_point_past_hi(self):
-        # the step rounds from 1.5 units to 2, so base points past hi come
-        # before hi in the base grid, and hi + 2 units rounds back to hi: at
+        # in the oracle's grid the step rounds from 1.5 units to 2, so base
+        # points past hi come before hi, and hi + 2 units rounds back to hi: at
         # delta = 1 unit the offsets must take hi, not the first point past
-        # it, where this f starts to rise
+        # it, where this f starts to rise; the package has no estimate for it
         lo = 2.0 ** -1020
         hi = lo + 6144 * 5e-324
         h = FunctionHandle(name="rise", evaluator=lambda x: np.where(
             np.asarray(x) > hi, (np.asarray(x) - hi) * 2.0 ** 1000, 0.0))
-        assert _Moduli(h, (lo, hi)).column(2, [5e-324]) == [0.0]
+        with pytest.raises(DomainError, match="^rise has no exact omega_2"):
+            _Moduli(h, (lo, hi)).column(2, [5e-324])
         assert one_delta_modulus(h, 2, 5e-324, lo, hi) == 0.0
-
-    def test_a_failed_base_sample_fails_again(self):
-        # the base samples are kept only once they pass, so a second call on
-        # the same instance samples again and raises the same error
-        h = FunctionHandle(name="holey", evaluator=lambda x: np.where(np.asarray(x) > 0.5,
-                                                                      np.nan, 1.0))
-        moduli = _Moduli(h, (0.0, 1.0))
-        for order in (1, 2, 1):
-            with pytest.raises(DomainError, match=r"^holey is not finite on \[0.0, 1.0\]$"):
-                moduli(order, 0.1)
 
 
 class TestFirstError:
@@ -860,21 +853,14 @@ class TestFirstError:
         return (np.sqrt(central).tolist(), np.sqrt(np.maximum(peetre, 0.0)).tolist(),
                 np.abs(bias).tolist())
 
-    def test_grid_samples_fail_before_a_non_finite_bias(self):
+    def test_missing_source_fails_before_a_non_finite_bias(self):
         # alpha b_n [2] is past the float range in the printed first moment,
         # so |bias| (and peetre_arg) is inf at every x; the first modulus at
-        # x = 0 meets the hole of f in its base samples first
+        # x = 0, which no exact source answers, comes first
         params = OperatorParams(n=5, alpha=1e150, beta=1.3e154, b_n=1.5e158)
         pq, xs = PQPair(1.0, 0.9), [0.0, 1e150, 2e150]
         hull = node_hull_max(params, pq)
-
-        def holey(x):
-            x = np.asarray(x, dtype=float)
-            return np.where((x > 0.5 * hull) & (x < 0.6 * hull), np.nan, np.sqrt(x))
-
-        # no structure keeps omega_1 on the grid; the operator reads f only on
-        # its nodes, all within 1e5 of the hull's end (1.15e154), past the hole
-        h = FunctionHandle(name="holey", evaluator=holey)
+        h = FunctionHandle(name="root", evaluator=np.sqrt)
         central, _peetre, bias = self.delta_columns(params, pq, xs)
         assert np.isinf(bias).all() and all(0.0 < d < np.inf for d in central)
         # the order-1 column alone meets the non-finite delta first
@@ -882,28 +868,27 @@ class TestFirstError:
             _Moduli(h, (0.0, hull)).column(1, central + bias)
         with pytest.raises(DomainError) as error:
             bound_reports(h, xs, params, pq)
-        assert str(error.value) == "holey is not finite on [0.0, 1.153846153846154e+154]"
+        assert str(error.value) == (f"root has no exact omega_1 at delta {central[0]}: "
+                                    "bounds needs exact_modulus or a polynomial of degree <= 2")
 
     def test_non_finite_peetre_arg_before_a_modulus_overflow(self):
         # alpha^2 b_n^2 is past the float range in the printed peetre_arg, so
         # it is inf at every x; at x = b_n the nodes sit on x (central2 = 0),
         # so omega_2's delta is the first error; the order-1 column would
-        # first meet the jump of f, whose differences overflow, at x = 0
+        # first meet the overflow of f's exact modulus, at x = 0
         params = OperatorParams(n=5, alpha=1e150, beta=1e150, b_n=1e10)
         pq, xs = PQPair(1.0, 0.5), [1e10, 0.0]
         hull = node_hull_max(params, pq)
-        jump = 2048.5 * hull / DOMAIN_STEPS  # between two base points
-        # the operator reads the coefficients, about 1 on the nodes near 1e10;
-        # their cubic term keeps omega_1 on the grid
-        h = FunctionHandle(name="jump", polynomial_coeffs=(1.0, 0.0, 0.0, 1e-300),
-                           evaluator=lambda x: np.where(np.asarray(x) < jump, -1e308, 1e308))
+        # the operator reads the coefficients, about 1 on the nodes near 1e10
+        h = FunctionHandle(name="steep", polynomial_coeffs=(1.0, 0.0, 0.0, 1e-300),
+                           evaluator=lambda x: 1.0 + 1e-300 * np.asarray(x) ** 3,
+                           exact_modulus=lambda d: 2.0 ** d - 1.0)
         central, peetre, bias = self.delta_columns(params, pq, xs)
         assert central[0] == 0.0 and np.isinf(peetre).all() and np.isfinite(bias).all()
-        with np.errstate(over="ignore"):
-            with pytest.raises(DomainError, match="modulus of jump overflows at delta"):
-                _Moduli(h, (0.0, hull)).column(1, central + bias)
-            with pytest.raises(DomainError) as error:
-                bound_reports(h, xs, params, pq)
+        with pytest.raises(OverflowError):
+            _Moduli(h, (0.0, hull)).column(1, central + bias)
+        with pytest.raises(DomainError) as error:
+            bound_reports(h, xs, params, pq)
         assert str(error.value) == "delta must be finite and nonnegative, got inf"
         # under numpy's default warnings none is shown: the point order meets no overflow
         with warnings.catch_warnings(record=True) as caught:
@@ -924,28 +909,30 @@ class TestNonFinite:
 
     @pytest.mark.parametrize("order", [1, 2], ids=ORDER_IDS)
     def test_nan_base_samples(self, order):
-        # a stripped square that is nan on (0.5, 1]
-        h = self.handle(lambda x: np.where(np.asarray(x) > 0.5, np.nan, np.square(x)))
-        with pytest.raises(DomainError, match="holey"):
-            omega(order, h, 0.3, (0.0, 1.0))
+        # square's metadata on an evaluator that is nan on (0.5, 1]: the
+        # moduli never sample f, so they are square's
+        sq = builtin("square")
+        h = replace(sq, evaluator=lambda x: np.where(np.asarray(x) > 0.5, np.nan, np.square(x)))
+        assert omega(order, h, 0.3, (0.0, 1.0)) == omega(order, sq, 0.3, (0.0, 1.0))
 
     @pytest.mark.parametrize("order", [1, 2], ids=ORDER_IDS)
     def test_nan_shifted_samples(self, order):
-        # finite at the base points k / DOMAIN_STEPS, nan between them
+        # finite at the grid's base points k / GRID_STEPS, nan between them, and
+        # no structure: the one error names the handle, not its samples
         def between(x):
             x = np.asarray(x, dtype=float)
-            on_grid = np.abs(x * DOMAIN_STEPS - np.round(x * DOMAIN_STEPS)) < 1e-6
+            on_grid = np.abs(x * GRID_STEPS - np.round(x * GRID_STEPS)) < 1e-6
             return np.where(on_grid, x, np.nan)
 
         h = self.handle(between)
-        with pytest.raises(DomainError, match="holey"):
+        with pytest.raises(DomainError, match=f"^holey has no exact omega_{order} at delta 0.3"):
             omega(order, h, 0.3, (0.0, 1.0))
 
     @pytest.mark.parametrize("order", [1, 2], ids=ORDER_IDS)
     def test_overflowing_differences(self, order):
-        h = self.handle(lambda x: np.where(np.asarray(x) < 0.5, 1.5e308, -1.5e308))
-        with np.errstate(over="ignore"), pytest.raises(DomainError, match="holey"):
-            omega(order, h, 0.3, (0.0, 1.0))
+        # square's closed forms past the float range: h (2t + h) and 2 h^2
+        with pytest.raises(DomainError, match="^modulus of square overflows at delta 1e[+]200$"):
+            omega(order, builtin("square"), 1e200, (0.0, 1e300))
 
     @pytest.mark.parametrize("delta", [np.nan, np.inf])
     @pytest.mark.parametrize("order", [1, 2], ids=ORDER_IDS)
@@ -956,7 +943,9 @@ class TestNonFinite:
 
     def test_bound_reports(self):
         # the polynomial coefficients keep the operator off the evaluator,
-        # and xs avoid the nan piece, so only the grid moduli can see it
+        # and xs avoid the nan piece; the moduli never sample f: without an
+        # exact omega_2 the one error names the handle, and with square's
+        # the reports come out
         sq = builtin("square")
 
         def holey(x):
@@ -966,11 +955,10 @@ class TestNonFinite:
         params = OperatorParams(n=50, m=2, alpha=1.0, beta=2.0, b_n=3.0)
         xs = np.linspace(0.0, 3.0, 9)
         h = self.handle(holey, polynomial_coeffs=sq.polynomial_coeffs)
-        with pytest.raises(DomainError, match="holey"):
+        with pytest.raises(DomainError, match="^holey has no exact omega_2 at delta"):
             bound_reports(h, xs, params, PQPair(0.9, 0.8))
-        # the same handle without the hole reports
-        assert len(bound_reports(self.handle(np.square, polynomial_coeffs=sq.polynomial_coeffs),
-                                 xs, params, PQPair(0.9, 0.8))) == len(xs)
+        h = replace(h, exact_second_modulus=sq.exact_second_modulus)
+        assert len(bound_reports(h, xs, params, PQPair(0.9, 0.8))) == len(xs)
 
 
 def load_by_path(name, monkeypatch):

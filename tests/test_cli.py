@@ -550,16 +550,14 @@ def test_huge_beta_one_error_line(tmp_path, argv):
                   "--bn", "1e-200", "--grid", "3"],
                  2, "error: a bracket product the closed forms divide by underflows to 0",
                  id="peetre_divisor_underflows"),
-    # the omega_2 grid of lip with its kink past the hull: a hull of 3.6e-313,
-    # where delta / step is past the float range; then a hull of 3.5e-323, too
-    # narrow for a step, where square's closed-form omega_1 still gives values
+    # lip's closed-form omega_2 with its kink past the hull, on a hull of
+    # 3.6e-313 and of 3.5e-323, and square's closed forms on the latter
     pytest.param(["bounds", "--fn", "lip:1:0.5", "--n", "11", "--m", "8", "--p", "1e-17",
                   "--q", "1e-25", "--beta", "2.77e+06", "--grid", "5"],
                  0, "wrote bounds.csv", id="grid_step_subnormal"),
     pytest.param(["bounds", "--fn", "lip:1:0.5", "--n", "11", "--m", "8", "--p", "1e-17",
                   "--q", "1e-25", "--beta", "2.77e+06", "--bn", "1e-10", "--grid", "5"],
-                 2, "error: domain [0.0, 3.5e-323] is too narrow for a grid",
-                 id="grid_too_narrow"),
+                 0, "wrote bounds.csv", id="kink_past_a_subnormal_hull"),
     pytest.param(["bounds", "--fn", "square", "--n", "11", "--m", "8", "--p", "1e-17",
                   "--q", "1e-25", "--beta", "2.77e+06", "--bn", "1e-10", "--grid", "5"],
                  0, "wrote bounds.csv", id="grid_step_underflows"),

@@ -1,6 +1,7 @@
 import decimal
 import math
 import re
+from dataclasses import replace
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -652,9 +653,27 @@ def sqrt_kink_series_oracle(a, b, p, q, kink):
 
 def with_kinks_only(handle):
     """The handle's evaluator and kinks, nothing else (no integral hook):
-    forces the general series paths and Gauss-Legendre integrals."""
+    forces the truncated sum at q < p and Gauss-Legendre at p = q = 1."""
     return FunctionHandle(name="kinks-only", evaluator=handle.evaluator,
                           kinks=handle.kinks)
+
+
+def with_trapezoid_hook(name, pl):
+    """A handle for the piecewise-linear pl that the exact piecewise-linear
+    paths do not see: its evaluator, kinks and an integral hook that sums
+    trapezoids between the cuts of f(A + B t) at the kinks, with 8 eps times
+    the sum of their sizes as its rounding estimate."""
+    kinks = np.asarray(pl.xs[1:])
+
+    def integral(a, b, t_lo, t_hi):
+        tau = (kinks[None, :] - a[:, None]) / b[:, None]
+        cuts = np.sort(np.where((tau > t_lo) & (tau < t_hi), tau, t_hi), axis=1)
+        edges = np.hstack([np.full((len(a), 1), t_lo), cuts, np.full((len(a), 1), t_hi)])
+        g = pl(a[:, None] + b[:, None] * edges)
+        pieces = 0.5 * (g[:, 1:] + g[:, :-1]) * np.diff(edges, axis=1)
+        return pieces.sum(axis=1), 8.0 * operators._EPS * np.abs(pieces).sum(axis=1)
+
+    return FunctionHandle(name=name, evaluator=pl, kinks=pl.xs[1:], integral=integral)
 
 
 class TestSeriesPaths:
@@ -698,9 +717,10 @@ class TestSeriesPaths:
     def test_euler_maclaurin_agrees_with_truncated_sum(self, ratio):
         zigzag = PiecewiseLinear(xs=(0.0, 0.9, 0.905, 0.96, 1.4),
                                  ys=(0.0, 1.0, 0.2, 0.7, 0.1), end_slope=-1.0)
-        handles = [builtin("sin"), builtin("lip:1:0.5"), builtin("lip:0.5:0.3"),
-                   with_kinks_only(builtin("absdev:1")), with_kinks_only(builtin("bump:2")),
-                   FunctionHandle(name="zigzag", evaluator=zigzag, kinks=zigzag.xs[1:])]
+        handles = [builtin("sin"), builtin("lip:1:0.5"), builtin("lip:0.5:0.3")] + [
+            with_trapezoid_hook(name, pl) for name, pl in (
+                ("absdev:1", builtin("absdev:1").piecewise_linear),
+                ("bump:2", builtin("bump:2").piecewise_linear), ("zigzag", zigzag))]
         pq = PQPair(0.98, 0.98 * ratio)
         params = OperatorParams(n=30, m=2, alpha=0.5, beta=1.0, b_n=3.0)
         a, b = _node_affine(params, pq)
@@ -725,28 +745,52 @@ class TestSeriesPaths:
     @pytest.mark.parametrize("name", ["absdev:1", "bump:2", "absdev:3.1"])
     def test_piecewise_exact_matches_euler_maclaurin(self, name):
         # q/p -> 1, where the truncated sum cannot run: the exact geometric
-        # tail sums against the kink windows with Gauss-Legendre gaps (the
-        # stripped handles carry no integral hook)
+        # tail sums against the kink windows with the trapezoid hook's gaps
         pq, params = default_pq_params(200)
         a, b = _node_affine(params, pq)
         exact = _inner_integrals(builtin(name), a, b, pq, 1e-12)
-        em = _series_integrals(with_kinks_only(builtin(name)), a, b, pq, 1e-12)
+        em = _series_integrals(with_trapezoid_hook(name, builtin(name).piecewise_linear),
+                               a, b, pq, 1e-12)
         assert np.all(np.abs(em - exact) <= 1e-12 * np.maximum(np.abs(exact), 1e-300))
 
     def test_uncertified_nodes_fall_back(self):
-        # without its integral hook, Gauss-Legendre next to the kink of
-        # |t - 1|^0.5 misses the tolerance at some nodes; those, and only
-        # those, take the truncated sum
+        # lip's hook with a loose estimate on the nodes past A = 2: those, and
+        # only those, miss the tolerance and take the truncated sum
         pq = PQPair(1.0, 0.9999)
-        params = OperatorParams(n=200, b_n=5.85)
+        params = OperatorParams(n=40, b_n=5.85)
         a, b = _node_affine(params, pq)
-        h = with_kinks_only(builtin("lip:1:0.5"))
+        lip = builtin("lip:1:0.5")
+
+        def loose(a, b, t_lo, t_hi):
+            values, err = lip.integral(a, b, t_lo, t_hi)
+            return values, np.where(a > 2.0, 1e-9 * np.abs(values), err)
+
+        h = replace(lip, integral=loose)
         em, err = _euler_maclaurin(h, a, b, pq)
         bad = err > 1e-12 * np.abs(em)
-        assert np.any(bad) and not np.all(bad)
+        assert np.array_equal(bad, a > 2.0) and np.any(bad) and not np.all(bad)
         got = _series_integrals(h, a, b, pq, 1e-12)
         assert np.array_equal(got[~bad], em[~bad])
         assert np.array_equal(got[bad], truncated_series(h, a[bad], b[bad], pq, 1e-12))
+
+    def test_root_kink_without_hook_takes_the_truncated_sum(self, monkeypatch):
+        # |t - 1|^0.5 with its kink declared but no integral hook, at q/p =
+        # 0.9999: the truncated sum, within rel_tol of the 30-digit series at
+        # every node, and neither Gauss-Legendre nor Euler-Maclaurin
+        pq = PQPair(1.0, 0.9999)
+        params = OperatorParams(n=200, b_n=5.85)
+        a, b = _node_affine(params, pq)
+        assert np.any((a < 1.0) & (a + b / pq.p > 1.0))
+        calls = []
+        for name in ("_gl_integrals", "_euler_maclaurin"):
+            original = getattr(operators, name)
+            monkeypatch.setattr(operators, name,
+                                lambda *args, _n=name, _o=original: calls.append(_n) or _o(*args))
+        got = _inner_integrals(with_kinks_only(builtin("lip:1:0.5")), a, b, pq, 1e-12)
+        assert calls == []
+        for k in range(len(a)):
+            want = sqrt_kink_series_oracle(a[k], b[k], pq.p, pq.q, 1.0)
+            assert abs(got[k] - want) <= 1e-12 * abs(want), k
 
     PATHS = ("_poly_integrals", "_pl_integrals_classical", "_gl_integrals",
              "_pl_integrals_strict", "truncated_series", "_euler_maclaurin")
@@ -793,8 +837,8 @@ class TestSeriesPaths:
         # kinked nodes' Gregory gaps included; a stripped sin still counts
         near_one, params = default_pq_params(200)
         calls = []
-        original = operators._gauss_legendre
-        monkeypatch.setattr(operators, "_gauss_legendre",
+        original = operators._gl_integrals
+        monkeypatch.setattr(operators, "_gl_integrals",
                             lambda *args: calls.append(1) or original(*args))
         names = ("const1", "id", "square", "sin", "absdev:1", "bump:2", "lip:1:1",
                  "lip:1:0.5", "lip:0.3:0.7")
@@ -823,7 +867,7 @@ class TestSeriesPaths:
 
     def test_gregory_ends_match_the_diff_loop(self):
         # the end differences by slices take np.diff's operations: every bit
-        # of the sums and estimates is the same, with and without the hook
+        # of the sums and estimates is the same
         pq = PQPair(1.0, 0.999)
         p, h = 1.0, -math.log1p(-0.001)
         a, b = _node_affine(OperatorParams(n=30, m=2, alpha=0.5, beta=1.0, b_n=3.0), pq)
@@ -831,14 +875,7 @@ class TestSeriesPaths:
         def diff_loop(f, start, stop):
             t_hi = math.exp(-start * h) / p
             t_lo = 0.0 if stop is None else math.exp(-stop * h) / p
-            if f.integral is not None:
-                integral, err = f.integral(a, b, t_lo, t_hi)
-            else:
-                mid = 0.5 * (t_lo + t_hi)
-                whole = operators._gauss_legendre(f, a, b, t_lo, t_hi)
-                integral = (operators._gauss_legendre(f, a, b, t_lo, mid)
-                            + operators._gauss_legendre(f, a, b, mid, t_hi))
-                err = np.abs(whole - integral)
+            integral, err = f.integral(a, b, t_lo, t_hi)
             main, err = (p / h) * integral, (p / h) * err
             corr = np.zeros_like(a)
             steps = np.arange(len(operators.GREGORY))
@@ -851,7 +888,7 @@ class TestSeriesPaths:
                 err += np.abs(operators.GREGORY[-1] * diffs[:, 0])
             return main + corr, err + operators._EPS * (np.abs(main) + np.abs(corr))
 
-        for f in (builtin("sin"), builtin("lip:1:0.5"), with_kinks_only(builtin("sin"))):
+        for f in (builtin("sin"), builtin("lip:1:0.5")):
             for start, stop in ((0, None), (3, 40), (300, None)):
                 got = operators._gregory_segment(f, a, b, p, h, start, stop)
                 want = diff_loop(f, start, stop)
