@@ -113,13 +113,14 @@ class _Moduli:
             if not 0 <= delta < np.inf:
                 raise DomainError(f"delta must be finite and nonnegative, got {delta}")
         f, lo, hi = self.f, self.lo, self.hi
-        if order == 1 and f.exact_modulus is not None:
-            return [float(f.exact_modulus(delta)) for delta in deltas]
-        if hi <= lo:
+        if order == 1 and f.exact_modulus is not None:  # over [0, inf): any domain
+            out = [float(f.exact_modulus(delta)) for delta in deltas]
+        elif hi <= lo:
             raise DomainError(f"empty domain [{lo}, {hi}]")
-        out = [None if delta else 0.0 for delta in deltas]
-        if order == 1 and f.polynomial_coeffs is not None and not any(f.polynomial_coeffs[3:]):
+        elif order == 1 and f.polynomial_coeffs is not None and not any(f.polynomial_coeffs[3:]):
             out = [_quadratic_modulus(f.polynomial_coeffs, delta, lo, hi) for delta in deltas]
+        else:
+            out = [None if delta else 0.0 for delta in deltas]
         if order == 2 and f.exact_second_modulus is not None:
             out = [f.exact_second_modulus(delta, lo, hi) if best is None else best
                    for delta, best in zip(deltas, out)]

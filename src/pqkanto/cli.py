@@ -25,6 +25,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -81,14 +82,13 @@ def _build_operator(params: dict, exact: bool = False) -> Tuple[OperatorParams, 
     return op, pq
 
 
-def _write_manifest(command: str, params: dict, outputs: List[str],
-                    base: Path) -> None:
+def _write_manifest(command: str, params: dict, outputs: List[str], base: str) -> None:
     manifest = RunManifest(command=command, params=params, version=__version__,
                            outputs=outputs)
-    manifest.save(manifest_path_for(base / outputs[0]))
+    manifest.save(manifest_path_for(os.path.join(base, outputs[0])))
 
 
-def run_eval(params: dict, base: Path) -> float:
+def run_eval(params: dict, base: str) -> float:
     f = builtin(params["fn"])
     op, pq = _build_operator(params)
     x = _scalar(params["x"])
@@ -103,23 +103,23 @@ def run_eval(params: dict, base: Path) -> float:
         value = apply_operator(f, x, op, pq, tol)
     if params.get("json"):
         write_json({"command": "eval", "params": params, "value": value},
-                   base / params["json"])
+                   os.path.join(base, params["json"]))
         _write_manifest("eval", params, [params["json"]], base)
     return value
 
 
-def run_verify(params: dict, base: Path) -> List[str]:
+def run_verify(params: dict, base: str) -> List[str]:
     exact = bool(params["exact"])
     op, pq = _build_operator(params, exact)
     x = _scalar(params["x"], exact)
     report = verify_moments(op, pq, x, arithmetic="exact" if exact else "float")
     out = params["out"]
-    write_json(report.to_json_dict(), base / out)
+    write_json(report.to_json_dict(), os.path.join(base, out))
     _write_manifest("verify", params, [out], base)
     return [out]
 
 
-def run_bounds(params: dict, base: Path) -> List[str]:
+def run_bounds(params: dict, base: str) -> List[str]:
     f = builtin(params["fn"])
     op, pq = _build_operator(params)
     tol = float(params["tol"])
@@ -129,7 +129,7 @@ def run_bounds(params: dict, base: Path) -> List[str]:
     xs = [float(x) for x in np.linspace(0.0, float(op.b_n), grid)]
     rows = [[getattr(r, k) for k in BOUND_CSV_FIELDS] for r in bound_reports(f, xs, op, pq, tol)]
     out = params["out"]
-    write_csv(BOUND_CSV_FIELDS, rows, base / out)
+    write_csv(BOUND_CSV_FIELDS, rows, os.path.join(base, out))
     _write_manifest("bounds", params, [out], base)
     return [out]
 
@@ -155,11 +155,11 @@ def _spec_from_params(spec_params: dict) -> SequenceSpec:
     return SequenceSpec(n_list=n_list, p_table=p, q_table=q, b_table=b)
 
 
-def run_converge(params: dict, base: Path) -> List[str]:
+def run_converge(params: dict, base: str) -> List[str]:
     spec = _spec_from_params(params["spec"])
     out = params["out"]
     if params["check_only"]:
-        write_json(hypothesis_check(spec), base / out)
+        write_json(hypothesis_check(spec), os.path.join(base, out))
     else:
         m, alpha, beta = int(params["m"]), _scalar(params["alpha"]), _scalar(params["beta"])
         grid = int(params["grid"])
@@ -171,7 +171,7 @@ def run_converge(params: dict, base: Path) -> List[str]:
             names, weighted = ["e0", "e1", "e2", *(h.name for h in extra)], True
         rows = sweep_rows(spec, fs, m, alpha, beta, grid, weighted=weighted)
         write_csv(["n", "p_n", "q_n", "b_n", *(f"err_{name}" for name in names)], rows,
-                  base / out)
+                  os.path.join(base, out))
     _write_manifest("converge", params, [out], base)
     return [out]
 
@@ -185,7 +185,7 @@ _COMMANDS = {
 }
 
 
-def _run(args: argparse.Namespace, base: Path, spec: Optional[dict] = None):
+def _run(args: argparse.Namespace, base: str, spec: Optional[dict] = None):
     """Run a parsed command on the params of its flags; a given `spec`
     replaces converge's --rule, --n-list and --seq-file."""
     run, required = _COMMANDS[args.command]
@@ -214,7 +214,7 @@ def run_replay(manifest_file: str, outdir: str) -> List[str]:
         if isinstance(params.get(key), str) and Path(params[key]).is_absolute():
             params[key] = Path(params[key]).name
     args = _parse_with([command], params, "manifest")
-    result = _run(args, Path(outdir), spec)
+    result = _run(args, outdir, spec)
     if command == "eval":
         print(fmt_float(result))
         return [args.json] if args.json else []
@@ -241,6 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # name -> subparser, as `_parse` reads them
 
     sp = sub.add_parser("eval", help="evaluate the operator at a point")
     sp.add_argument("--fn", default=None, help="function name from the registry")
@@ -295,9 +296,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _main_parser() -> argparse.ArgumentParser:
-    """The parser `main` uses, built once per process.  It is never handed
-    out, so no caller can change it between calls."""
+    """The parser `_parse` uses, with its subparsers, built once per process.
+    It is never handed out, so no caller can change it between calls."""
     return build_parser()
+
+
+def _parse(argv: List[str]) -> argparse.Namespace:
+    """argv parsed by the subparser argv[0] names, into a namespace in the top-level parser's
+    order (`command` first); the top-level parser takes only an argv naming no command."""
+    command = _main_parser().commands.get(argv[0]) if argv else None
+    if command is None:
+        return _main_parser().parse_args(argv)
+    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
 
 
 def _command_params(args: argparse.Namespace) -> dict:
@@ -355,8 +365,7 @@ def _parse_with(argv: List[str], values: dict, source: str) -> argparse.Namespac
     number.  A switch (bool default) takes true or false.  A list is
     comma-joined for --n-list and gives one token per entry for a
     repeatable flag (list default).  Anything else is an error."""
-    parser = _main_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     explicit = {token.split("=", 1)[0] for token in argv if token.startswith("--")}
     tokens = []
     for key, value in values.items():
@@ -377,15 +386,15 @@ def _parse_with(argv: List[str], values: dict, source: str) -> argparse.Namespac
         if not valid:
             raise DomainError(f"{source} value {key}={value!r} is not a valid {flag}")
         tokens += flag_tokens
-    return parser.parse_args([argv[0], *tokens, *argv[1:]])
+    return _parse([argv[0], *tokens, *argv[1:]])
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _main_parser()
+    """Run one command line, parsed by its command's own subparser, and return its exit code."""
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
         if getattr(args, "config", None):
             config = _load_json(args.config, "config")
             if not isinstance(config, dict):
@@ -395,7 +404,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             for out in run_replay(args.manifest, args.outdir):
                 print(f"wrote {Path(args.outdir) / out}")
             return 0
-        result = _run(args, Path.cwd())
+        result = _run(args, os.getcwd())
         print(fmt_float(result) if args.command == "eval" else f"wrote {result[0]}")
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

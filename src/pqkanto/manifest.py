@@ -14,6 +14,7 @@ line endings are LF regardless of platform.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Sequence
@@ -21,6 +22,8 @@ from typing import List, Sequence
 from .errors import DomainError
 
 MANIFEST_SUFFIX = ".manifest.json"
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, ensure_ascii=True, allow_nan=False)
+_CREATE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)  # "\n" stays LF
 
 
 def fmt_float(v) -> str:
@@ -41,16 +44,23 @@ def csv_cell(v) -> str:
 
 
 def write_text(path, text: str) -> None:
-    if not Path(path).parent.is_dir():  # mkdir on an existing one costs a third of a write
+    # one open, write and close; a missing parent is made only when the open fails for it
+    data = memoryview(text.encode("utf-8"))
+    try:
+        fd = os.open(path, _CREATE, 0o666)
+    except (FileNotFoundError, NotADirectoryError):
         Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:  # one call; bytes, so "\n" stays LF
-        fh.write(text.encode("utf-8"))
+        fd = os.open(path, _CREATE, 0o666)
+    try:
+        while data:  # os.write may take fewer bytes than it is given
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def dumps_json(obj) -> str:
     try:
-        return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True,
-                          allow_nan=False) + "\n"
+        return _ENCODER.encode(obj) + "\n"  # the encoder json.dumps builds on every call
     except ValueError:  # JSON has no inf or nan
         raise DomainError("a value of the output is past the float range") from None
 
@@ -81,5 +91,5 @@ class RunManifest:
         write_json(self.to_json_dict(), path)
 
 
-def manifest_path_for(output_path) -> Path:
-    return Path(str(output_path) + MANIFEST_SUFFIX)
+def manifest_path_for(output_path) -> str:
+    return os.fspath(output_path) + MANIFEST_SUFFIX

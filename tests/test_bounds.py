@@ -960,6 +960,23 @@ class TestNonFinite:
         h = replace(h, exact_second_modulus=sq.exact_second_modulus)
         assert len(bound_reports(h, xs, params, PQPair(0.9, 0.8))) == len(xs)
 
+    def test_overflowing_exact_modulus(self):
+        # an exact_modulus past the float range takes the check every other
+        # modulus takes: one error, not inf with holds_modulus true
+        sq = builtin("square")
+        h = FunctionHandle(name="steep", evaluator=np.square, polynomial_coeffs=(0, 0, 1),
+                           exact_modulus=lambda d: 1e308 * d * 10,
+                           exact_second_modulus=sq.exact_second_modulus)
+        assert _Moduli(h, (0.0, 1.0)).column(1, [0.0]) == [0.0]
+        with pytest.raises(DomainError, match="^modulus of steep overflows at delta 0.5$"):
+            _Moduli(h, (0.0, 1.0)).column(1, [0.0, 0.5])
+        params, pq = OperatorParams(n=4), PQPair(0.9, 0.8)
+        _values, direct = _direct_moments(params, pq, [0.5], h, 1e-12)
+        delta = float(np.sqrt(max(float(direct[0]["c2"]), 0.0)))
+        with pytest.raises(DomainError) as error:
+            bound_reports(h, [0.5], params, pq)
+        assert str(error.value) == f"modulus of steep overflows at delta {delta}"
+
 
 def load_by_path(name, monkeypatch):
     """A perfbench module, loaded from its file without touching sys.path;

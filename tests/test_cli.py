@@ -680,27 +680,37 @@ def test_domain_edge_integral_hook_values(tmp_path, capsys, argv, want):
 
 
 def test_write_text_bytes_and_parents(tmp_path, capsys, monkeypatch):
-    # the text's UTF-8 bytes, with no newline translation; a missing parent
-    # is made, an existing one is not made again; a file in the parent's
-    # place is one error line, exit 2
-    made = []
-    mkdir = Path.mkdir
+    # the text's UTF-8 bytes, with no newline translation, however few bytes
+    # each os.write takes; a missing parent is made, an existing one costs
+    # one os.open and no mkdir or stat; a file in the parent's place is one
+    # error line, exit 2
+    made, opened, stats = [], [], []
+    mkdir, os_open, os_stat, os_write = Path.mkdir, os.open, os.stat, os.write
     monkeypatch.setattr(Path, "mkdir",
                         lambda self, *a, **k: made.append(self) or mkdir(self, *a, **k))
+    monkeypatch.setattr(os, "open", lambda path, *a: opened.append(path) or os_open(path, *a))
+    monkeypatch.setattr(os, "stat", lambda path, *a, **k: stats.append(path)
+                        or os_stat(path, *a, **k))
     text = "x,f(x)\r\n0.5,\u00e9\n"
     write_text(tmp_path / "new" / "deep" / "a.csv", text)
     assert tmp_path / "new" / "deep" in made
-    del made[:]
+    del made[:], opened[:], stats[:]
     write_text(tmp_path / "new" / "b.csv", text)
-    assert made == []
+    assert made == [] and opened == [tmp_path / "new" / "b.csv"] and stats == []
+    monkeypatch.setattr(os, "write", lambda fd, data: os_write(fd, data[:3]))
+    write_text(tmp_path / "new" / "c.csv", text * 5)
+    monkeypatch.undo()
     for name in ("new/deep/a.csv", "new/b.csv"):
         assert (tmp_path / name).read_bytes() == b"x,f(x)\r\n0.5,\xc3\xa9\n"
+    assert (tmp_path / "new" / "c.csv").read_bytes() == b"x,f(x)\r\n0.5,\xc3\xa9\n" * 5
     (tmp_path / "blocker").write_text("")
+    # a name that ends in a slash is opened as given, so it names a directory
     for out, cause in (("blocker/v.json", "File exists"),
-                       ("blocker/sub/v.json", "Not a directory")):
+                       ("blocker/sub/v.json", "Not a directory"), ("dir/", "Is a directory")):
         assert run_cli(["verify", "--x", "0.5", "--n", "3", "--out", out], tmp_path) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: [Errno") and cause in err and err.count("\n") == 1
+    assert not (tmp_path / "dir").exists()
 
 
 def test_check_only_ratio_past_float_range_exit_2(tmp_path, capsys):
@@ -847,10 +857,61 @@ class TestParser:
                                         "(choose from 'normalized', 'literal')\n"),
         (["verify", "--x", "1", "--bogus"], "error: unrecognized arguments: --bogus\n"),
         ([], "error: the following arguments are required: command\n"),
+        (["evil"], "error: argument command: invalid choice: 'evil' (choose from 'eval', "
+                   "'verify', 'bounds', 'converge', 'replay')\n"),
+        (["eval", "--version"], "error: unrecognized arguments: --version\n"),
+        (["replay"], "error: the following arguments are required: manifest, --outdir\n"),
     ])
     def test_usage_error_is_one_line(self, argv, err, tmp_path, capsys):
         assert run_cli(argv, tmp_path) == 2
         assert capsys.readouterr() == ("", err)
+
+    @pytest.mark.parametrize("argv, command", [
+        (["--version"], None), (["-h"], None), (["eval", "-h"], "eval")])
+    def test_version_and_help_exit_0(self, argv, command, tmp_path, capsys):
+        # argparse prints them and exits 0; main does not catch that exit
+        parser = cli.build_parser()
+        with pytest.raises(SystemExit) as done:
+            run_cli(argv, tmp_path)
+        assert done.value.code == 0
+        want = (pqkanto.__version__ + "\n" if argv == ["--version"]
+                else (parser.commands[command] if command else parser).format_help())
+        assert capsys.readouterr() == (want, "")
+
+    def test_own_parser_equals_the_top_level(self, tmp_path, capsys, monkeypatch):
+        # each command line, a --config's and a replayed manifest's included,
+        # is parsed once, by the command's own parser, into the namespace
+        # that the top-level parser gives, key order included
+        seen, parse = [], cli._parse
+        monkeypatch.setattr(cli._main_parser(), "parse_args",
+                            lambda *a: pytest.fail(f"top-level parse of {a}"))
+        monkeypatch.setattr(cli, "_parse",
+                            lambda argv: seen.append((argv, parse(argv))) or seen[-1][1])
+        (tmp_path / "cfg.json").write_text(json.dumps({"n": 3, "alpha": "1/2", "beta": 1}))
+        lines = [
+            ["eval", "--fn", "sin", "--x", "0.7", "--n", "7", "--p", "9/10", "--q", "0.8",
+             "--json", "v.json"],
+            ["verify", "--x", "1/2", "--n", "2", "--exact", "--out", "r.json"],
+            ["bounds", "--fn", "sin", "--n", "3", "--grid", "5", "--p", "0.9", "--q", "0.8"],
+            ["converge", "--n-list", "5", "--grid", "5", "--extra", "sin", "--extra", "bump:2"],
+            ["eval", "--fn", "id", "--x", "0.5", "--config", "cfg.json"],
+            ["verify", "--x", "0.5", "--config", "cfg.json", "--out", "c.json"],
+            ["bounds", "--fn", "id", "--grid", "3", "--config", "cfg.json", "--out", "c.csv"],
+        ]
+        for argv in lines:
+            assert run_cli(argv, tmp_path) == 0
+        for name in ("v.json", "r.json", "bounds.csv", "korovkin_sweep.csv", "c.json"):
+            argv = ["replay", name + ".manifest.json", "--outdir", "redo"]
+            assert run_cli(argv, tmp_path) == 0
+        capsys.readouterr()
+        assert {argv[0] for argv, _args in seen} == {
+            "eval", "verify", "bounds", "converge", "replay"}
+        # one by main per command line, two by each _parse_with (3 configs, 5 replays)
+        assert len(seen) == len(lines) + 5 + 2 * (3 + 5)
+        monkeypatch.undo()
+        for argv, args in seen:
+            want = cli.build_parser().parse_args(argv)
+            assert list(vars(args).items()) == list(vars(want).items()), argv
 
     def test_config_values_keep_their_coercions(self, tmp_path, monkeypatch):
         seen = []
